@@ -20,7 +20,7 @@ the paper prescribes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.predictor import FrequencyProfile
 from repro.platform.job import Job
@@ -50,29 +50,34 @@ class EnergyAwareDispatcher:
     def _overpredict(self, value: float) -> float:
         return value * (1.0 + self.node.config.overprediction_error)
 
-    def _sanitize(self, kind: str, value: float) -> float:
-        """Safe mode (repro.guard): screen one prediction if armed."""
+    def _sanitize(self, kind: str, value: float,
+                  freq: Optional[float] = None) -> float:
+        """Safe mode (repro.guard): screen one prediction if armed.
+
+        The guard's per-level label (``kind@freq``) is only built when
+        the guard is armed.
+        """
         guard = self.node.env.guard
         if guard is None:
             return value
-        return guard.sanitize_prediction(self.fn_model.name, kind, value,
+        label = kind if freq is None else f"{kind}@{freq:.2f}"
+        return guard.sanitize_prediction(self.fn_model.name, label, value,
                                          self.node.track)
 
     def _predict_t_run(self, freq: float, job: Job) -> float:
-        return self._sanitize(f"t_run@{freq:.2f}", self._overpredict(
+        return self._sanitize("t_run", self._overpredict(
             self.node.store.predict_t_run(
                 self.fn_model.name, self.machine_type, freq,
-                job.spec.features)))
+                job.spec.features)), freq)
 
     def _predict_t_block(self, job: Job) -> float:
         return self._sanitize("t_block", self.node.store.predict_t_block(
             self.fn_model.name, self.machine_type, job.spec.features))
 
     def _predict_energy(self, freq: float, job: Job) -> float:
-        return self._sanitize(f"energy@{freq:.2f}",
-                              self.node.store.predict_energy(
-                                  self.fn_model.name, self.machine_type,
-                                  freq, job.spec.features))
+        return self._sanitize("energy", self.node.store.predict_energy(
+            self.fn_model.name, self.machine_type, freq,
+            job.spec.features), freq)
 
     # ------------------------------------------------------------------
     # Registration

@@ -82,6 +82,12 @@ class FrequencyProfile:
             self._mlp = MLPRegressor(len(self.feature_names), seed=seed)
         self._rng = np.random.default_rng(seed)
         self._observations = 0
+        # State derived from the observations, valid until the next
+        # observe(): the (a, b) fit, and the MLP's top-frequency estimate
+        # per feature row (one forward per job, however many levels the
+        # dispatcher asks about).
+        self._fit_cache: Optional[tuple] = None
+        self._mlp_cache: Dict[tuple, float] = {}
 
     # ------------------------------------------------------------------
     # Ingest
@@ -99,6 +105,8 @@ class FrequencyProfile:
                 energy_j: float,
                 features: Optional[Dict[str, float]] = None) -> None:
         """Absorb one measured invocation (the dispatcher's profiling)."""
+        self._fit_cache = None
+        self._mlp_cache.clear()
         self.history.record(freq_ghz, t_run_s, t_block_s, energy_j, features)
         self._t_run.setdefault(freq_ghz, AdaptiveEwma()).update(t_run_s)
         self._energy.setdefault(freq_ghz, AdaptiveEwma()).update(energy_j)
@@ -142,11 +150,14 @@ class FrequencyProfile:
     # Frequency scaling
     # ------------------------------------------------------------------
     def _fit(self) -> tuple:
-        points = [(freq, ewma.forecast())
-                  for freq, ewma in self._t_run.items() if ewma.initialized]
-        if not points:
-            raise RuntimeError("no T_Run observations yet")
-        return fit_compute_memory(points)
+        if self._fit_cache is None:
+            points = [(freq, ewma.forecast())
+                      for freq, ewma in self._t_run.items()
+                      if ewma.initialized]
+            if not points:
+                raise RuntimeError("no T_Run observations yet")
+            self._fit_cache = fit_compute_memory(points)
+        return self._fit_cache
 
     def _to_max_freq(self, t_run_s: float, freq_ghz: float,
                      a: float, b: float) -> float:
@@ -179,11 +190,15 @@ class FrequencyProfile:
         if (self._mlp is not None and features
                 and self._mlp.samples_seen >= self._MLP_BATCH):
             row = [features.get(n, 0.0) for n in self.feature_names]
-            t_at_max = self._mlp.predict_one(row)
+            key = tuple(row)
+            t_at_max = self._mlp_cache.get(key)
+            if t_at_max is None:
+                t_at_max = self._mlp_cache[key] = self._mlp.predict_one(row)
             refined = self._from_max_freq(t_at_max, freq_ghz, a, b)
             # A barely-trained network can be wildly off; never let it
-            # stray far from the fitted physical model.
-            return float(np.clip(refined, 0.25 * fit_value, 4.0 * fit_value))
+            # stray far from the fitted physical model. The band is never
+            # inverted (fit_value >= 0); a NaN ``refined`` propagates.
+            return min(max(refined, 0.25 * fit_value), 4.0 * fit_value)
         ewma = self._t_run.get(freq_ghz)
         if ewma is not None and ewma.initialized:
             return max(0.0, ewma.forecast())

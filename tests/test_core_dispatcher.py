@@ -154,6 +154,25 @@ class TestDispatcherProfiledPath:
         assert job.cold_start
         assert store.profile(WEB_SERV).observations == before
 
+    def test_armed_guard_screens_each_level_under_its_own_label(self):
+        class RecordingGuard:
+            def __init__(self):
+                self.kinds = []
+
+            def sanitize_prediction(self, function_name, kind, value, track):
+                self.kinds.append(kind)
+                return value
+
+        env, node, store = make_node()
+        warm_profile(store, WEB_SERV)
+        job = submit(env, node, WEB_SERV, deadline_offset=10.0)
+        dispatcher = node._dispatcher(WEB_SERV)
+        env.guard = RecordingGuard()
+        dispatcher._predict_t_run(1.2, job)
+        dispatcher._predict_t_block(job)
+        dispatcher._predict_energy(2.4, job)
+        assert env.guard.kinds == ["t_run@1.20", "t_block", "energy@2.40"]
+
 
 class TestNodeMechanics:
     def test_note_demand_accumulates(self):
