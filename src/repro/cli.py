@@ -11,12 +11,13 @@ Usage::
     python -m repro fig16 --audit audit.jsonl
     python -m repro report out.json --format json
     python -m repro explain out.json --audit audit.jsonl
-    python -m repro bench --quick --compare BENCH_old.json
-    python -m repro bench --history .
     python -m repro profile --scale 1,3,10 --quick
     python -m repro fig16 --trace out.json --fingerprints fp.json
     python -m repro diff fp_a.json fp_b.json
     python -m repro diff fp.json --run-a 0 --run-b 1
+
+The end-to-end benchmark is not a subcommand: run
+``python3 bench/ecobench.py`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import importlib
 import inspect
 import json
+import math
 import sys
 import time
 from typing import List, Optional
@@ -129,83 +131,6 @@ def _report(argv: List[str]) -> int:
     return 0
 
 
-def _bench(argv: List[str]) -> int:
-    """The ``repro bench`` subcommand: benchmark telemetry."""
-    parser = argparse.ArgumentParser(
-        prog="ecofaas bench",
-        description="Run the pinned-seed benchmark panel and write"
-                    " BENCH_<date>.json: wall-time, peak RSS, simulated"
-                    " energy, p99 latency, and SLO-miss rate per"
-                    " experiment.")
-    parser.add_argument("--quick", action="store_true",
-                        help="short panel (CI smoke): shorter traces,"
-                             " fewer servers")
-    parser.add_argument("--out", metavar="PATH",
-                        help="output path (default BENCH_<date>.json)")
-    parser.add_argument("--compare", metavar="OLD",
-                        help="diff against a previous BENCH json and exit"
-                             " 1 on regressions")
-    parser.add_argument("--wall-tolerance", type=float, default=None,
-                        metavar="REL",
-                        help="relative wall-time slack for --compare"
-                             " (e.g. 3.0 = allow 4x slower; default from"
-                             " the bench module — CI machines vary, the"
-                             " simulated metrics do not)")
-    parser.add_argument("--no-profile", action="store_true",
-                        help="skip the kernel self-profiler section"
-                             " (events/s, hotspots) in each entry")
-    parser.add_argument("--fingerprints", action="store_true",
-                        help="record progressive fingerprint chains per"
-                             " experiment so --compare can point a"
-                             " sim-metric drift at its first diverging"
-                             " epoch and subsystem")
-    parser.add_argument("--history", nargs="?", const=".", default=None,
-                        metavar="DIR",
-                        help="don't run the panel; print the wall-time /"
-                             " energy trajectory across every"
-                             " BENCH_*.json under DIR (default .)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text",
-                        help="output format for --history (default text)")
-    args = parser.parse_args(argv)
-    from repro.obs import bench as bench_mod
-    if args.history is not None:
-        document = bench_mod.history(args.history)
-        if args.format == "json":
-            print(json.dumps(document, indent=1, sort_keys=True))
-        else:
-            print(bench_mod.format_history(document), end="")
-        return 0 if document["files"] else 1
-    document = bench_mod.run_bench(
-        quick=args.quick,
-        progress=lambda message: print(message, file=sys.stderr),
-        profile=not args.no_profile,
-        fingerprints=args.fingerprints)
-    path = args.out or bench_mod.default_path(document)
-    bench_mod.write_bench(document, path)
-    print(f"[bench: {len(document['experiments'])} experiments -> {path}]")
-    if args.compare:
-        try:
-            with open(args.compare) as handle:
-                old = json.load(handle)
-        except (OSError, ValueError) as error:
-            print(f"cannot read {args.compare}: {error}", file=sys.stderr)
-            return 2
-        if args.wall_tolerance is not None:
-            findings = bench_mod.compare(
-                old, document, wall_rel_tolerance=args.wall_tolerance)
-        else:
-            findings = bench_mod.compare(old, document)
-        if findings:
-            print(f"[bench: {len(findings)} regression finding(s)"
-                  f" vs {args.compare}]")
-            for finding in findings:
-                print(f"  - {finding}")
-            return 1
-        print(f"[bench: no regressions vs {args.compare}]")
-    return 0
-
-
 def _profile(argv: List[str]) -> int:
     """The ``repro profile`` subcommand: kernel self-profiling."""
     parser = argparse.ArgumentParser(
@@ -246,17 +171,17 @@ def _profile(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     try:
         scales = tuple(float(part) for part in args.scale.split(","))
-        if not scales or any(scale <= 0 for scale in scales):
+        if not all(0 < scale < math.inf for scale in scales):
             raise ValueError
     except ValueError:
         print(f"bad --scale {args.scale!r}; expected e.g. 1,3,10",
               file=sys.stderr)
         return 2
-    from repro.obs import bench as bench_mod
     from repro.obs import prof as prof_mod
+    from repro.obs import scaling as scaling_mod
 
     def run() -> dict:
-        return bench_mod.run_profile(
+        return scaling_mod.run_profile(
             scales=scales, quick=args.quick,
             progress=lambda message: print(message, file=sys.stderr))
 
@@ -275,7 +200,7 @@ def _profile(argv: List[str]) -> int:
         if args.collapsed:
             path = f"{args.collapsed}.scale{entry['scale']:g}.collapsed"
         else:
-            path = bench_mod.default_profile_collapsed_path(
+            path = scaling_mod.default_profile_collapsed_path(
                 document, entry["scale"])
         with open(path, "w") as handle:
             handle.write(entry["collapsed"])
@@ -524,7 +449,16 @@ def _fuzz(argv: List[str]) -> int:
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.replay:
-        outcome = fuzz_mod.replay(args.replay)
+        try:
+            outcome = fuzz_mod.replay(args.replay)
+        except OSError as error:
+            print(f"cannot read fuzz artifact {args.replay}:"
+                  f" {error.strerror or error}", file=sys.stderr)
+            return 2
+        except (ValueError, KeyError, TypeError) as error:
+            print(f"not a fuzz artifact: {args.replay} ({error})",
+                  file=sys.stderr)
+            return 2
         names = sorted({v["invariant"] for v in outcome["violations"]})
         print(f"[replay: {args.replay} ->"
               f" {', '.join(names) if names else 'no violation'};"
@@ -551,8 +485,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _fuzz(argv[1:])
     if argv and argv[0] == "report":
         return _report(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench(argv[1:])
     if argv and argv[0] == "explain":
         return _explain(argv[1:])
     if argv and argv[0] == "bill":
@@ -568,7 +500,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "experiment",
         help="experiment id (see 'list'), 'list', 'all', 'report',"
-             " 'explain', 'bill', 'bench', 'profile', or 'diff'")
+             " 'explain', 'bill', 'profile', 'fuzz', or 'diff'")
     parser.add_argument(
         "--full", action="store_true",
         help="run at closer-to-paper scale (much slower)")
@@ -639,6 +571,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--burnrate requires --trace")
     if args.fingerprints and not args.trace:
         parser.error("--fingerprints requires --trace")
+    if not 0 < args.epoch_s < math.inf:
+        parser.error("--epoch-s must be a positive, finite number")
 
     if args.experiment == "list":
         print("available experiments:")

@@ -19,17 +19,20 @@ v2 adds, all equally opt-in and determinism-safe:
   burn-rate alerting on deterministic log-bucket histograms;
 * :mod:`~repro.obs.explain` — ranked root causes for missed-SLO
   workflows from the exported artifacts;
-* :mod:`~repro.obs.bench` — the ``repro bench`` telemetry panel.
+* :mod:`~repro.obs.scaling` — the pinned ``repro profile`` scaling
+  scenario (the end-to-end benchmark lives in ``bench/``; see
+  ``bench/README.md``).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-# NB: repro.obs.bench is deliberately NOT imported here — it pulls in the
+# NB: repro.obs.scaling is deliberately NOT imported here — it pulls in the
 # experiment harness, which imports the sim kernel, which imports
-# repro.obs.tracer; importing bench at package-init time would close that
-# loop into a cycle. Use ``import repro.obs.bench`` directly (the CLI does).
+# repro.obs.tracer; importing scaling at package-init time would close
+# that loop into a cycle. Import ``repro.obs.scaling`` directly (the CLI
+# does).
 from repro.obs.audit import AuditLog, AuditRecord
 from repro.obs.burnrate import (
     BurnRateConfig,

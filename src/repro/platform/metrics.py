@@ -355,7 +355,7 @@ class MetricsCollector:
         return sorted({r.benchmark for r in self.workflow_records})
 
     def bench_summary(self) -> Dict[str, object]:
-        """The seed-deterministic metrics ``repro bench`` fingerprints.
+        """Seed-deterministic headline metrics (``repro profile`` documents).
 
         The p99 is None (rather than NaN) when nothing completed, so the
         summary serializes to strict JSON.

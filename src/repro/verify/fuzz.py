@@ -584,10 +584,9 @@ def replay(path: str) -> Dict[str, object]:
     """
     with open(path) as handle:
         artifact = json.load(handle)
-    if artifact.get("format") != ARTIFACT_FORMAT:
-        raise ValueError(
-            f"{path}: not a fuzz artifact"
-            f" (format={artifact.get('format')!r})")
+    fmt = artifact.get("format") if isinstance(artifact, dict) else None
+    if fmt != ARTIFACT_FORMAT:
+        raise ValueError(f"format={fmt!r}, expected {ARTIFACT_FORMAT!r}")
     result = run_trial(artifact["spec"], mutate=artifact.get("mutate"))
     stored = json.dumps({"violations": artifact["violations"],
                          "fingerprint": artifact["fingerprint"]},

@@ -1,7 +1,7 @@
 """CLI error-handling regressions: bad artifact paths must not traceback.
 
 Every artifact-consuming subcommand (``report``, ``explain``, ``bill``,
-``diff``) gets the same treatment for a missing and for a corrupt input
+``diff``, ``fuzz --replay``) gets the same treatment for a missing and for a corrupt input
 file: exit non-zero (2), print exactly one explanatory line on stderr,
 and never raise. These run no simulation.
 """
@@ -10,13 +10,14 @@ import json
 
 import pytest
 
-from repro.cli import _bill, _diff, _explain, _report
+from repro.cli import _bill, _diff, _explain, _fuzz, _report
 
 SUBCOMMANDS = {
     "report": _report,
     "explain": _explain,
     "bill": _bill,
     "diff": _diff,
+    "fuzz": lambda argv: _fuzz(["--replay", *argv]),
 }
 
 
@@ -72,3 +73,12 @@ def test_diff_missing_b_side(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 2
     assert _one_line(err)
+
+
+def test_fuzz_replay_wrong_shape_json(tmp_path, capsys):
+    artifact = tmp_path / "list.json"
+    artifact.write_text("[1]", encoding="utf-8")
+    rc = _fuzz(["--replay", str(artifact)])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert "not a fuzz artifact" in err

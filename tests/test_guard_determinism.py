@@ -24,7 +24,6 @@ from repro.platform.reliability import ReliabilityPolicy
 
 from tests.fingerprints import (
     cluster_fingerprint,
-    current_fingerprints,
     load_reference,
     reference_runs,
 )
@@ -45,9 +44,6 @@ class TestGuardsOffMatchesSeed:
     def test_reference_file_covers_all_runs(self):
         assert set(load_reference()) == {label for label, _
                                          in reference_runs()}
-
-    def test_current_fingerprints_helper_agrees(self):
-        assert current_fingerprints() == load_reference()
 
 
 def guarded_run(fault_plan=None, policy=None):

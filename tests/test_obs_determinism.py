@@ -112,6 +112,15 @@ def test_cli_trace_and_report(tmp_path):
     assert main(["report", str(trace_path), "--top", "3"]) == 0
 
 
+@pytest.mark.parametrize("epoch_s", ["-1", "0", "nan", "inf"])
+def test_epoch_s_must_be_positive_and_finite(epoch_s):
+    from repro.cli import main
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig16", "--trace", "t.json", "--epoch-metrics", "m.csv",
+              "--epoch-s", epoch_s])
+    assert excinfo.value.code == 2
+
+
 def test_epoch_metrics_requires_trace_flag(capsys):
     from repro.cli import main
     with pytest.raises(SystemExit):

@@ -1,9 +1,16 @@
 """Unit tests for the kernel self-profiler (``repro.obs.prof``)."""
 
+import json
+
 import pytest
 
+from repro.core import EcoFaaSSystem
+from repro.core.config import EcoFaaSConfig
+from repro.experiments.common import make_load_trace, run_cluster
 from repro.obs import prof
+from repro.obs import scaling as scaling_mod
 from repro.obs.registry import PROFILE_COMPONENTS
+from repro.platform.cluster import ClusterConfig
 
 
 class FakeClock:
@@ -247,3 +254,82 @@ def test_format_hotspots_and_scaling_render():
     scaling = prof.format_scaling({"scales": [entry]})
     assert "scaling curve" in scaling
     assert "kernel.dispatch (73.0%)" in scaling
+
+
+# ---------------------------------------------------------------------------
+# repro profile CLI
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def tiny_profile(monkeypatch):
+    def scenario(scale, quick):
+        trace = make_load_trace("low", 1, 3.0 * scale, seed=3)
+        return run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
+                           ClusterConfig(n_servers=1, seed=3))
+    monkeypatch.setattr(scaling_mod, "_profile_scenario", scenario)
+
+
+def test_cli_profile_text_and_artifacts(tiny_profile, tmp_path, capsys,
+                                        monkeypatch):
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "profile.json"
+    assert main(["profile", "--scale", "1,2", "--quick",
+                 "--out", str(out),
+                 "--collapsed", str(tmp_path / "prof")]) == 0
+    text = capsys.readouterr().out
+    assert "scaling curve" in text
+    assert "conservation" in text
+    document = json.loads(out.read_text())
+    assert [entry["scale"] for entry in document["scales"]] == [1, 2]
+    for scale in (1, 2):
+        collapsed = tmp_path / f"prof.scale{scale}.collapsed"
+        assert collapsed.exists()
+        for line in collapsed.read_text().strip().splitlines():
+            path, usec = line.rsplit(" ", 1)
+            assert int(usec) > 0
+
+
+def test_cli_profile_json_format(tiny_profile, tmp_path, capsys,
+                                 monkeypatch):
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["profile", "--scale", "1", "--quick",
+                 "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["scales"][0]["wall_conservation"] >= 0.9
+
+
+def test_cli_profile_min_conservation_gate(tiny_profile, tmp_path,
+                                           monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    # An impossible bar must trip the gate (conservation can't beat 2.0).
+    assert main(["profile", "--scale", "1", "--quick",
+                 "--min-conservation", "2.0"]) == 1
+    assert "wall conservation" in capsys.readouterr().err
+
+
+def test_cli_profile_rejects_bad_scale(capsys):
+    from repro.cli import main
+
+    assert main(["profile", "--scale", "nope"]) == 2
+    assert main(["profile", "--scale", "0"]) == 2
+    assert main(["profile", "--scale", "nan"]) == 2
+    assert main(["profile", "--scale", "inf"]) == 2
+    assert "bad --scale" in capsys.readouterr().err
+
+
+def test_cli_profile_cprofile_dump(tiny_profile, tmp_path, monkeypatch):
+    import pstats
+
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    dump = tmp_path / "prof.pstats"
+    assert main(["profile", "--scale", "1", "--quick",
+                 "--cprofile", str(dump)]) == 0
+    stats = pstats.Stats(str(dump))
+    assert stats.total_calls > 0
