@@ -10,11 +10,9 @@ The energy-management framework of Sections V–VI:
 * :mod:`~repro.core.predictor` — per-function frequency profiles: estimate
   ``T_Run`` / ``T_Block`` / ``Energy`` at any frequency from measurements
   at a few frequencies.
-* :mod:`~repro.core.milp` — branch-and-bound Mixed-Integer Linear
-  Programming (the Workflow Controller's solver) plus an exact DP
-  cross-check.
 * :mod:`~repro.core.dpt` — the Delay-Power Table and SLO → per-function
-  deadline splitting (Section VI-A).
+  deadline splitting (Section VI-A): an exact stage-Pareto solver for the
+  paper's MILP, plus an exhaustive cross-check.
 * :mod:`~repro.core.transfer` — linear-regression transfer learning across
   heterogeneous server types (Section VI-E3).
 * :mod:`~repro.core.dispatcher` — the Energy-Aware Function Dispatcher
@@ -31,7 +29,6 @@ from repro.core.config import EcoFaaSConfig
 from repro.core.dpt import DelayPowerTable, split_deadlines
 from repro.core.ewma import AdaptiveEwma
 from repro.core.history import HistoryTable
-from repro.core.milp import MilpProblem, solve_milp
 from repro.core.mlp import MLPRegressor
 from repro.core.predictor import FrequencyProfile
 from repro.core.system import EcoFaaSSystem
@@ -45,8 +42,6 @@ __all__ = [
     "FrequencyProfile",
     "HistoryTable",
     "MLPRegressor",
-    "MilpProblem",
     "TransferModel",
-    "solve_milp",
     "split_deadlines",
 ]

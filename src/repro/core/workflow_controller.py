@@ -100,8 +100,8 @@ class WorkflowController:
                         alternatives=[{
                             "split": "milp",
                             "rejected": "solver budget exhausted"}],
-                        reason="MILP exhausted its branch-and-bound node"
-                               " budget; safe-mode proportional split")
+                        reason="MILP solver exhausted its label budget;"
+                               " safe-mode proportional split")
             else:
                 self._split = split
                 if audit is not None:

@@ -7,7 +7,7 @@ Four opt-in guard families for the EcoFaaS control plane:
 - **Circuit breakers** (:mod:`repro.guard.breaker`): per-function
   closed/open/half-open breakers that stop retry storms.
 - **Safe mode** (:mod:`repro.guard.safemode`): prediction sanity
-  screening, MILP iteration budgets, DPT staleness pinning.
+  screening, deadline-split label budgets, DPT staleness pinning.
 - **Checkpoints** (:mod:`repro.guard.checkpoint`): periodic controller
   snapshots with staleness-bounded restore on crash recovery, plus a
   refresh watchdog.

@@ -111,10 +111,11 @@ class BreakerConfig:
 class SafeModeConfig:
     """Control-plane fallbacks: solver budget, predictor sanity, pinning.
 
-    * ``milp_node_budget`` caps the branch-and-bound node count of one
-      ``solve_milp`` call; a solve that exhausts the budget makes the
-      Workflow Controller fall back to the proportional split (the same
-      policy Baseline+PowerCtrl uses) until the next ``T_update``.
+    * ``milp_node_budget`` caps the labels (partial plans) one
+      ``solve_milp`` call may build; a solve that exhausts the budget
+      makes the Workflow Controller fall back to the proportional split
+      (the same policy Baseline+PowerCtrl uses) until the next
+      ``T_update``.
     * Predictions (``T_Run`` / ``T_Block`` / ``Energy``) are screened:
       NaN, negative, non-finite, or values more than ``prediction_rel_max``
       times the last known-good prediction (or above
@@ -126,7 +127,7 @@ class SafeModeConfig:
       always-safe level) until fresh data arrives.
     """
 
-    #: Branch-and-bound node budget per MILP solve (None = unbudgeted).
+    #: Label budget per deadline-split solve (None = unbudgeted).
     milp_node_budget: Optional[int] = 2_000
     #: Relative sanity bound against the last known-good prediction.
     prediction_rel_max: float = 20.0

@@ -74,7 +74,7 @@ PROFILE_COMPONENTS = (
     ("hardware.power", "instantaneous power-model snapshots"),
     ("core.predictor", "frequency-profile predictions and observations"),
     ("core.dpt", "delay-power-table deadline splitting"),
-    ("core.milp", "branch-and-bound MILP solves"),
+    ("core.milp", "exact stage-Pareto deadline-split solves"),
     ("obs.trace", "tracer span/instant/counter recording"),
     ("obs.ledger", "energy-ledger entry recording and run close"),
     ("obs.audit", "decision audit record construction"),

@@ -137,7 +137,7 @@ class MetricsCollector:
         self.breaker_fast_fails = 0
         #: Pathological predictions caught and replaced by the guard.
         self.mispredictions = 0
-        #: MILP solves that hit the node budget and fell back to the
+        #: MILP solves that hit the label budget and fell back to the
         #: proportional split.
         self.milp_fallbacks = 0
         #: Dispatches pinned to the top frequency on a stale profile.
