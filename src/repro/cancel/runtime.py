@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Optional, Set
 
 from repro.cancel.budget import RetryBudget
 from repro.cancel.config import CancelConfig
-from repro.obs.prof import profiled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
@@ -91,7 +90,6 @@ class CancelRuntime:
                 and doom_deadline_s is not None
                 and self.env.now > doom_deadline_s + EPS)
 
-    @profiled("cancel")
     def dequeue_doomed(self, job: "Job", freq_ghz: float) -> bool:
         """Queued-job doom check at dispatch: can it still make its line?
 
@@ -119,7 +117,6 @@ class CancelRuntime:
     def cancels_timeouts(self) -> bool:
         return self.deadline is not None and self.deadline.cancel_timeouts
 
-    @profiled("cancel")
     def cancel_attempt(self, job: "Job", reason: str) -> bool:
         """Kill one in-flight attempt wherever it currently lives.
 
@@ -192,7 +189,6 @@ class CancelRuntime:
         if self.budget is not None:
             self.budget.note_first_attempt(self.env.now)
 
-    @profiled("cancel")
     def allow_retry(self, function: str, attempt: int) -> bool:
         """Spend a retry token; False = the cluster budget is exhausted."""
         if self.budget is None:

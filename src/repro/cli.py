@@ -11,13 +11,13 @@ Usage::
     python -m repro fig16 --audit audit.jsonl
     python -m repro report out.json --format json
     python -m repro explain out.json --audit audit.jsonl
-    python -m repro profile --scale 1,3,10 --quick
     python -m repro fig16 --trace out.json --fingerprints fp.json
     python -m repro diff fp_a.json fp_b.json
     python -m repro diff fp.json --run-a 0 --run-b 1
 
-The end-to-end benchmark is not a subcommand: run
-``python3 bench/ecobench.py`` (see ``bench/README.md``).
+The end-to-end benchmark and its per-layer profiler are not
+subcommands: run ``python3 bench/ecobench.py`` (``--trace 1`` for
+per-layer spans; see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import importlib
 import inspect
 import json
 import math
+import os
 import sys
 import time
 from typing import List, Optional
@@ -128,108 +129,6 @@ def _report(argv: List[str]) -> int:
               file=sys.stderr)
         return 2
     print(text, end="")
-    return 0
-
-
-def _profile(argv: List[str]) -> int:
-    """The ``repro profile`` subcommand: kernel self-profiling."""
-    parser = argparse.ArgumentParser(
-        prog="ecofaas profile",
-        description="Profile the reproduction itself: run a pinned"
-                    " EcoFaaS scenario at a ladder of trace-duration"
-                    " multipliers with the kernel self-profiler armed,"
-                    " printing per-scale hotspot tables, the scaling"
-                    " curve, and flamegraph-loadable collapsed stacks."
-                    " The profiler reads only the host wall-clock, so"
-                    " the simulated metrics match an unprofiled run"
-                    " bit for bit.")
-    parser.add_argument("--scale", default="1,3,10", metavar="K1,K2,...",
-                        help="comma-separated trace-duration multipliers"
-                             " (default 1,3,10)")
-    parser.add_argument("--quick", action="store_true",
-                        help="short base scenario (CI smoke): shorter"
-                             " trace, fewer servers")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text",
-                        help="output format (default text)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="also write the full PROFILE document as"
-                             " JSON to PATH")
-    parser.add_argument("--collapsed", metavar="PREFIX",
-                        help="collapsed-stack output path prefix; one"
-                             " PREFIX.scale<K>.collapsed file per scale"
-                             " (default PROFILE_<date>)")
-    parser.add_argument("--cprofile", metavar="PATH",
-                        help="additionally run everything under"
-                             " cProfile and dump pstats data to PATH"
-                             " (loadable with python -m pstats)")
-    parser.add_argument("--min-conservation", type=float, default=0.9,
-                        metavar="FRAC",
-                        help="fail (exit 1) if attributed self-times sum"
-                             " to less than FRAC of measured wall-time"
-                             " at any scale (default 0.9)")
-    args = parser.parse_args(argv)
-    try:
-        scales = tuple(float(part) for part in args.scale.split(","))
-        if not all(0 < scale < math.inf for scale in scales):
-            raise ValueError
-    except ValueError:
-        print(f"bad --scale {args.scale!r}; expected e.g. 1,3,10",
-              file=sys.stderr)
-        return 2
-    from repro.obs import prof as prof_mod
-    from repro.obs import scaling as scaling_mod
-
-    def run() -> dict:
-        return scaling_mod.run_profile(
-            scales=scales, quick=args.quick,
-            progress=lambda message: print(message, file=sys.stderr))
-
-    if args.cprofile:
-        import cProfile
-        profile = cProfile.Profile()
-        document = profile.runcall(run)
-        profile.dump_stats(args.cprofile)
-        print(f"[cprofile: pstats data -> {args.cprofile}]",
-              file=sys.stderr)
-    else:
-        document = run()
-
-    collapsed_paths = []
-    for entry in document["scales"]:
-        if args.collapsed:
-            path = f"{args.collapsed}.scale{entry['scale']:g}.collapsed"
-        else:
-            path = scaling_mod.default_profile_collapsed_path(
-                document, entry["scale"])
-        with open(path, "w") as handle:
-            handle.write(entry["collapsed"])
-        collapsed_paths.append(path)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(document, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-
-    if args.format == "json":
-        print(json.dumps(document, indent=1, sort_keys=True))
-    else:
-        for entry in document["scales"]:
-            print(prof_mod.format_hotspots(entry))
-            print()
-        print(prof_mod.format_scaling(document))
-        print(f"[collapsed stacks: {', '.join(collapsed_paths)}]")
-        if args.out:
-            print(f"[profile document -> {args.out}]")
-
-    broken = [entry for entry in document["scales"]
-              if entry["wall_conservation"] < args.min_conservation]
-    if broken:
-        for entry in broken:
-            print(f"[profile: wall conservation"
-                  f" {100.0 * entry['wall_conservation']:.1f}% <"
-                  f" {100.0 * args.min_conservation:.0f}% at scale"
-                  f" {entry['scale']:g}x]", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -489,8 +388,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _explain(argv[1:])
     if argv and argv[0] == "bill":
         return _bill(argv[1:])
-    if argv and argv[0] == "profile":
-        return _profile(argv[1:])
     if argv and argv[0] == "diff":
         return _diff(argv[1:])
     parser = argparse.ArgumentParser(
@@ -500,7 +397,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "experiment",
         help="experiment id (see 'list'), 'list', 'all', 'report',"
-             " 'explain', 'bill', 'profile', 'fuzz', or 'diff'")
+             " 'explain', 'bill', 'fuzz', or 'diff'")
     parser.add_argument(
         "--full", action="store_true",
         help="run at closer-to-paper scale (much slower)")
@@ -573,6 +470,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--fingerprints requires --trace")
     if not 0 < args.epoch_s < math.inf:
         parser.error("--epoch-s must be a positive, finite number")
+    if args.seed < 0:
+        parser.error("--seed must be a non-negative integer")
 
     if args.experiment == "list":
         print("available experiments:")
@@ -584,6 +483,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"unknown experiment {args.experiment!r};"
               f" try 'list'", file=sys.stderr)
         return 2
+
+    # Artifacts are written after the run: a missing output directory
+    # must fail now, not after minutes of simulation.
+    for flag, path in (("--trace", args.trace),
+                       ("--epoch-metrics", args.epoch_metrics),
+                       ("--ledger", args.ledger),
+                       ("--audit", args.audit),
+                       ("--fingerprints", args.fingerprints)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            print(f"cannot write {flag} {path}: no such directory",
+                  file=sys.stderr)
+            return 2
 
     tracer = None
     audit = None

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.frequency import FrequencyScale
-from repro.obs.prof import profiled
 from repro.workloads.applications import Workflow
 
 #: A plan fits the SLO when its time is at most ``SLO + _SLO_TOL``.
@@ -165,7 +164,6 @@ def _prefix(layers: List[List[_Label]], label: _Label,
     return tuple(reversed(choices))
 
 
-@profiled("core.milp")
 def solve_milp(workflow: Workflow, slo_s: float, dpt: DelayPowerTable,
                max_nodes: Optional[int] = None) -> MilpSolution:
     """Exact minimum-energy frequency plan under the SLO (Section VI-A).
@@ -247,7 +245,6 @@ def solve_milp(workflow: Workflow, slo_s: float, dpt: DelayPowerTable,
     return solution(_prefix(layers, best, fronts), built)
 
 
-@profiled("core.dpt")
 def split_deadlines(workflow: Workflow, slo_s: float,
                     dpt: DelayPowerTable,
                     max_nodes: Optional[int] = None) -> DeadlineSplit:
@@ -302,7 +299,6 @@ def _fastest_plan(workflow: Workflow, dpt: DelayPowerTable,
                          solver_exhausted=solver_exhausted)
 
 
-@profiled("core.dpt")
 def split_deadlines_exhaustive(workflow: Workflow, slo_s: float,
                                dpt: DelayPowerTable,
                                max_combinations: int = 2_000_000

@@ -28,7 +28,6 @@ from repro.core.history import HistoryTable
 from repro.core.mlp import MLPRegressor
 from repro.hardware.frequency import FrequencyScale
 from repro.hardware.power import PowerModel
-from repro.obs.prof import profiled
 
 
 def fit_compute_memory(points: Sequence[tuple]) -> tuple:
@@ -100,7 +99,6 @@ class FrequencyProfile:
     def observations(self) -> int:
         return self._observations
 
-    @profiled("core.predictor")
     def observe(self, freq_ghz: float, t_run_s: float, t_block_s: float,
                 energy_j: float,
                 features: Optional[Dict[str, float]] = None) -> None:
@@ -179,7 +177,6 @@ class FrequencyProfile:
     # ------------------------------------------------------------------
     # Predictions
     # ------------------------------------------------------------------
-    @profiled("core.predictor")
     def predict_t_run(self, freq_ghz: float,
                       features: Optional[Dict[str, float]] = None) -> float:
         """Expected on-core seconds at ``freq_ghz`` (input-aware if set)."""
@@ -204,14 +201,12 @@ class FrequencyProfile:
             return max(0.0, ewma.forecast())
         return fit_value
 
-    @profiled("core.predictor")
     def predict_t_block(self,
                         features: Optional[Dict[str, float]] = None) -> float:
         if not self._t_block.initialized:
             raise RuntimeError("no observations yet")
         return max(0.0, self._t_block.forecast())
 
-    @profiled("core.predictor")
     def predict_energy(self, freq_ghz: float,
                        features: Optional[Dict[str, float]] = None) -> float:
         """Expected active energy of one invocation at ``freq_ghz``."""

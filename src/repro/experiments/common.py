@@ -105,23 +105,13 @@ def _trace_counter_sampler(env, cluster, tracer):
     numbers, so metrics stay bit-identical to an untraced run.
     """
     while True:
-        prof = env.prof
-        if prof.enabled:
-            # The sampler is pure tracer overhead: bill it (and the
-            # power snapshots nested inside) to the obs components.
-            prof.enter("obs.trace")
-        try:
-            for node in cluster.nodes:
-                track = f"node{node.server.server_id}"
-                tracer.counter(track, "power_w",
-                               node.server.power_snapshot_w())
-                tracer.counter(track, "ewt_s",
-                               sum(pool.ewt_seconds
-                                   for pool in node.iter_pools()))
-                tracer.counter(track, "outstanding", node.outstanding)
-        finally:
-            if prof.enabled:
-                prof.exit("obs.trace")
+        for node in cluster.nodes:
+            track = f"node{node.server.server_id}"
+            tracer.counter(track, "power_w", node.server.power_snapshot_w())
+            tracer.counter(track, "ewt_s",
+                           sum(pool.ewt_seconds
+                               for pool in node.iter_pools()))
+            tracer.counter(track, "outstanding", node.outstanding)
         yield env.timeout(tracer.counter_period_s)
 
 
@@ -142,12 +132,6 @@ def run_cluster(system, trace: Trace,
     env = Environment()
     if label is None:
         label = getattr(system, "name", type(system).__name__)
-    profiler = obs.active_profiler()
-    if profiler is not None:
-        # Self-profiling (repro.obs.prof): route the kernel's counter
-        # and dispatch-timer hooks here. Wall-clock only — never
-        # simulation state — so the run stays bit-identical.
-        profiler.bind(env)
     tracer = obs.active_tracer()
     if tracer is not None:
         tracer.begin_run(label)

@@ -21,7 +21,6 @@ from repro.guard.breaker import BreakerBoard, CircuitBreaker, CLOSED, OPEN
 from repro.guard.checkpoint import CheckpointStore
 from repro.guard.config import GuardConfig
 from repro.guard.safemode import PredictionGuard
-from repro.obs.prof import profiled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
@@ -80,7 +79,6 @@ class GuardRuntime:
     # ------------------------------------------------------------------
     # Admission (Cluster.submit_workflow)
     # ------------------------------------------------------------------
-    @profiled("guard")
     def admit_workflow(self, benchmark: str) -> bool:
         """Admission decision for one arrival; False = shed (accounted)."""
         if self.admission is None:
@@ -130,7 +128,6 @@ class GuardRuntime:
             return None
         return self.breakers.breaker(function_name)
 
-    @profiled("guard")
     def breaker_allows(self, function_name: str) -> bool:
         """May an attempt of this function be dispatched now?
 
@@ -209,7 +206,6 @@ class GuardRuntime:
         self.env.trace.instant("milp_fallback", FRONTEND_TRACK,
                                workflow=workflow_name)
 
-    @profiled("guard")
     def sanitize_prediction(self, function_name: str, kind: str,
                             value: float, track: str) -> float:
         """Screen one prediction; pathological values are replaced."""

@@ -41,7 +41,6 @@ from repro.ha.detector import (
 )
 from repro.ha.journal import IdempotencyKey, RedispatchJournal
 from repro.ha.links import LinkTable
-from repro.obs.prof import profiled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
@@ -288,19 +287,16 @@ class HARuntime:
     # ------------------------------------------------------------------
     # Membership-aware dispatch and recovery
     # ------------------------------------------------------------------
-    @profiled("ha")
     def node_suspected(self, node: Optional["NodeSystem"]) -> bool:
         if node is None:
             return False
         return self.membership.state(node.track) != ALIVE
 
-    @profiled("ha")
     def dispatchable(self, node: "NodeSystem") -> bool:
         """Should the frontend route new work to this node?"""
         return (self.membership.state(node.track) == ALIVE
                 and self.links.delivers(FRONTEND, node.track))
 
-    @profiled("ha")
     def result_visible(self, job: "Job") -> bool:
         """Can the frontend observe this job's completion right now?"""
         node = getattr(job, "ha_node", None)

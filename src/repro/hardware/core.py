@@ -26,7 +26,6 @@ from typing import Any, Callable, Optional
 from repro.hardware.energy import EnergyMeter
 from repro.hardware.power import PowerModel
 from repro.hardware.work import WorkUnit
-from repro.obs.prof import profiled
 from repro.sim.engine import Environment
 
 #: Core accounting modes.
@@ -118,7 +117,6 @@ class Core:
     # ------------------------------------------------------------------
     # Energy accrual
     # ------------------------------------------------------------------
-    @profiled("hardware.energy")
     def _accrue(self) -> None:
         """Close the current accounting segment at its mode's power."""
         t0 = self._mode_since

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.obs.prof import profiled
 
 #: Energy components tracked by the meter.
 COMPONENTS = ("core_active", "core_idle", "uncore", "dram", "dvfs_overhead")
@@ -72,7 +71,6 @@ class EnergyMeter:
                 self._by_consumer.get(consumer, 0.0) + joules)
 
 
-@profiled("hardware.energy")
 def combine(meters: Sequence["EnergyMeter"]) -> "EnergyMeter":
     """A fresh meter holding the sum of ``meters`` (cluster-wide rollup)."""
     total = EnergyMeter()

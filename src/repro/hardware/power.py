@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.prof import profiled
-
 
 @dataclass(frozen=True)
 class PowerModel:
@@ -68,7 +66,6 @@ class PowerModel:
             raise ValueError(f"busy_cores must be non-negative: {busy_cores}")
         return self.dram_active_w_per_core * busy_cores
 
-    @profiled("hardware.power")
     def server_power(self, core_freqs_ghz: list, busy_flags: list) -> float:
         """Instantaneous whole-server power for a core state snapshot.
 

@@ -13,7 +13,6 @@ from repro.hardware.core import Core
 from repro.hardware.energy import EnergyMeter, FrequencyTimeline
 from repro.hardware.frequency import FrequencyScale
 from repro.hardware.power import PowerModel
-from repro.obs.prof import profiled
 from repro.sim.engine import Environment
 
 
@@ -100,7 +99,6 @@ class Server:
             return None
         return self.power_cap_w - self.power_snapshot_w()
 
-    @profiled("hardware.energy")
     def finalize(self) -> None:
         """Accrue all outstanding energy up to the current time.
 

@@ -18,21 +18,16 @@ v2 adds, all equally opt-in and determinism-safe:
 * :class:`~repro.obs.burnrate.BurnRateMonitor` — per-benchmark SLO
   burn-rate alerting on deterministic log-bucket histograms;
 * :mod:`~repro.obs.explain` — ranked root causes for missed-SLO
-  workflows from the exported artifacts;
-* :mod:`~repro.obs.scaling` — the pinned ``repro profile`` scaling
-  scenario (the end-to-end benchmark lives in ``bench/``; see
-  ``bench/README.md``).
+  workflows from the exported artifacts.
+
+The reproduction's own wall time is measured from outside, by the
+end-to-end benchmark in ``bench/`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-# NB: repro.obs.scaling is deliberately NOT imported here — it pulls in the
-# experiment harness, which imports the sim kernel, which imports
-# repro.obs.tracer; importing scaling at package-init time would close
-# that loop into a cycle. Import ``repro.obs.scaling`` directly (the CLI
-# does).
 from repro.obs.audit import AuditLog, AuditRecord
 from repro.obs.burnrate import (
     BurnRateConfig,
@@ -57,15 +52,6 @@ from repro.obs.fingerprint import (
     digest,
 )
 from repro.obs.ledger import EnergyConservationError, EnergyLedger
-from repro.obs.prof import (
-    NULL_PROFILER,
-    NullProfiler,
-    Profiler,
-    profiled,
-)
-from repro.obs.prof import active as active_profiler
-from repro.obs.prof import install as install_profiler
-from repro.obs.prof import uninstall as uninstall_profiler
 from repro.obs.registry import (
     EPOCH_INSTANT_COLUMNS,
     LEDGER_COMPONENTS,
@@ -86,7 +72,6 @@ __all__ = [
     "EPOCH_INSTANT_COLUMNS",
     "LEDGER_COMPONENTS",
     "LEDGER_EPOCH_COLUMNS",
-    "NULL_PROFILER",
     "NULL_TRACER",
     "AuditLog",
     "AuditRecord",
@@ -98,13 +83,10 @@ __all__ = [
     "FingerprintRecorder",
     "InstantRecord",
     "LogBucketHistogram",
-    "NullProfiler",
     "NullTracer",
-    "Profiler",
     "SpanRecord",
     "Tracer",
     "active_audit",
-    "active_profiler",
     "active_tracer",
     "canon",
     "canonical_json",
@@ -118,15 +100,12 @@ __all__ = [
     "format_explanation",
     "install",
     "install_audit",
-    "install_profiler",
     "load_explain_data",
-    "profiled",
     "queueing_by_function",
     "report",
     "run_summary",
     "uninstall",
     "uninstall_audit",
-    "uninstall_profiler",
     "validate_events",
     "validate_file",
     "write_chrome_trace",

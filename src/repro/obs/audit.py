@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.prof import profiled
 
 #: The audit record kinds emitted by the control plane. Purely
 #: documentary — the log accepts any kind string — but tests pin these.
@@ -109,7 +108,6 @@ class AuditLog:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    @profiled("obs.audit")
     def record(self, kind: str, actor: str, *,
                inputs: Optional[Dict[str, Any]] = None,
                action: Optional[Dict[str, Any]] = None,

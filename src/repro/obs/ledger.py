@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.prof import profiled
 from repro.obs.registry import LEDGER_COMPONENTS
 
 #: Raw accrual kinds recorded by the hardware hooks, before
@@ -113,7 +112,6 @@ class EnergyLedger:
     # ------------------------------------------------------------------
     # Recording (called from the hardware accrual points)
     # ------------------------------------------------------------------
-    @profiled("obs.ledger")
     def record_core(self, core, t0: float, t1: float, joules: float,
                     raw: str, job: Any = None) -> None:
         """One closed core accounting segment (idle/active/transition)."""
@@ -132,7 +130,6 @@ class EnergyLedger:
             entry.uid = getattr(job, "job_id", None)
         self.entries.append(entry)
 
-    @profiled("obs.ledger")
     def record_static(self, node: str, t0: float, t1: float,
                       joules: float) -> None:
         """Background (uncore + DRAM standby) energy of one server."""
@@ -145,7 +142,6 @@ class EnergyLedger:
     # ------------------------------------------------------------------
     # Classification + validation
     # ------------------------------------------------------------------
-    @profiled("obs.ledger")
     def close_run(self, cluster) -> ConservationReport:
         """Classify this run's entries and validate conservation.
 

@@ -11,9 +11,6 @@ exporters and the newer ledger/burn-rate code:
   taxonomy (see ``DESIGN.md`` §9), in presentation order.
 * :data:`LEDGER_EPOCH_COLUMNS` — the per-epoch ledger columns derived
   from the taxonomy (``energy_<component>_j``).
-* :data:`PROFILE_COMPONENTS` — the self-profiler's wall-time component
-  taxonomy (see ``DESIGN.md`` §11), in presentation order, with the
-  one-line description the hotspot tables print.
 
 This module deliberately imports nothing from the rest of ``repro`` so
 both the tracer side and the exporter side can depend on it.
@@ -62,24 +59,3 @@ LEDGER_COMPONENTS = (
 #: Per-epoch ledger columns added to the epoch metrics when a ledger is
 #: attached to the tracer.
 LEDGER_EPOCH_COLUMNS = tuple(f"energy_{c}_j" for c in LEDGER_COMPONENTS)
-
-#: The self-profiler's component taxonomy (repro.obs.prof): every
-#: profiled wall-second lands in exactly one component's *self* time
-#: (the scoped timers account exclusively, so the self-times sum to the
-#: profiled window by construction — the wall-conservation check).
-PROFILE_COMPONENTS = (
-    ("harness", "setup, trace generation, and result rollups"),
-    ("kernel.dispatch", "event-loop callback dispatch + platform logic"),
-    ("hardware.energy", "per-segment energy integration and finalize"),
-    ("hardware.power", "instantaneous power-model snapshots"),
-    ("core.predictor", "frequency-profile predictions and observations"),
-    ("core.dpt", "delay-power-table deadline splitting"),
-    ("core.milp", "exact stage-Pareto deadline-split solves"),
-    ("obs.trace", "tracer span/instant/counter recording"),
-    ("obs.ledger", "energy-ledger entry recording and run close"),
-    ("obs.audit", "decision audit record construction"),
-    ("guard", "admission, breaker, and prediction-sanity checks"),
-    ("cancel", "doom checks, cooperative kills, and retry budgeting"),
-    ("ha", "membership checks and dispatch fencing"),
-    ("tenancy", "tenant meter polling and budget checks"),
-)

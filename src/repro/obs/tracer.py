@@ -18,9 +18,8 @@ are all no-ops, so untraced runs pay nothing beyond an attribute lookup
 and an empty call — and, because the tracer only *reads* simulation
 state, traced runs produce bit-identical metrics to untraced runs.
 
-This module deliberately imports nothing from the rest of ``repro``
-(beyond the equally import-free self-profiler, which meters the tracer's
-own overhead) so the sim kernel can depend on it without cycles.
+This module deliberately imports nothing from the rest of ``repro`` so
+the sim kernel can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.prof import profiled
 
 #: Span phases of an invocation, in the paper's terminology: ``queue``
 #: maps to T_Queue, ``run`` to T_Run, ``block`` to T_Block; ``cold_start``
@@ -236,14 +234,12 @@ class Tracer(NullTracer):
     # ------------------------------------------------------------------
     # Invocation spans and phases
     # ------------------------------------------------------------------
-    @profiled("obs.trace")
     def invocation_begin(self, uid: int, name: str, **args) -> None:
         t = self._stamp()
         span = SpanRecord(self._run, "invocation", name, uid, t, args=args)
         self._open_invocations[uid] = span
         self.spans.append(span)
 
-    @profiled("obs.trace")
     def invocation_end(self, uid: int, status: str, **args) -> None:
         t = self._stamp()
         self._close_phase(uid, t)
@@ -254,7 +250,6 @@ class Tracer(NullTracer):
         span.args.update(args)
         span.args["status"] = status
 
-    @profiled("obs.trace")
     def phase(self, uid: int, name: str, **args) -> None:
         """The invocation ``uid`` enters phase ``name`` now."""
         t = self._stamp()
@@ -271,14 +266,12 @@ class Tracer(NullTracer):
     # ------------------------------------------------------------------
     # Workflow spans
     # ------------------------------------------------------------------
-    @profiled("obs.trace")
     def workflow_begin(self, uid: int, name: str, **args) -> None:
         t = self._stamp()
         span = SpanRecord(self._run, "workflow", name, uid, t, args=args)
         self._open_workflows[uid] = span
         self.spans.append(span)
 
-    @profiled("obs.trace")
     def workflow_end(self, uid: int, status: str, **args) -> None:
         t = self._stamp()
         span = self._open_workflows.pop(uid, None)
@@ -302,12 +295,10 @@ class Tracer(NullTracer):
     # ------------------------------------------------------------------
     # Instants and counters
     # ------------------------------------------------------------------
-    @profiled("obs.trace")
     def instant(self, name: str, track: str, **args) -> None:
         t = self._stamp()  # before reading _run: may open the first run
         self.instants.append(InstantRecord(self._run, name, track, t, args))
 
-    @profiled("obs.trace")
     def counter(self, track: str, series: str, value: float) -> None:
         t = self._stamp()
         self.counters.append(

@@ -355,8 +355,9 @@ class MetricsCollector:
         return sorted({r.benchmark for r in self.workflow_records})
 
     def bench_summary(self) -> Dict[str, object]:
-        """Seed-deterministic headline metrics (``repro profile`` documents).
+        """Seed-deterministic headline metrics, rounded to 6 decimals.
 
+        ``tests/test_seed_anchors.py`` pins these exactly per scenario.
         The p99 is None (rather than NaN) when nothing completed, so the
         summary serializes to strict JSON.
         """

@@ -5,7 +5,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator, List, Optional, Sequence, Tuple
 
-from repro.obs.prof import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER
 from repro.verify.invariants import NULL_VERIFIER
 from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
@@ -59,12 +58,6 @@ class Environment:
         #: pre-cancel code path; a cluster built with a CancelConfig
         #: installs its CancelRuntime here.
         self.cancel = None
-        #: Self-profiling hook (repro.obs.prof). The shared null profiler
-        #: makes the kernel-counter and scoped-timer points no-ops;
-        #: ``Profiler.bind(env)`` swaps in a recording profiler. A bound
-        #: profiler reads only the host wall-clock — never simulation
-        #: state — so profiled runs stay bit-identical to the seed.
-        self.prof = NULL_PROFILER
         #: Invariant-monitor hook (repro.verify). The shared null
         #: verifier makes every check point a no-op;
         #: ``Verifier.bind(env)`` swaps in a recording verifier. A bound
@@ -122,8 +115,6 @@ class Environment:
             raise ValueError(f"negative delay {delay}")
         self._eid += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
-        if self.prof.enabled:
-            self.prof.note_push(len(self._queue))
 
     def peek(self) -> float:
         """Timestamp of the next event, or ``inf`` if the heap is empty."""
@@ -143,18 +134,8 @@ class Environment:
             verify.on_step(self._now)
 
         callbacks, event.callbacks = event.callbacks, None
-        prof = self.prof
-        if prof.enabled:
-            prof.note_event(type(event).__name__, len(callbacks))
-            prof.enter("kernel.dispatch")
-            try:
-                for callback in callbacks:
-                    callback(event)
-            finally:
-                prof.exit("kernel.dispatch")
-        else:
-            for callback in callbacks:
-                callback(event)
+        for callback in callbacks:
+            callback(event)
 
         if not event._ok and not event._defused:
             # An event failed and nobody was listening: surface the error.

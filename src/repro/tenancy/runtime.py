@@ -32,7 +32,6 @@ from repro.tenancy.billing import bill_ledger_run
 from repro.tenancy.config import TenancyConfig, TenantSpec
 from repro.tenancy.governor import PowerCapGovernor
 from repro.tenancy.registry import TenantRegistry
-from repro.obs.prof import profiled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
@@ -74,7 +73,6 @@ class TenancyRuntime:
     # ------------------------------------------------------------------
     # Metering
     # ------------------------------------------------------------------
-    @profiled("tenancy")
     def _poll_meters(self) -> None:
         """Charge each benchmark's attributed-energy delta to its tenant."""
         now = self.env.now
@@ -101,7 +99,6 @@ class TenancyRuntime:
     # ------------------------------------------------------------------
     # Enforcement (Cluster.submit_workflow, after the guard's check)
     # ------------------------------------------------------------------
-    @profiled("tenancy")
     def over_budget_tenant(self, benchmark: str) -> Optional[TenantSpec]:
         """The owning tenant iff it is over budget right now."""
         return self.registry.over_budget(benchmark, self.env.now)

@@ -6,9 +6,9 @@ terminate exactly once, circuit breakers only take legal transitions,
 HA epochs fence monotonically, tenant budgets and the power-cap ladder
 stay inside their documented bounds, and the kernel clock never runs
 backwards. The monitors are wired through ``Environment.verify`` — the
-shared :data:`NULL_VERIFIER` by default, following the ``env.trace`` /
-``env.prof`` null-object pattern — so verification-off runs execute the
-exact pre-verify code paths and stay bit-identical to the stored seed
+shared :data:`NULL_VERIFIER` by default, following the ``env.trace``
+null-object pattern — so verification-off runs execute the exact
+pre-verify code paths and stay bit-identical to the stored seed
 fingerprints.
 
 A bound verifier only *reads* simulation state: it draws no random

@@ -3,13 +3,16 @@
 Every artifact-consuming subcommand (``report``, ``explain``, ``bill``,
 ``diff``, ``fuzz --replay``) gets the same treatment for a missing and for a corrupt input
 file: exit non-zero (2), print exactly one explanatory line on stderr,
-and never raise. These run no simulation.
+and never raise. Bad experiment arguments (an output path in a missing
+directory, a negative seed) are rejected before the run starts. These
+run no simulation.
 """
 
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import _bill, _diff, _explain, _fuzz, _report
 
 SUBCOMMANDS = {
@@ -82,3 +85,36 @@ def test_fuzz_replay_wrong_shape_json(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 2
     assert "not a fuzz artifact" in err
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Record ``_run_one`` calls instead of simulating."""
+    calls = []
+    monkeypatch.setattr(cli, "_run_one",
+                        lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--epoch-metrics", "--ledger",
+                                  "--audit", "--fingerprints"])
+def test_output_in_missing_directory_fails_before_run(flag, tmp_path,
+                                                      capsys, no_run):
+    missing = str(tmp_path / "absent" / "out.json")
+    argv = ["fig16", flag, missing]
+    if flag != "--trace":
+        argv += ["--trace", str(tmp_path / "trace.json")]
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and no_run == []
+    assert _one_line(err), f"expected one stderr line, got: {err!r}"
+    assert flag in err and missing in err
+    assert "Traceback" not in err and "Traceback" not in out
+
+
+def test_negative_seed_rejected_before_run(capsys, no_run):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["fig16", "--seed", "-1"])
+    _, err = capsys.readouterr()
+    assert excinfo.value.code == 2 and no_run == []
+    assert "--seed" in err.strip().splitlines()[-1]

@@ -5,6 +5,9 @@ import pytest
 
 from repro.baselines import BaselineSystem, PowerCtrlSystem
 from repro.core import EcoFaaSConfig, EcoFaaSSystem
+from repro.core import dpt as dpt_module
+from repro.core.predictor import FrequencyProfile
+from repro.experiments.common import make_load_trace, run_cluster
 from repro.platform.cluster import Cluster, ClusterConfig
 from repro.sim import Environment
 from repro.traces.poisson import (
@@ -205,3 +208,32 @@ class TestOverpredictionKnob:
             EcoFaaSSystem(EcoFaaSConfig(overprediction_error=0.8)),
             trace, drain=40.0)
         assert wrong.total_energy_j > exact.total_energy_j
+
+
+class TestWorkCounters:
+    """Exact kernel, predictor and splitter work for one pinned run.
+
+    The scenario is ``ecofaas_low`` of ``tests/test_seed_anchors.py``. A
+    lost cache or an extra event fails here on a count, not on a timer.
+    """
+
+    def test_ecofaas_low_load_work_counts(self, monkeypatch):
+        counts = {"events": 0, "observations": 0, "solves": 0}
+
+        def spy(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(Environment, "step", "events")
+        spy(FrequencyProfile, "observe", "observations")
+        spy(dpt_module, "solve_milp", "solves")
+        trace = make_load_trace("low", 2, 8.0, seed=3)
+        run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
+                    ClusterConfig(n_servers=2, seed=3))
+        assert counts == {"events": 3997, "observations": 352,
+                          "solves": 11}
