@@ -173,7 +173,7 @@ class PartitionedNode(NodeSystem):
         cutoff = self.env.now - POOL_IDLE_TIMEOUT_S
         for name in list(self._pools):
             pool = self._pools[name]
-            if (pool.outstanding == 0
+            if (pool.load == 0
                     and self._last_activity.get(name, 0.0) < cutoff):
                 while True:
                     core = pool.release_idle_core()
@@ -192,31 +192,34 @@ class PartitionedNode(NodeSystem):
         """
         if not self._pools:
             return
+        # Weights are summed and remainder ties broken in pool order; the
+        # stored seed fingerprints depend on both.
+        pools = list(self._pools.values())
         total_cores = self.server.n_cores
-        weights = {name: 1.0 + pool.load
-                   for name, pool in self._pools.items()}
-        weight_sum = sum(weights.values())
-        exact = {name: total_cores * weight / weight_sum
-                 for name, weight in weights.items()}
-        targets: Dict[str, int] = {name: int(e) for name, e in exact.items()}
-        leftover = total_cores - sum(targets.values())
-        by_remainder = sorted(exact, key=lambda n: exact[n] - targets[n],
+        loads = [pool.load for pool in pools]
+        weights = [1.0 + load for load in loads]
+        weight_sum = sum(weights)
+        exact = [total_cores * weight / weight_sum for weight in weights]
+        counts = [int(e) for e in exact]
+        leftover = total_cores - sum(counts)
+        by_remainder = sorted(range(len(pools)),
+                              key=lambda i: exact[i] - counts[i],
                               reverse=True)
-        for name in by_remainder:
+        for i in by_remainder:
             if leftover <= 0:
                 break
-            targets[name] += 1
+            counts[i] += 1
             leftover -= 1
-        for name, pool in self._pools.items():
-            if targets[name] == 0 and pool.load > 0:
-                donor = max(targets, key=targets.get)
-                if targets[donor] > 1:
-                    targets[donor] -= 1
-                    targets[name] = 1
+        for i, load in enumerate(loads):
+            if counts[i] == 0 and load > 0:
+                donor = counts.index(max(counts))
+                if counts[donor] > 1:
+                    counts[donor] -= 1
+                    counts[i] = 1
 
         # Shrink over-provisioned pools first (idle cores now, busy later).
-        for name, pool in self._pools.items():
-            while pool.n_cores > targets[name]:
+        for pool, target in zip(pools, counts):
+            while pool.n_cores > target:
                 core = pool.release_idle_core()
                 if core is None:
                     if not pool.request_core_removal():
@@ -224,11 +227,11 @@ class PartitionedNode(NodeSystem):
                     break  # busy cores leave when their job finishes
                 self._free_cores.append(core)
         # Then grow under-provisioned pools from the free list.
-        for name, pool in self._pools.items():
-            while pool.n_cores < targets[name] and self._free_cores:
+        for pool, target in zip(pools, counts):
+            while pool.n_cores < target and self._free_cores:
                 pool.add_core(self._free_cores.pop())
         if self.env.trace.enabled:
             self.env.trace.instant(
                 "repartition", self.track, pools=len(self._pools),
-                targets=dict(sorted(targets.items())),
+                targets=dict(sorted(zip(self._pools, counts))),
                 free=len(self._free_cores))

@@ -94,6 +94,13 @@ class CorePoolScheduler:
         self.stats = SchedulerStats()
 
         self._cores: List[Core] = []
+        #: Occupancy counters, kept as jobs and cores come and go so a
+        #: read is O(1): ``load`` is every job the pool is responsible
+        #: for (queued + running + blocked) and ``n_cores`` the size of
+        #: ``cores``. Moves between queued, running and blocked leave
+        #: ``load`` alone.
+        self.load = 0
+        self.n_cores = 0
         self._available: List[Core] = []
         self._pending_removal: Set[int] = set()
         #: Ready queue ordered by seniority (oldest first).
@@ -119,10 +126,6 @@ class CorePoolScheduler:
         return list(self._cores)
 
     @property
-    def n_cores(self) -> int:
-        return len(self._cores)
-
-    @property
     def queue_length(self) -> int:
         return len(self._ready)
 
@@ -140,20 +143,15 @@ class CorePoolScheduler:
         return self.queue_length + self.running_count
 
     @property
-    def load(self) -> int:
-        """All jobs this pool is responsible for: queued+running+blocked."""
-        return self.queue_length + self.running_count + self.blocked_count
-
-    @property
     def ewt_seconds(self) -> float:
         """The raw Estimated-Wait-Time counter (Σ expected T_Run)."""
         return max(0.0, self._ewt_s)
 
     def estimated_queue_seconds(self) -> float:
         """The paper's T_Queue estimate: EWT / pool size."""
-        if not self._cores:
+        if not self.n_cores:
             return float("inf")
-        return self.ewt_seconds / len(self._cores)
+        return self.ewt_seconds / self.n_cores
 
     # ------------------------------------------------------------------
     # Elasticity (node controller interface)
@@ -170,6 +168,7 @@ class CorePoolScheduler:
             raise ValueError(f"core {core.core_id} already in pool {self.name}")
         self._pending_removal.discard(core.core_id)
         self._cores.append(core)
+        self.n_cores += 1
         core.pool = self.name
         if set_frequency and abs(core.frequency - self.frequency_ghz) > 1e-12:
             if self.env.trace.enabled:
@@ -184,7 +183,7 @@ class CorePoolScheduler:
         if core.busy:
             raise ValueError(f"core {core.core_id} joined pool while busy")
         self._available.append(core)
-        self.env.trace.counter(self.name, "pool_size", len(self._cores))
+        self.env.trace.counter(self.name, "pool_size", self.n_cores)
         self._dispatch()
 
     def release_idle_core(self) -> Optional[Core]:
@@ -193,8 +192,9 @@ class CorePoolScheduler:
             return None
         core = self._available.pop()
         self._cores.remove(core)
+        self.n_cores -= 1
         core.pool = None
-        self.env.trace.counter(self.name, "pool_size", len(self._cores))
+        self.env.trace.counter(self.name, "pool_size", self.n_cores)
         return core
 
     def request_core_removal(self) -> bool:
@@ -225,11 +225,11 @@ class CorePoolScheduler:
         if self.env.trace.enabled:
             self.env.trace.instant(
                 "freq_transition", self.name, from_ghz=self.frequency_ghz,
-                to_ghz=freq_ghz, n_cores=len(self._cores), reason="retune")
+                to_ghz=freq_ghz, n_cores=self.n_cores, reason="retune")
         self.frequency_ghz = freq_ghz
         for core in self._cores:
             core.set_frequency(freq_ghz, cost_s=actual_cost)
-        self.stats.frequency_switches += len(self._cores)
+        self.stats.frequency_switches += self.n_cores
 
     # ------------------------------------------------------------------
     # Job intake
@@ -253,6 +253,7 @@ class CorePoolScheduler:
                                    len(self._ready) + 1)
         job.note_enqueue(pool=self.name)
         heapq.heappush(self._ready, (job.seniority, job))
+        self.load += 1
         self._dispatch()
 
     def drain_ready(self) -> List[Job]:
@@ -269,6 +270,7 @@ class CorePoolScheduler:
                 self._ewt_s -= remaining
                 job.registered_run_seconds = remaining
             drained.append(job)
+        self.load -= len(drained)
         return drained
 
     def abort_all(self) -> List[Job]:
@@ -290,6 +292,7 @@ class CorePoolScheduler:
             core.preempt()
         lost.extend(self._blocked_jobs.values())
         self._blocked_jobs.clear()
+        self.load = 0
         self._ewt_s = 0.0
         self._ewt_amounts.clear()
         self._t_run_at_dispatch.clear()
@@ -317,6 +320,7 @@ class CorePoolScheduler:
             if queued is job:
                 self._ready.pop(index)
                 heapq.heapify(self._ready)
+                self.load -= 1
                 self._ewt_s -= self._ewt_amounts.pop(job.job_id, 0.0)
                 self._t_run_at_dispatch.pop(job.job_id, None)
                 job.cancel()
@@ -325,6 +329,7 @@ class CorePoolScheduler:
             if running is job:
                 core = next(c for c in self._cores if c.core_id == core_id)
                 del self._running[core_id]
+                self.load -= 1
                 core.preempt()
                 self._consume_ewt(job)
                 self._ewt_s -= self._ewt_amounts.pop(job.job_id, 0.0)
@@ -333,6 +338,7 @@ class CorePoolScheduler:
                 return True
         if job.job_id in self._blocked_jobs:
             del self._blocked_jobs[job.job_id]
+            self.load -= 1
             self._ewt_s -= self._ewt_amounts.pop(job.job_id, 0.0)
             self._t_run_at_dispatch.pop(job.job_id, None)
             core = next((c for c in self._cores if c.blocked_hold is job),
@@ -470,6 +476,7 @@ class CorePoolScheduler:
                     self._unblock_resume(core, job))
             return
         if job.is_complete:
+            self.load -= 1
             self._finish(core, job)
             return
         # Setup (cold start) finished; continue into the first run segment
@@ -519,8 +526,9 @@ class CorePoolScheduler:
         if core.core_id in self._pending_removal:
             self._pending_removal.discard(core.core_id)
             self._cores.remove(core)
+            self.n_cores -= 1
             core.pool = None
-            self.env.trace.counter(self.name, "pool_size", len(self._cores))
+            self.env.trace.counter(self.name, "pool_size", self.n_cores)
             if self.on_core_released is not None:
                 self.on_core_released(core)
             return

@@ -289,6 +289,23 @@ class Verifier:
                             f"{node.track} has negative outstanding job"
                             f" count: {node.outstanding}",
                             node=node.track, outstanding=node.outstanding)
+            for pool in node.iter_pools():
+                booked = (pool.queue_length + pool.running_count
+                          + pool.blocked_count)
+                if pool.load != booked:
+                    self.record("kernel-counts",
+                                f"{pool.name} load counter {pool.load}"
+                                f" disagrees with its {booked} queued,"
+                                f" running and blocked jobs",
+                                pool=pool.name, load=pool.load,
+                                booked=booked)
+                cores = len(pool.cores)
+                if pool.n_cores != cores:
+                    self.record("kernel-counts",
+                                f"{pool.name} core counter {pool.n_cores}"
+                                f" disagrees with its {cores} cores",
+                                pool=pool.name, n_cores=pool.n_cores,
+                                cores=cores)
             containers = node.containers
             for counter in ("cold_starts", "warm_hits", "kills"):
                 value = getattr(containers, counter)

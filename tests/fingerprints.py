@@ -28,8 +28,13 @@ DATA_PATH = os.path.join(os.path.dirname(__file__), "data",
 
 
 def reference_runs():
-    """The three reference runs, as (label, cluster-factory) pairs."""
-    from repro.baselines import BaselineSystem
+    """The reference runs, as (label, cluster-factory) pairs.
+
+    Three low-load runs on two servers, plus both baselines at medium
+    load on three servers for 20 s, where per-function pools churn:
+    they are created, re-split and retired many times over.
+    """
+    from repro.baselines import BaselineSystem, PowerCtrlSystem
     from repro.core import EcoFaaSSystem
     from repro.core.config import EcoFaaSConfig
     from repro.experiments.common import make_load_trace, run_cluster
@@ -45,6 +50,11 @@ def reference_runs():
         n_servers=2, drain_s=4.0,
         reliability=ReliabilityPolicy(max_retries=8, backoff_base_s=0.05))
 
+    def medium_trace():
+        return make_load_trace("medium", 3, 20.0, seed=3)
+
+    medium = ClusterConfig(n_servers=3, drain_s=4.0)
+
     def chaos_plan():
         return FaultPlan.calibrated(6.0, 2, ["WebServ", "CNNServ"], seed=5)
 
@@ -55,6 +65,10 @@ def reference_runs():
         ("ecofaas_chaos", lambda: run_cluster(
             EcoFaaSSystem(EcoFaaSConfig()), trace(), chaos,
             fault_plan=chaos_plan())),
+        ("baseline_medium", lambda: run_cluster(
+            BaselineSystem(), medium_trace(), medium)),
+        ("powerctrl_medium", lambda: run_cluster(
+            PowerCtrlSystem(), medium_trace(), medium)),
     ]
 
 

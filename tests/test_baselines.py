@@ -4,8 +4,12 @@ import pytest
 
 from repro.baselines import BaselineSystem, PowerCtrlSystem
 from repro.baselines.powerctrl import proportional_deadlines
+from repro.hardware.server import Server
+from repro.hardware.work import WorkUnit
 from repro.platform.cluster import Cluster, ClusterConfig
+from repro.platform.metrics import MetricsCollector
 from repro.sim import Environment
+from repro.sim.rng import RngRegistry
 from repro.traces.poisson import (
     PoissonLoadConfig,
     generate_poisson_trace,
@@ -13,6 +17,7 @@ from repro.traces.poisson import (
 )
 from repro.traces.trace import Trace, TraceEvent
 from repro.workloads.registry import all_benchmarks, workflow_for
+from repro.workloads.spec import BlockSegment, InvocationSpec, RunSegment
 
 
 def small_trace(names, rate=20.0, duration=10.0, seed=1):
@@ -101,6 +106,30 @@ class TestBaselineSystem:
         b = run_cluster(BaselineSystem(), trace, seed=5)
         assert a.total_energy_j == pytest.approx(b.total_energy_j)
         assert a.metrics.latency_p99() == pytest.approx(b.metrics.latency_p99())
+
+
+    def test_pool_whose_only_job_is_blocked_is_not_retired(self):
+        """A blocked job keeps its pool alive past the idle timeout.
+
+        The pool's one job blocks for 30 s, longer than the idle timeout,
+        so the retire sweep sees a pool with nothing queued or running.
+        Retiring it would strand the job: its wake-up would requeue it
+        into a pool with no cores and no owner.
+        """
+        env = Environment()
+        node = BaselineSystem().make_node(env, Server(env),
+                                          MetricsCollector(), RngRegistry(0))
+        fn_model = workflow_for("eBank").functions[0]
+        spec = InvocationSpec(fn_model.name, [
+            RunSegment(WorkUnit(gcycles=0.03)), BlockSegment(30.0),
+            RunSegment(WorkUnit(gcycles=0.03))])
+        job = node.submit(fn_model, spec, None, "eBank")
+        env.run(until=20.0)
+        assert [pool.blocked_count for pool in node.iter_pools()] == [1]
+        assert node.outstanding == 1
+        env.run(until=120.0)
+        assert job.finished
+        assert node.outstanding == 0
 
 
 class TestPowerCtrlSystem:

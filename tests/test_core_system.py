@@ -3,7 +3,7 @@ workflow controller, prewarming, and end-to-end behaviour."""
 
 import pytest
 
-from repro.baselines import BaselineSystem, PowerCtrlSystem
+from repro.baselines import BaselineSystem, PartitionedNode, PowerCtrlSystem
 from repro.core import EcoFaaSConfig, EcoFaaSSystem
 from repro.core import dpt as dpt_module
 from repro.core.predictor import FrequencyProfile
@@ -211,14 +211,17 @@ class TestOverpredictionKnob:
 
 
 class TestWorkCounters:
-    """Exact kernel, predictor and splitter work for one pinned run.
+    """Exact kernel, platform, predictor and splitter work for pinned runs.
 
-    The scenario is ``ecofaas_low`` of ``tests/test_seed_anchors.py``. A
-    lost cache or an extra event fails here on a count, not on a timer.
+    The scenarios are ``ecofaas_low`` and ``baseline_low`` of
+    ``tests/test_seed_anchors.py``. A lost cache or an extra event fails
+    here on a count, not on a timer.
     """
 
-    def test_ecofaas_low_load_work_counts(self, monkeypatch):
-        counts = {"events": 0, "observations": 0, "solves": 0}
+    @staticmethod
+    def _count(monkeypatch, targets):
+        """Count calls to each ``(owner, name)`` under its key."""
+        counts = dict.fromkeys([key for _, _, key in targets], 0)
 
         def spy(owner, name, key):
             original = getattr(owner, name)
@@ -229,11 +232,27 @@ class TestWorkCounters:
 
             monkeypatch.setattr(owner, name, counted)
 
-        spy(Environment, "step", "events")
-        spy(FrequencyProfile, "observe", "observations")
-        spy(dpt_module, "solve_milp", "solves")
+        for owner, name, key in targets:
+            spy(owner, name, key)
+        return counts
+
+    def test_ecofaas_low_load_work_counts(self, monkeypatch):
+        counts = self._count(monkeypatch, [
+            (Environment, "step", "events"),
+            (FrequencyProfile, "observe", "observations"),
+            (dpt_module, "solve_milp", "solves")])
         trace = make_load_trace("low", 2, 8.0, seed=3)
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
                     ClusterConfig(n_servers=2, seed=3))
         assert counts == {"events": 3997, "observations": 352,
                           "solves": 11}
+
+    def test_baseline_low_load_work_counts(self, monkeypatch):
+        counts = self._count(monkeypatch, [
+            (Environment, "step", "events"),
+            (PartitionedNode, "_rebalance", "rebalances"),
+            (Cluster, "pick_node", "picks")])
+        trace = make_load_trace("low", 2, 8.0, seed=3)
+        run_cluster(BaselineSystem(), trace,
+                    ClusterConfig(n_servers=2, seed=3))
+        assert counts == {"events": 4064, "rebalances": 263, "picks": 383}

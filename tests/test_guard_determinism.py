@@ -33,7 +33,8 @@ class TestGuardsOffMatchesSeed:
     """No GuardConfig == the pre-guard code path, to the byte."""
 
     @pytest.mark.parametrize("label", ["baseline", "ecofaas",
-                                       "ecofaas_chaos"])
+                                       "ecofaas_chaos", "baseline_medium",
+                                       "powerctrl_medium"])
     def test_reference_fingerprint_is_reproduced(self, label):
         reference = load_reference()
         factory = dict(reference_runs())[label]

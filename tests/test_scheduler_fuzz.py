@@ -143,3 +143,79 @@ def test_elastic_operations_never_lose_jobs(jobs, operations):
     # Jobs may finish in either pool, but all must finish.
     assert all(job.finished for job in built)
     assert pool.outstanding == 0 and other.outstanding == 0
+
+
+def assert_counters(*pools):
+    """The O(1) occupancy counters agree with the pool's own books."""
+    for pool in pools:
+        assert pool.load == (pool.queue_length + pool.running_count
+                             + pool.blocked_count), pool.name
+        assert pool.n_cores == len(pool.cores), pool.name
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(jobs=st.lists(job_strategy, min_size=3, max_size=20),
+       operations=st.lists(
+           st.tuples(st.floats(min_value=0.0, max_value=0.6),
+                     st.sampled_from(["cancel", "drain", "abort", "release",
+                                      "remove", "add"]),
+                     st.integers(min_value=0, max_value=99)),
+           min_size=1, max_size=12),
+       switch_on_idle=st.booleans())
+def test_occupancy_counters_track_the_books(jobs, operations,
+                                            switch_on_idle):
+    env = Environment()
+    meter = EnergyMeter()
+    power = PowerModel()
+    spare = []
+    pool = CorePoolScheduler(
+        env, [Core(env, i, power, meter, 3.0) for i in range(3)],
+        frequency_ghz=3.0, name="pool", switch_on_idle=switch_on_idle,
+        on_core_released=spare.append)
+    other = CorePoolScheduler(env, [Core(env, 99, power, meter, 3.0)],
+                              frequency_ghz=3.0, name="other")
+    built = []
+    steps = sorted([(p["arrival_ms"] / 1000, "submit", p) for p in jobs]
+                   + list(operations), key=lambda step: step[:2])
+
+    def driver():
+        for at, op, arg in steps:
+            if at > env.now:
+                yield env.timeout(at - env.now)
+            if op == "submit":
+                job = build_job(env, arg)
+                job.chosen_freq_ghz = None
+                built.append(job)
+                pool.submit(job)
+            elif op == "cancel" and built:
+                job = built[arg % len(built)]
+                if not pool.cancel_job(job):
+                    other.cancel_job(job)
+            elif op == "drain":
+                for job in pool.drain_ready():
+                    other.submit(job)
+            elif op == "abort":
+                pool.abort_all()
+            elif op == "release":
+                core = pool.release_idle_core()
+                if core is not None:
+                    spare.append(core)
+            elif op == "remove":
+                pool.request_core_removal()
+            elif op == "add" and spare:
+                pool.add_core(spare.pop())
+            assert_counters(pool, other)
+        # Hand every released core back, and every core still pending
+        # removal as it leaves, so the surviving jobs can finish.
+        pool.on_core_released = pool.add_core
+        while spare:
+            pool.add_core(spare.pop())
+            assert_counters(pool, other)
+
+    env.process(driver(), name="driver")
+    env.run()
+    assert_counters(pool, other)
+    assert pool.load == 0 and other.load == 0
+    assert all(job.finished or job.cancelled or job.aborted
+               for job in built)

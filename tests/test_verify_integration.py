@@ -41,8 +41,9 @@ class TestArmedRunsMatchSeed:
 
     def test_reference_runs_report_zero_violations(self,
                                                    installed_verifier):
+        reference = load_reference()
         for label, factory in reference_runs():
-            factory()
+            assert cluster_fingerprint(factory()) == reference[label], label
         assert installed_verifier.violations == [], (
             "reference runs violated invariants: "
             f"{installed_verifier.summary()}")

@@ -3,8 +3,12 @@
 import pytest
 
 from repro import verify
+from repro.baselines import BaselineSystem
+from repro.experiments.common import run_cluster
+from repro.platform.cluster import ClusterConfig
 from repro.sim.engine import Environment
 from repro.tenancy.config import TenantSpec
+from repro.traces.trace import Trace, TraceEvent
 from repro.verify import (
     BREAKER_STATES,
     LEGAL_BREAKER_TRANSITIONS,
@@ -108,6 +112,21 @@ class TestVerifierHooks:
         assert verifier.violations == []
         verifier.on_tenant_admit("WebServ", batch, "throttle")
         assert verifier.summary() == {"tenant-enforcement": 1}
+
+    def test_pool_counters_cross_checked_against_the_books(self):
+        cluster = run_cluster(BaselineSystem(),
+                              Trace([TraceEvent(0.1, "eBank")], 1.0),
+                              ClusterConfig(n_servers=1))
+        verifier = self._bound()
+        verifier.sweep(cluster)
+        assert verifier.violations == []
+        pool = next(iter(cluster.nodes[0].iter_pools()))
+        pool.load += 1
+        pool.n_cores -= 1
+        verifier.sweep(cluster)
+        assert verifier.summary() == {"kernel-counts": 2}
+        assert {dict(v.details)["pool"] for v in verifier.violations} == {
+            pool.name}
 
     def test_summary_counts_per_invariant(self):
         verifier = self._bound()
