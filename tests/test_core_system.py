@@ -6,6 +6,7 @@ import pytest
 from repro.baselines import BaselineSystem, PartitionedNode, PowerCtrlSystem
 from repro.core import EcoFaaSConfig, EcoFaaSSystem
 from repro.core import dpt as dpt_module
+from repro.core.mlp import MLPRegressor
 from repro.core.predictor import FrequencyProfile
 from repro.experiments.common import make_load_trace, run_cluster
 from repro.platform.cluster import Cluster, ClusterConfig
@@ -240,12 +241,14 @@ class TestWorkCounters:
         counts = self._count(monkeypatch, [
             (Environment, "step", "events"),
             (FrequencyProfile, "observe", "observations"),
-            (dpt_module, "solve_milp", "solves")])
+            (dpt_module, "solve_milp", "solves"),
+            (MLPRegressor, "partial_fit", "fits"),
+            (MLPRegressor, "_adam_step", "adam_steps")])
         trace = make_load_trace("low", 2, 8.0, seed=3)
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
                     ClusterConfig(n_servers=2, seed=3))
         assert counts == {"events": 3997, "observations": 352,
-                          "solves": 11}
+                          "solves": 11, "fits": 212, "adam_steps": 424}
 
     def test_baseline_low_load_work_counts(self, monkeypatch):
         counts = self._count(monkeypatch, [

@@ -111,6 +111,10 @@ class TestOverheads:
         row = result.row_for(component="mlp_predict")
         assert row["value"] < 1000.0
 
+    def test_mlp_train_step_sub_millisecond(self, result):
+        row = result.row_for(component="mlp_train_step")
+        assert row["value"] < 1000.0
+
 
 class TestHeterogeneous:
     def test_accuracy_reaches_paper_anchor(self):
