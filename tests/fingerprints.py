@@ -1,12 +1,24 @@
-"""Canonical run fingerprints (the guard-determinism anchor).
+"""Canonical run fingerprints (the behavioural anchor of every refactor).
 
 A fingerprint digests every observable outcome of a small reference run —
 function records, workflow records, reliability counters, per-server
-energy — into one SHA-256 hex string. The reference fingerprints in
-``tests/data/seed_fingerprint.json`` were generated from the pre-guard
-seed code; ``tests/test_guard_determinism.py`` asserts that a guards-off
-run still reproduces them byte-for-byte, which is the hard "opt-in means
-untouched" contract of ``repro.guard``.
+energy — into one SHA-256 hex string, stored per run label in
+``tests/data/seed_fingerprint.json``. There are two kinds of row:
+
+* **Layers off** (``baseline`` … ``powerctrl_medium``): generated from the
+  pre-guard seed code. Reproducing them is the hard "opt-in means
+  untouched" contract of every optional layer.
+* **Layers armed** (``guard_chaos``, ``cancel_chaos``, ``ha_chaos``,
+  ``tenancy_cap``, ``all_armed``, ``ha_partition``): the ``ecofaas_chaos``
+  run with guard, cancel (plus timeouts and hedging), HA or a capped
+  tenancy policy armed, every layer at once, and the HA partition
+  scenario. They were generated from the tree before the frontend's
+  attempt path was folded into one, so an armed run is compared to a
+  stored value and not only to a second run of itself: a refactor that
+  changed armed behaviour identically on every run would still fail.
+
+``tests/test_guard_determinism.py`` recomputes every row bare and
+``tests/test_verify_integration.py`` with the invariant monitors armed.
 
 Regenerate (only when a PR *intentionally* changes baseline behaviour)::
 
@@ -15,6 +27,7 @@ Regenerate (only when a PR *intentionally* changes baseline behaviour)::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -35,10 +48,15 @@ def reference_runs():
     they are created, re-split and retired many times over.
     """
     from repro.baselines import BaselineSystem, PowerCtrlSystem
+    from repro.cancel import CancelConfig
     from repro.core import EcoFaaSSystem
     from repro.core.config import EcoFaaSConfig
+    from repro.experiments import partition
     from repro.experiments.common import make_load_trace, run_cluster
+    from repro.experiments.tenancy import make_tenancy
     from repro.faults.plan import FaultPlan
+    from repro.guard import GuardConfig
+    from repro.ha import HAConfig
     from repro.platform.cluster import ClusterConfig
     from repro.platform.reliability import ReliabilityPolicy
 
@@ -58,6 +76,16 @@ def reference_runs():
     def chaos_plan():
         return FaultPlan.calibrated(6.0, 2, ["WebServ", "CNNServ"], seed=5)
 
+    hedged = ReliabilityPolicy(max_retries=8, backoff_base_s=0.05,
+                               invocation_timeout_s=2.0, hedge_after_s=0.8)
+
+    def armed(faults=True, **layers):
+        """The ``ecofaas_chaos`` run with the given layers armed."""
+        config = dataclasses.replace(chaos, **layers)
+        return lambda: run_cluster(
+            EcoFaaSSystem(EcoFaaSConfig()), trace(), config,
+            fault_plan=chaos_plan() if faults else None)
+
     return [
         ("baseline", lambda: run_cluster(BaselineSystem(), trace(), plain)),
         ("ecofaas", lambda: run_cluster(EcoFaaSSystem(EcoFaaSConfig()),
@@ -69,7 +97,22 @@ def reference_runs():
             BaselineSystem(), medium_trace(), medium)),
         ("powerctrl_medium", lambda: run_cluster(
             PowerCtrlSystem(), medium_trace(), medium)),
+        ("guard_chaos", armed(guard=GuardConfig.full())),
+        ("cancel_chaos", armed(reliability=hedged,
+                               cancel=CancelConfig.full())),
+        ("ha_chaos", armed(reliability=hedged, ha=HAConfig())),
+        ("tenancy_cap", armed(faults=False,
+                              tenancy=make_tenancy(2, cap_w=150.0))),
+        ("all_armed", armed(reliability=hedged, guard=GuardConfig.full(),
+                            cancel=CancelConfig.full(), ha=HAConfig(),
+                            tenancy=make_tenancy(2, cap_w=150.0))),
+        ("ha_partition", lambda: partition.run_one(0, True, 28.0, 3)),
     ]
+
+
+def reference_labels() -> list:
+    """The reference-run labels, in definition order (for parametrize)."""
+    return [label for label, _ in reference_runs()]
 
 
 def current_fingerprints() -> dict:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.experiments.partition import ha_config, run_one
 
-from tests.fingerprints import cluster_fingerprint
+from tests.fingerprints import cluster_fingerprint, load_reference
 
 #: Scaled-down scenario: long enough for the t=10 s partition, the
 #: t=12 s controller crash, and the t=20 s asymmetric cut to land and
@@ -44,6 +44,8 @@ class TestHADeterminism:
         assert a.ha.controllers.snapshot() == b.ha.controllers.snapshot()
         assert a.ha.journal.snapshot() == b.ha.journal.snapshot()
         assert cluster_fingerprint(a) == cluster_fingerprint(b)
+        # Run ``a`` is the stored ``ha_partition`` reference row.
+        assert cluster_fingerprint(a) == load_reference()["ha_partition"]
 
     def test_the_repeatability_is_not_vacuous(self, ha_runs):
         """The compared artifacts actually contain HA activity."""

@@ -7,8 +7,10 @@ The acceptance bars from the tenancy issue:
 * a cap sweep produces monotonically non-increasing cluster energy;
 * enforcement decisions leave audit records and trace instants, and the
   report/bill/explain pipelines surface them;
-* armed runs are bitwise repeatable (tenancy-off runs matching the
-  stored seed fingerprints is pinned by ``tests/test_guard_determinism.py``).
+* armed runs are bitwise repeatable (the ``tenancy_cap`` and
+  ``all_armed`` rows of ``tests/fingerprints.py`` pin armed runs to
+  stored hashes, and ``tests/test_guard_determinism.py`` checks them and
+  the tenancy-off rows).
 """
 
 import json
@@ -281,31 +283,12 @@ class TestReportAndBillPipelines:
 
 
 class TestArmedDeterminism:
-    def test_armed_runs_are_bitwise_repeatable(self):
-        def run():
-            return run_armed(tight_tenancy(
-                power_cap=PowerCapConfig(cap_w=150.0, period_s=0.5)))
-        first, second = run(), run()
-        assert cluster_fingerprint(first) == cluster_fingerprint(second)
-        # Repeatability is not vacuous: enforcement and capping fired.
-        assert first.metrics.tenant_throttles > 0
-        assert first.metrics.power_cap_steps > 0
-        assert (first.metrics.tenant_throttles
-                == second.metrics.tenant_throttles)
-
-    def test_armed_chaos_runs_are_bitwise_repeatable(self):
-        policy = ReliabilityPolicy(max_retries=8, backoff_base_s=0.05)
-
-        def run():
-            plan = FaultPlan.calibrated(6.0, 2, ["WebServ", "CNNServ"],
-                                        seed=5)
-            return run_armed(tight_tenancy(), fault_plan=plan,
-                             policy=policy)
-        assert cluster_fingerprint(run()) == cluster_fingerprint(run())
-
     def test_armed_differs_from_unarmed(self):
         """Sanity: the tenancy layer is live once configured."""
         armed = run_armed(tight_tenancy(
             power_cap=PowerCapConfig(cap_w=150.0, period_s=0.5)))
         plain = run_armed(None)
         assert cluster_fingerprint(armed) != cluster_fingerprint(plain)
+        # Enforcement and capping both fired.
+        assert armed.metrics.tenant_throttles > 0
+        assert armed.metrics.power_cap_steps > 0

@@ -5,7 +5,8 @@ mutation, only its own sweep timeout), so a run with every invariant
 monitor armed must reproduce the stored seed fingerprints
 byte-for-byte — the same contract ``repro.guard`` and ``repro.obs``
 pin. And on the correct tree, those reference runs (including the
-chaos one with live faults and retries) must report zero violations.
+chaos one with live faults and retries, and the armed guard, cancel,
+HA and tenancy rows) must report zero violations.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.verify import Verifier
 from tests.fingerprints import (
     cluster_fingerprint,
     load_reference,
+    reference_labels,
     reference_runs,
 )
 
@@ -30,8 +32,7 @@ def installed_verifier():
 
 
 class TestArmedRunsMatchSeed:
-    @pytest.mark.parametrize("label", ["baseline", "ecofaas",
-                                       "ecofaas_chaos"])
+    @pytest.mark.parametrize("label", reference_labels())
     def test_fingerprint_identical_with_monitors_armed(
             self, label, installed_verifier):
         factory = dict(reference_runs())[label]
