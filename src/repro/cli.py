@@ -104,6 +104,15 @@ def _print_summary(outcomes: List[tuple]) -> None:
     print(f"{len(outcomes) - n_failed}/{len(outcomes)} experiments passed")
 
 
+def _bad_top(top: int) -> bool:
+    """Print a one-line error for a ``--top`` below 1: a zero or
+    negative count would slice the rankings from the wrong end."""
+    if top >= 1:
+        return False
+    print(f"--top must be at least 1, got {top}", file=sys.stderr)
+    return True
+
+
 def _report(argv: List[str]) -> int:
     """The ``repro report <trace.json>`` subcommand."""
     parser = argparse.ArgumentParser(
@@ -117,6 +126,8 @@ def _report(argv: List[str]) -> int:
                         default="text",
                         help="output format (default text)")
     args = parser.parse_args(argv)
+    if _bad_top(args.top):
+        return 2
     from repro import obs
     try:
         text = obs.report(args.trace, top_n=args.top, fmt=args.format)
@@ -231,6 +242,8 @@ def _explain(argv: List[str]) -> int:
     parser.add_argument("--top", type=int, default=10,
                         help="causes to print (default 10)")
     args = parser.parse_args(argv)
+    if _bad_top(args.top):
+        return 2
     from repro.obs.explain import (
         explain,
         format_explanation,

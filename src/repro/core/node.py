@@ -257,7 +257,7 @@ class EcoFaaSNode(NodeSystem):
             yield self.env.timeout(self.config.t_refresh_s)
             if self.down:
                 continue
-            ha = getattr(self.env, "ha", None)
+            ha = self.env.ha
             if ha is not None and not ha.authorize_resize(self):
                 # Epoch fencing (repro.ha): no reachable leader holds a
                 # fresh enough lease — freeze the pool set rather than
@@ -331,7 +331,7 @@ class EcoFaaSNode(NodeSystem):
             return False
         if self.env.now - self.last_refresh_s <= stale_after:
             return False
-        ha = getattr(self.env, "ha", None)
+        ha = self.env.ha
         if ha is not None and not ha.authorize_resize(self):
             # A deliberately fenced/frozen control loop is not stuck; the
             # watchdog must not force a resize past the epoch fence.

@@ -44,7 +44,7 @@ class WorkflowController:
     def deadlines(self, arrival_s: float, slo_s: float) -> Dict[str, float]:
         """Absolute per-function deadlines for one admission."""
         if self._stale(slo_s):
-            ha = getattr(self.env, "ha", None)
+            ha = self.env.ha
             if ha is None or ha.authorize_split(self.workflow.name):
                 self._recompute(slo_s)
             # Epoch fencing (repro.ha): with no authorized leader the
@@ -82,7 +82,7 @@ class WorkflowController:
             return
         self._populate_dpt()
         if self.config.use_milp:
-            guard = getattr(self.env, "guard", None)
+            guard = self.env.guard
             budget = guard.milp_node_budget if guard is not None else None
             split = split_deadlines(self.workflow, slo_s, self.dpt,
                                     max_nodes=budget)

@@ -113,9 +113,10 @@ class FaultInjector:
         """Cut the event's link(s) in the cluster's link table, then heal.
 
         The cluster refuses to build with a partition plan and no HA
-        layer, so ``env.links`` is always live here; cuts and heals go
-        through the table's reference counts, which makes overlapping
-        partitions compose exactly like overlapping latency spikes.
+        layer, so ``cluster.ha.links`` is always live here; cuts and
+        heals go through the table's reference counts, which makes
+        overlapping partitions compose exactly like overlapping latency
+        spikes.
         """
         env = self.cluster.env
         side_a = event.endpoint or f"node{event.node % len(self.cluster.nodes)}"
@@ -131,7 +132,7 @@ class FaultInjector:
         env.trace.instant(f"fault_{NETWORK_PARTITION}", "faults",
                           a=side_a, b=side_b, direction=event.direction,
                           duration_s=event.duration_s)
-        links = env.links
+        links = self.cluster.ha.links
         for src, dst in pairs:
             links.cut(src, dst)
         yield env.timeout(event.duration_s)
@@ -142,7 +143,7 @@ class FaultInjector:
     def _drive_controller_crash(self, event: FaultEvent):
         """Crash a global-controller replica; rejoin after the downtime."""
         env = self.cluster.env
-        ha = env.ha
+        ha = self.cluster.ha
         rid = event.node % ha.controllers.n
         if ha.controller_crash(rid) is None:
             return  # overlapping crash on a replica already down

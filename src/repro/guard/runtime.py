@@ -84,7 +84,7 @@ class GuardRuntime:
         if self.admission is None:
             return True
         ewt = self.ewt_per_core_s()
-        tenancy = getattr(self.env, "tenancy", None)
+        tenancy = self.env.tenancy
         demoted = (tenancy is not None
                    and tenancy.demote_to_best_effort(benchmark))
         reason = self.admission.admit(benchmark, self.env.now, ewt,
@@ -147,7 +147,7 @@ class GuardRuntime:
         breaker = self.breaker_for(function_name)
         if breaker is None:
             return
-        ha = getattr(self.env, "ha", None)
+        ha = self.env.ha
         if ha is not None and node is not None and ha.node_suspected(node):
             # The membership table blames the node, not the function:
             # charging the breaker would fail the function cluster-wide

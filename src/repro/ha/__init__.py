@@ -3,14 +3,14 @@
 The high-availability layer of the reproduced platform. Everything here
 is opt-in: a :class:`Cluster` built without an :class:`HAConfig` runs the
 pre-HA code paths byte-for-byte (the determinism suite pins this to the
-stored seed fingerprints). With a config, the cluster installs:
+stored seed fingerprints). With a config, the cluster installs an
+:class:`HARuntime` as ``cluster.ha`` and ``env.ha``. It provides:
 
-* a :class:`LinkTable` as ``env.links`` — the directed network-partition
-  model that ``repro.faults`` cuts and heals;
-* an :class:`HARuntime` as ``env.ha`` — heartbeat-driven phi-accrual
-  failure detection and membership, epoch-fenced controller leases with
-  deterministic failover, and idempotency-keyed re-dispatch of stranded
-  invocations.
+* a :class:`LinkTable` as ``cluster.ha.links`` — the directed
+  network-partition model that ``repro.faults`` cuts and heals;
+* heartbeat-driven phi-accrual failure detection and membership,
+  epoch-fenced controller leases with deterministic failover, and
+  idempotency-keyed re-dispatch of stranded invocations.
 """
 
 from repro.ha.config import HAConfig

@@ -1,8 +1,8 @@
 """The per-cluster HA runtime: heartbeats, membership, leases, fencing.
 
 One :class:`HARuntime` is created by a :class:`Cluster` whose config
-carries an :class:`HAConfig`, and installed as ``env.ha`` alongside a
-:class:`LinkTable` as ``env.links`` (the same opt-in pattern as
+carries an :class:`HAConfig`, and installed as ``env.ha``; it owns the
+cluster's :class:`LinkTable` as ``links`` (the same opt-in pattern as
 ``env.trace`` / ``env.guard``). Every HA instrumentation point in the
 platform checks for ``None`` first, so HA-off runs execute the pre-HA
 code byte-for-byte.
@@ -82,7 +82,6 @@ class HARuntime:
     # ------------------------------------------------------------------
     def arm(self) -> None:
         """Install the env hooks and start the periodic HA processes."""
-        self.env.links = self.links
         self.env.ha = self
         self.controllers.lease_expires_s = self.env.now + self.config.lease_s
         for node in self.cluster.nodes:

@@ -19,12 +19,12 @@ Everything operates on the exported files, not live tracer objects, so
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.audit import load_jsonl
+from repro.obs.export import read_chrome_trace, run_of_pid
 
 
 @dataclass
@@ -68,16 +68,6 @@ class ExplainData:
         self.audit: List[Dict[str, Any]] = []
 
 
-def _run_of_pid(pid_names: Dict[int, str], pid: int) -> Tuple[int, str]:
-    name = pid_names.get(pid, "")
-    if "[" in name and "]" in name:
-        label = name.split("[", 1)[0].strip()
-        index = name.split("[", 1)[1].split("]", 1)[0]
-        if index.isdigit():
-            return int(index), label
-    return 0, name or "run"
-
-
 def _track_of_pid(pid_names: Dict[int, str], pid: int) -> str:
     name = pid_names.get(pid, "")
     return name.rsplit(" ", 1)[-1] if name else ""
@@ -86,14 +76,7 @@ def _track_of_pid(pid_names: Dict[int, str], pid: int) -> str:
 def load_explain_data(trace_path: str,
                       audit_path: Optional[str] = None) -> ExplainData:
     """Parse the exported trace (and audit JSONL) back into memory."""
-    with open(trace_path) as handle:
-        document = json.load(handle)
-    events = (document if isinstance(document, list)
-              else document.get("traceEvents", []))
-    other = {} if isinstance(document, list) else document.get(
-        "otherData", {})
-    pid_names = {e["pid"]: e["args"]["name"] for e in events
-                 if e.get("ph") == "M" and e.get("name") == "process_name"}
+    events, other, pid_names = read_chrome_trace(trace_path)
     data = ExplainData()
     for run, wf_uid, job_uid in other.get("workflowLinks", []):
         data.links[run][wf_uid].append(job_uid)
@@ -102,7 +85,7 @@ def load_explain_data(trace_path: str,
     for event in events:
         phase = event.get("ph")
         if phase == "i":
-            run, label = _run_of_pid(pid_names, event["pid"])
+            run, label = run_of_pid(pid_names, event["pid"])
             data.run_labels.setdefault(run, label)
             data.instants.append({
                 "run": run, "name": event["name"],
@@ -111,7 +94,7 @@ def load_explain_data(trace_path: str,
             continue
         if phase not in ("b", "e"):
             continue
-        run, label = _run_of_pid(pid_names, event["pid"])
+        run, label = run_of_pid(pid_names, event["pid"])
         data.run_labels.setdefault(run, label)
         key = (run, event.get("cat", ""), event["id"], event["name"])
         if phase == "b":

@@ -6,6 +6,8 @@ Three views of one :class:`~repro.obs.tracer.Tracer`:
   file at https://ui.perfetto.dev): one process per run and node, one
   thread per core pool, async tracks for invocation/workflow spans, and
   counter tracks for pool sizes, per-node power draw, and EWT;
+  :func:`read_chrome_trace` and :func:`run_of_pid` read it back for
+  ``repro report`` and ``repro explain``;
 * :func:`epoch_rows` / :func:`write_epoch_metrics` — a per-epoch
   (``T_refresh``-granularity) metrics time series: energy, p50/p99,
   SLO violations, pool occupancy, retry counters;
@@ -164,6 +166,39 @@ def write_chrome_trace(tracer: Tracer, path: str) -> int:
         json.dump(document, handle, separators=(",", ":"))
         handle.write("\n")
     return len(events)
+
+
+def read_chrome_trace(path: str
+                      ) -> Tuple[List[dict], dict, Dict[int, str]]:
+    """Read an exported trace back: its events, its ``otherData`` and
+    each pid's process name. A bare event list (no ``otherData``) is
+    accepted too; any other JSON document raises ValueError."""
+    with open(path) as handle:
+        document = json.load(handle)
+    if isinstance(document, list):
+        events, other = document, {}
+    elif isinstance(document, dict):
+        events = document.get("traceEvents", [])
+        other = document.get("otherData", {})
+    else:
+        raise ValueError("expected a JSON object or event list")
+    if not isinstance(other, dict):
+        raise ValueError("otherData is not a JSON object")
+    pid_names = {e["pid"]: e["args"]["name"] for e in events
+                 if e.get("ph") == "M" and e.get("name") == "process_name"}
+    return events, other, pid_names
+
+
+def run_of_pid(pid_names: Dict[int, str], pid: int) -> Tuple[int, str]:
+    """Recover (run index, run label) from a process name written by
+    :class:`_TrackMap`, like ``"EcoFaaS [2] invocations"``."""
+    name = pid_names.get(pid, "")
+    if "[" in name and "]" in name:
+        label = name.split("[", 1)[0].strip()
+        index = name.split("[", 1)[1].split("]", 1)[0]
+        if index.isdigit():
+            return int(index), label
+    return 0, name or "run"
 
 
 # ---------------------------------------------------------------------------

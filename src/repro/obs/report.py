@@ -13,6 +13,8 @@ import json
 from collections import defaultdict
 from typing import Dict, List, Tuple
 
+from repro.obs.export import read_chrome_trace, run_of_pid
+
 
 class TraceStats:
     """Per-function aggregates recovered from an exported trace file."""
@@ -57,27 +59,9 @@ class TraceStats:
                       key=lambda row: (-row["energy_j"], row["tenant"]))
 
 
-def _run_of_pid(pid_names: Dict[int, str], pid: int) -> Tuple[int, str]:
-    """Recover (run index, run label) from a process_name like
-    ``"EcoFaaS [2] invocations"``."""
-    name = pid_names.get(pid, "")
-    if "[" in name and "]" in name:
-        label = name.split("[", 1)[0].strip()
-        index = name.split("[", 1)[1].split("]", 1)[0]
-        if index.isdigit():
-            return int(index), label
-    return 0, name or "run"
-
-
 def load_stats(path: str) -> TraceStats:
     """Aggregate one exported trace file into :class:`TraceStats`."""
-    with open(path) as handle:
-        document = json.load(handle)
-    events = (document if isinstance(document, list)
-              else document.get("traceEvents", []))
-    pid_names = {e["pid"]: e["args"]["name"] for e in events
-                 if e.get("ph") == "M"
-                 and e.get("name") == "process_name"}
+    events, _, pid_names = read_chrome_trace(path)
     stats = TraceStats()
     # Invocation 'e' events carry the full measured breakdown in args;
     # queue-phase spans are reassembled from their b/e pairs.
@@ -89,7 +73,7 @@ def load_stats(path: str) -> TraceStats:
             name = event.get("name")
             if name not in ("tenant_bill", "tenant_throttle"):
                 continue
-            run, label = _run_of_pid(pid_names, event["pid"])
+            run, label = run_of_pid(pid_names, event["pid"])
             stats.runs.setdefault(run, label)
             args = event.get("args", {})
             tenant = str(args.get("tenant", "?"))
@@ -106,7 +90,7 @@ def load_stats(path: str) -> TraceStats:
             continue
         if phase not in ("b", "e"):
             continue
-        run, label = _run_of_pid(pid_names, event["pid"])
+        run, label = run_of_pid(pid_names, event["pid"])
         stats.runs.setdefault(run, label)
         key = (run, event["id"])
         if cat == "invocation":

@@ -81,6 +81,25 @@ class ClusterConfig:
             raise ValueError("drain must be non-negative")
 
 
+@dataclass(slots=True)
+class _Invocation:
+    """One function invocation's fixed facts, shared by all its attempts
+    (never mutated; not frozen because frozen construction is ~6x slower
+    on the direct-dispatch fast path)."""
+
+    fn_model: object
+    #: The sampled input; every reliable attempt submits its own clone.
+    spec: object
+    deadline_s: Optional[float]
+    benchmark: str
+    arrival_s: float
+    wf_uid: int
+    #: The HA journal's idempotency key; None when HA is off.
+    idem_key: Optional[tuple]
+    #: The cancel layer's doom line; None when cancel is off.
+    doom_deadline_s: Optional[float]
+
+
 class Cluster:
     """A cluster running one serverless system."""
 
@@ -242,23 +261,18 @@ class Cluster:
                         dispersion=self.config.input_dispersion)
                     deadline = (deadlines.get(fn_model.name)
                                 if deadlines is not None else None)
+                    idem_key = ((wf_uid, stage_index, fn_index)
+                                if self.ha is not None else None)
+                    inv = _Invocation(fn_model, spec, deadline, workflow.name,
+                                      arrival_s, wf_uid, idem_key,
+                                      doom_deadline)
                     if policy is None:
-                        node = self.pick_node()
-                        job = node.submit(
-                            fn_model, spec, deadline, workflow.name,
-                            seniority_time_s=arrival_s)
-                        if cancel is not None:
-                            cancel.tag_job(job, doom_deadline)
-                        self.env.trace.link(wf_uid, job.job_id)
-                        waits.append(job.done)
+                        # Fire and wait: no process per invocation.
+                        waits.append(
+                            self._submit(inv, self.pick_node(), spec).done)
                     else:
-                        idem_key = ((wf_uid, stage_index, fn_index)
-                                    if self.ha is not None else None)
                         waits.append(self.env.process(
-                            self._invoke_reliably(
-                                fn_model, spec, deadline, workflow.name,
-                                arrival_s, idem_key, wf_uid,
-                                doom_deadline_s=doom_deadline),
+                            self._invoke_reliably(inv),
                             name=f"invoke-{fn_model.name}"))
                 yield self.env.all_of(waits)
                 if policy is not None and any(p.value is None for p in waits):
@@ -300,10 +314,52 @@ class Cluster:
             self.inflight -= 1
 
     # ------------------------------------------------------------------
+    # The attempt lifecycle: submit, release, write off
+    # ------------------------------------------------------------------
+    def _submit(self, inv: _Invocation, node: NodeSystem, spec,
+                attempt: int = 0):
+        """Put one attempt of ``inv`` on ``node`` (the only way an
+        attempt reaches a node) and return its job."""
+        job = node.submit(inv.fn_model, spec, inv.deadline_s, inv.benchmark,
+                          seniority_time_s=inv.arrival_s)
+        job.attempt = attempt
+        if self.cancel is not None:
+            self.cancel.tag_job(job, inv.doom_deadline_s)
+        self.env.trace.link(inv.wf_uid, job.job_id)
+        if self.ha is not None:
+            job.ha_node = node
+        return job
+
+    def _release(self, jobs, kill: bool, reason: str, winner=None) -> None:
+        """Let go of every live attempt but ``winner``: kill it (the
+        cancel layer reclaims its remaining energy) or abandon it (it
+        keeps running and its outcome is wasted work)."""
+        for job in jobs:
+            if job is winner or job.aborted or job.cancelled:
+                continue
+            if kill:
+                self.cancel.cancel_attempt(job, reason=reason)
+            else:
+                job.abandoned = True
+
+    def _lose(self, inv: _Invocation, attempts: int,
+              doomed_by: Optional[str] = None, **flag) -> None:
+        """Write ``inv`` off for good. ``flag`` marks the instant with
+        the reason; ``doomed_by`` names the cause when the doom line,
+        not a failure, ended it."""
+        if doomed_by is not None:
+            self.cancel.note_workflow_doomed(
+                inv.benchmark, inv.wf_uid, -1, cause=doomed_by)
+            flag["doomed"] = True
+        self.metrics.lost_invocations += 1
+        self.env.trace.instant("invocation_lost", "frontend",
+                               function=inv.fn_model.name,
+                               attempts=attempts, **flag)
+
+    # ------------------------------------------------------------------
     # Reliability layer (repro.faults)
     # ------------------------------------------------------------------
-    def _await_up_node(self, exclude: Optional[NodeSystem] = None,
-                       deadline_s: Optional[float] = None):
+    def _await_up_node(self, deadline_s: Optional[float]):
         """Yield until some node is up, then return it (generator helper).
 
         ``deadline_s`` bounds the wait: during a full-cluster outage the
@@ -313,32 +369,29 @@ class Cluster:
         burning poll wake-ups on work that cannot succeed.
         """
         while True:
-            node = self.pick_node(exclude)
+            node = self.pick_node()
             if node is not None:
                 return node
             if deadline_s is not None and self.env.now >= deadline_s - 1e-9:
                 return None
             yield self.env.timeout(ALL_DOWN_POLL_S)
 
-    def _invoke_reliably(self, fn_model, spec, deadline_s: Optional[float],
-                         benchmark: str, arrival_s: float,
-                         idem_key=None, wf_uid: Optional[int] = None,
-                         doom_deadline_s: Optional[float] = None):
+    def _invoke_reliably(self, inv: _Invocation):
         """Shepherd one invocation to completion under the policy.
 
-        Submits a pristine clone of ``spec`` per attempt (work units are
+        Submits a pristine clone of the spec per attempt (work units are
         consumed in place), detects crash-aborted attempts via their
         ``done`` event, applies the per-attempt timeout and hedged
         re-dispatch, and backs off exponentially (with deterministic
         jitter) between retries. Returns the winning job, or None once
         every retry is exhausted.
 
-        With the HA layer armed (``idem_key`` set), three things change:
-        a completion only wins while its node's uplink to the frontend
-        delivers (a partitioned result is invisible until the link
-        heals), the loop also wakes on membership/link transitions, and
-        an invocation stranded on a *suspected* node is re-dispatched —
-        exactly once per idempotency key, via the journal — to a
+        With the HA layer armed (``inv.idem_key`` set), three things
+        change: a completion only wins while its node's uplink to the
+        frontend delivers (a partitioned result is invisible until the
+        link heals), the loop also wakes on membership/link transitions,
+        and an invocation stranded on a *suspected* node is re-dispatched
+        — exactly once per idempotency key, via the journal — to a
         non-suspected node, with surviving duplicates fenced when a
         winner emerges.
         """
@@ -346,47 +399,32 @@ class Cluster:
         guard = self.guard
         ha = self.ha
         cancel = self.cancel
+        name = inv.fn_model.name
         if ha is not None:
-            ha.register_dispatch(idem_key)
+            ha.register_dispatch(inv.idem_key)
         if cancel is not None:
             cancel.note_first_attempt()
         attempt = 0
         lost_to_crash_here = 0
         while True:
-            if guard is not None and not guard.breaker_allows(fn_model.name):
+            if guard is not None and not guard.breaker_allows(name):
                 # The function's breaker is open: fail fast instead of
                 # feeding the retry loop while the function is known-bad.
-                self.metrics.lost_invocations += 1
-                self.env.trace.instant("invocation_lost", "frontend",
-                                       function=fn_model.name,
-                                       attempts=attempt, fast_fail=True)
-                return None
+                return self._lose(inv, attempt, fast_fail=True)
             if attempt > 0:
-                if cancel is not None and cancel.retry_doomed(doom_deadline_s):
+                if cancel is not None and cancel.retry_doomed(
+                        inv.doom_deadline_s):
                     # Retrying cannot beat the doom line anymore: write
                     # the invocation off before it burns another attempt.
-                    if wf_uid is not None:
-                        cancel.note_workflow_doomed(
-                            benchmark, wf_uid, -1, cause="retry_doomed")
-                    self.metrics.lost_invocations += 1
-                    self.env.trace.instant("invocation_lost", "frontend",
-                                           function=fn_model.name,
-                                           attempts=attempt, doomed=True)
-                    return None
+                    return self._lose(inv, attempt, doomed_by="retry_doomed")
                 if cancel is not None and not cancel.allow_retry(
-                        fn_model.name, attempt):
+                        name, attempt):
                     # The cluster-wide retry budget is spent: dropping
                     # this retry is what keeps per-invocation policies
                     # from compounding into a retry storm.
-                    self.metrics.lost_invocations += 1
-                    self.env.trace.instant("invocation_lost", "frontend",
-                                           function=fn_model.name,
-                                           attempts=attempt,
-                                           budget_exhausted=True)
-                    return None
+                    return self._lose(inv, attempt, budget_exhausted=True)
                 self.metrics.record_retry()
-                self.env.trace.instant("retry", "frontend",
-                                       function=fn_model.name,
+                self.env.trace.instant("retry", "frontend", function=name,
                                        attempt=attempt)
                 draw = 0.0
                 if policy.backoff_jitter > 0:
@@ -395,43 +433,23 @@ class Cluster:
                 backoff = policy.backoff_s(attempt, draw)
                 if backoff > 0:
                     yield self.env.timeout(backoff)
-                if cancel is not None and cancel.retry_doomed(doom_deadline_s):
+                if cancel is not None and cancel.retry_doomed(
+                        inv.doom_deadline_s):
                     # The doom line passed during backoff: the granted
                     # token never dispatched, so retire it and give up.
-                    cancel.refund_retry(fn_model.name)
-                    if wf_uid is not None:
-                        cancel.note_workflow_doomed(
-                            benchmark, wf_uid, -1, cause="retry_doomed")
-                    self.metrics.lost_invocations += 1
-                    self.env.trace.instant("invocation_lost", "frontend",
-                                           function=fn_model.name,
-                                           attempts=attempt, doomed=True)
-                    return None
-            bail_s = doom_deadline_s if doom_deadline_s is not None \
-                else deadline_s
-            node = yield from self._await_up_node(deadline_s=bail_s)
+                    cancel.refund_retry(name)
+                    return self._lose(inv, attempt, doomed_by="retry_doomed")
+            bail_s = (inv.doom_deadline_s if inv.doom_deadline_s is not None
+                      else inv.deadline_s)
+            node = yield from self._await_up_node(bail_s)
             if node is None:
                 # Full-cluster outage outlived the deadline: no node came
                 # back while the invocation could still succeed, so stop
                 # polling instead of spinning on work that cannot win.
                 if cancel is not None and attempt > 0:
-                    cancel.refund_retry(fn_model.name)
-                self.metrics.lost_invocations += 1
-                self.env.trace.instant("invocation_lost", "frontend",
-                                       function=fn_model.name,
-                                       attempts=attempt,
-                                       deadline_passed=True)
-                return None
-            job = node.submit(fn_model, spec.clone(), deadline_s, benchmark,
-                              seniority_time_s=arrival_s)
-            job.attempt = attempt
-            if cancel is not None:
-                cancel.tag_job(job, doom_deadline_s)
-            if wf_uid is not None:
-                self.env.trace.link(wf_uid, job.job_id)
-            if ha is not None:
-                job.ha_node = node
-            jobs = [job]
+                    cancel.refund_retry(name)
+                return self._lose(inv, attempt, deadline_passed=True)
+            jobs = [self._submit(inv, node, inv.spec.clone(), attempt)]
             timeout_ev = (self.env.timeout(policy.invocation_timeout_s)
                           if policy.invocation_timeout_s is not None else None)
             hedge_ev = (self.env.timeout(policy.hedge_after_s)
@@ -459,25 +477,19 @@ class Cluster:
                     winner = next((j for j in jobs if j.finished
                                    and ha.result_visible(j)), None)
                 if winner is not None:
-                    for other in jobs:
-                        if (other is not winner and not other.aborted
-                                and not other.cancelled):
-                            if cancel is not None and cancel.cancels_hedges:
-                                # The race is decided: kill the losers and
-                                # reclaim their remaining energy instead
-                                # of letting them run to completion.
-                                cancel.cancel_attempt(other,
-                                                      reason="hedge_loser")
-                            else:
-                                other.abandoned = True
+                    # The race is decided: kill the losers (reclaiming
+                    # their remaining energy) or let them run to waste.
+                    self._release(jobs, cancel is not None
+                                  and cancel.cancels_hedges,
+                                  "hedge_loser", winner)
                     if ha is not None:
-                        ha.record_completion(idem_key, jobs, winner)
+                        ha.record_completion(inv.idem_key, jobs, winner)
                     lost_to_crash_here += sum(1 for j in jobs if j.aborted)
                     self.metrics.crash_redispatches += lost_to_crash_here
                     if guard is not None:
-                        met = (deadline_s is None
-                               or self.env.now <= deadline_s + 1e-9)
-                        guard.record_attempt_success(fn_model.name, met)
+                        met = (inv.deadline_s is None
+                               or self.env.now <= inv.deadline_s + 1e-9)
+                        guard.record_attempt_success(name, met)
                     return winner
                 if all(j.aborted for j in jobs):
                     lost_to_crash_here += len(jobs)
@@ -487,34 +499,18 @@ class Cluster:
                     # The platform declared this work doomed (a dequeue
                     # drop): no sibling or retry can beat the doom line
                     # either, so kill the survivors and give up for good.
-                    for j in jobs:
-                        if not (j.aborted or j.cancelled or j.finished):
-                            cancel.cancel_attempt(j, reason="doomed_sibling")
-                    if wf_uid is not None:
-                        cancel.note_workflow_doomed(
-                            benchmark, wf_uid, -1, cause="dequeue_doomed")
-                    self.metrics.lost_invocations += 1
-                    self.env.trace.instant("invocation_lost", "frontend",
-                                           function=fn_model.name,
-                                           attempts=attempt + 1, doomed=True)
-                    return None
+                    self._release(jobs, True, "doomed_sibling")
+                    return self._lose(inv, attempt + 1,
+                                      doomed_by="dequeue_doomed")
                 if timeout_ev is not None and timeout_ev.processed:
                     # Written off: with the cancel layer armed the
-                    # survivors are killed (their remaining energy is
-                    # reclaimed); otherwise they keep running and their
-                    # outcome is wasted work.
-                    for j in jobs:
-                        if not j.aborted:
-                            if (cancel is not None
-                                    and cancel.cancels_timeouts):
-                                cancel.cancel_attempt(j, reason="timeout")
-                            else:
-                                j.abandoned = True
+                    # survivors are killed; otherwise they keep running.
+                    self._release(jobs, cancel is not None
+                                  and cancel.cancels_timeouts, "timeout")
                     lost_to_crash_here += sum(1 for j in jobs if j.aborted)
                     self.metrics.record_timeout()
                     self.env.trace.instant("invocation_timeout", "frontend",
-                                           function=fn_model.name,
-                                           attempt=attempt)
+                                           function=name, attempt=attempt)
                     attempt_failed = True
                     break
                 if hedge_ev is not None and hedge_ev.processed:
@@ -523,49 +519,29 @@ class Cluster:
                                 if hedges_fired < policy.max_hedges else None)
                     other = self.pick_node(exclude=node)
                     if other is not None and other is not node:
-                        duplicate = other.submit(
-                            fn_model, spec.clone(), deadline_s, benchmark,
-                            seniority_time_s=arrival_s)
-                        duplicate.attempt = attempt
-                        if cancel is not None:
-                            cancel.tag_job(duplicate, doom_deadline_s)
-                        if wf_uid is not None:
-                            self.env.trace.link(wf_uid, duplicate.job_id)
-                        if ha is not None:
-                            duplicate.ha_node = other
+                        duplicate = self._submit(inv, other,
+                                                 inv.spec.clone(), attempt)
                         jobs.append(duplicate)
                         self.metrics.record_hedge()
                         self.env.trace.instant("hedge", "frontend",
-                                               function=fn_model.name,
+                                               function=name,
                                                job=duplicate.job_id)
                     continue
                 if ha is not None:
-                    target = ha.redispatch_target(idem_key, jobs,
+                    target = ha.redispatch_target(inv.idem_key, jobs,
                                                   exclude=node)
                     if target is not None:
-                        duplicate = target.submit(
-                            fn_model, spec.clone(), deadline_s, benchmark,
-                            seniority_time_s=arrival_s)
-                        duplicate.attempt = attempt
-                        if cancel is not None:
-                            cancel.tag_job(duplicate, doom_deadline_s)
-                        if wf_uid is not None:
-                            self.env.trace.link(wf_uid, duplicate.job_id)
-                        duplicate.ha_node = target
-                        jobs.append(duplicate)
+                        jobs.append(self._submit(inv, target,
+                                                 inv.spec.clone(), attempt))
                         continue
                 # Some (not all) attempts crashed: drop them, keep waiting.
                 lost_to_crash_here += sum(1 for j in jobs if j.aborted)
                 jobs = [j for j in jobs if not j.aborted]
             if guard is not None:
-                guard.record_attempt_failure(fn_model.name, node=node)
+                guard.record_attempt_failure(name, node=node)
             attempt += 1
             if attempt > policy.max_retries:
-                self.metrics.lost_invocations += 1
-                self.env.trace.instant("invocation_lost", "frontend",
-                                       function=fn_model.name,
-                                       attempts=attempt)
-                return None
+                return self._lose(inv, attempt)
 
     # ------------------------------------------------------------------
     # Trace driving

@@ -411,7 +411,7 @@ class CorePoolScheduler:
         target_freq = self._job_frequency(job)
         if self.per_job_frequency and job.dispatch_correction is not None:
             target_freq = job.dispatch_correction(target_freq)
-        tenancy = getattr(self.env, "tenancy", None)
+        tenancy = self.env.tenancy
         if tenancy is not None:
             # Power-cap ceiling (repro.tenancy): every path that decides
             # a core's speed — dispatch choice, boost, correction — runs

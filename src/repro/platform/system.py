@@ -171,10 +171,10 @@ class NodeSystem(abc.ABC):
                 f"node {self.server.server_id} is not down; cannot reboot")
         self._rebuild()
         self.down = False
-        guard = getattr(self.env, "guard", None)
+        guard = self.env.guard
         if guard is not None:
             guard.maybe_restore(self)
-        tenancy = getattr(self.env, "tenancy", None)
+        tenancy = self.env.tenancy
         if tenancy is not None:
             # A rebooted controller starts at the top frequency; the
             # active power cap must not be forgotten with it.

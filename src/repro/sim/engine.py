@@ -35,11 +35,6 @@ class Environment:
         #: instrumentation point on the pre-guard code path; a cluster
         #: built with a GuardConfig installs its GuardRuntime here.
         self.guard = None
-        #: Link model hook (repro.ha). None means every simulated message
-        #: always delivers (the pre-HA code path); a cluster built with an
-        #: HAConfig installs a LinkTable here, which partition faults cut
-        #: and heal.
-        self.links = None
         #: High-availability hook (repro.ha). None keeps every HA
         #: instrumentation point (membership-aware dispatch, lease
         #: fencing, re-dispatch) on the pre-HA code path.

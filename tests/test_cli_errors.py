@@ -4,7 +4,8 @@ Every artifact-consuming subcommand (``report``, ``explain``, ``bill``,
 ``diff``, ``fuzz --replay``) gets the same treatment for a missing and for a corrupt input
 file: exit non-zero (2), print exactly one explanatory line on stderr,
 and never raise. Bad experiment arguments (an output path in a missing
-directory, a negative seed) are rejected before the run starts. These
+directory, a negative seed) are rejected before the run starts, and a
+``--top`` below 1 before ``report`` or ``explain`` reads its trace. These
 run no simulation.
 """
 
@@ -48,6 +49,32 @@ def test_corrupt_json_is_one_line_error(name, tmp_path, capsys):
     assert rc == 2
     assert _one_line(err), f"expected one stderr line, got: {err!r}"
     assert "Traceback" not in err and "Traceback" not in out
+
+
+@pytest.mark.parametrize("document", ["42", '"text"',
+                                      '{"traceEvents": [], "otherData": 5}'])
+@pytest.mark.parametrize("name", ["explain", "report"])
+def test_non_trace_json_is_one_line_error(name, document, tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    trace.write_text(document, encoding="utf-8")
+    rc = SUBCOMMANDS[name]([str(trace)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert _one_line(err), f"expected one stderr line, got: {err!r}"
+    assert "not a trace-event JSON file" in err
+    assert "Traceback" not in err and "Traceback" not in out
+
+
+@pytest.mark.parametrize("top", [0, -1, -2])
+@pytest.mark.parametrize("name", ["explain", "report"])
+def test_top_below_one_is_one_line_error(name, top, tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"traceEvents": []}), encoding="utf-8")
+    rc = SUBCOMMANDS[name]([str(trace), "--top", str(top)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _one_line(err), f"expected one stderr line, got: {err!r}"
+    assert "--top" in err and str(top) in err
 
 
 def test_bill_wrong_shape_json(tmp_path, capsys):
