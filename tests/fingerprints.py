@@ -45,7 +45,10 @@ def reference_runs():
 
     Three low-load runs on two servers, plus both baselines at medium
     load on three servers for 20 s, where per-function pools churn:
-    they are created, re-split and retired many times over.
+    they are created, re-split and retired many times over. Then the
+    armed rows: five variants of the low-load chaos run, each with
+    guard, cancel, HA, capped tenancy or all of them armed, and the
+    28 s HA partition scenario on three servers.
     """
     from repro.baselines import BaselineSystem, PowerCtrlSystem
     from repro.cancel import CancelConfig
