@@ -3,11 +3,15 @@
 A fingerprint digests every observable outcome of a small reference run —
 function records, workflow records, reliability counters, per-server
 energy — into one SHA-256 hex string, stored per run label in
-``tests/data/seed_fingerprint.json``. There are two kinds of row:
+``tests/data/seed_fingerprint.json``. There are three kinds of row:
 
 * **Layers off** (``baseline`` … ``powerctrl_medium``): generated from the
   pre-guard seed code. Reproducing them is the hard "opt-in means
   untouched" contract of every optional layer.
+* **Predictor** (``ecofaas_medium``): EcoFaaS on the medium three-server
+  trace, long enough that the input-aware MLP refines most predictions
+  (the low-load ``ecofaas`` rows make none). It is the one row that
+  pins the MLP's training and the compute/memory fit.
 * **Layers armed** (``guard_chaos``, ``cancel_chaos``, ``ha_chaos``,
   ``tenancy_cap``, ``all_armed``, ``ha_partition``): the ``ecofaas_chaos``
   run with guard, cancel (plus timeouts and hedging), HA or a capped
@@ -43,9 +47,10 @@ DATA_PATH = os.path.join(os.path.dirname(__file__), "data",
 def reference_runs():
     """The reference runs, as (label, cluster-factory) pairs.
 
-    Three low-load runs on two servers, plus both baselines at medium
-    load on three servers for 20 s, where per-function pools churn:
-    they are created, re-split and retired many times over. Then the
+    Three low-load runs on two servers, plus both baselines and EcoFaaS
+    at medium load on three servers for 20 s. There the baselines'
+    per-function pools churn (they are created, re-split and retired
+    many times over) and EcoFaaS's MLP trains and refines. Then the
     armed rows: five variants of the low-load chaos run, each with
     guard, cancel, HA, capped tenancy or all of them armed, and the
     28 s HA partition scenario on three servers.
@@ -100,6 +105,8 @@ def reference_runs():
             BaselineSystem(), medium_trace(), medium)),
         ("powerctrl_medium", lambda: run_cluster(
             PowerCtrlSystem(), medium_trace(), medium)),
+        ("ecofaas_medium", lambda: run_cluster(
+            EcoFaaSSystem(EcoFaaSConfig()), medium_trace(), medium)),
         ("guard_chaos", armed(guard=GuardConfig.full())),
         ("cancel_chaos", armed(reliability=hedged,
                                cancel=CancelConfig.full())),

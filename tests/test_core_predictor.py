@@ -353,3 +353,102 @@ def test_mlp_predict_one_is_uncached(monkeypatch):
     assert len(forwards) == 2
     model.partial_fit([[1.0, 2.0]], [0.5], epochs=3)
     assert model.predict_one([1.0, 2.0]) != first
+
+
+# ----------------------------------------------------------------------
+# Oracles that do not trust the code under test
+# ----------------------------------------------------------------------
+def lstsq_fit(points):
+    """Unconstrained least squares of ``t = a/f + b`` through numpy."""
+    inv_f = np.array([1.0 / f for f, _ in points])
+    design = np.column_stack([inv_f, np.ones_like(inv_f)])
+    times = np.array([t for _, t in points])
+    (a, b), *_ = np.linalg.lstsq(design, times, rcond=None)
+    return float(a), float(b)
+
+
+class TestFitMatchesLeastSquaresOracle:
+    # Distinct levels on a 0.1 GHz grid: well-conditioned designs only,
+    # so any disagreement is the fit's and not the conditioning's.
+    @given(st.lists(st.integers(5, 40), min_size=2, max_size=7,
+                    unique=True).map(lambda tenths: [t / 10 for t in tenths]),
+           st.data())
+    def test_matches_lstsq_wherever_no_fallback_fires(self, freqs, data):
+        # Noisy points around a random compute/memory split: most fits
+        # land inside the non-negative quadrant, some fall back.
+        a0 = data.draw(st.floats(min_value=0.0, max_value=2.0))
+        b0 = data.draw(st.floats(min_value=0.0, max_value=1.0))
+        times = [(a0 / f + b0) * data.draw(st.floats(0.7, 1.3)) + 1e-3
+                 for f in freqs]
+        points = list(zip(freqs, times))
+        a_ref, b_ref = lstsq_fit(points)
+        a, b = fit_compute_memory(points)
+        if a_ref < 0 or b_ref < 0:
+            assert a >= 0 and b >= 0
+            return
+        # ``b`` is a difference of terms as large as the times, so its
+        # error scales with them and not with ``b`` itself.
+        scale = max(times)
+        assert a == pytest.approx(a_ref, rel=1e-9, abs=1e-9 * scale)
+        assert b == pytest.approx(b_ref, rel=1e-9, abs=1e-9 * scale)
+
+
+def true_t_run(features, freq):
+    compute = 0.004 * features["size"] + 0.002 * features["depth"]
+    return compute * 3.0 / freq + 0.01 + 0.002 * features["size"]
+
+
+def mlp_stream(seed, n_observations):
+    """Feed a profile a random, input-driven stream of observations.
+
+    Yields ``(profile, features, freq, rng)`` before each observation.
+    Ground truth is ``true_t_run``, measured with 5% noise at two to four
+    random levels.
+    """
+    rng = random.Random(seed)
+    profile = make_profile(use_mlp=True, feature_names=["depth", "size"])
+    observed = rng.sample(profile.scale.levels, rng.randint(2, 4))
+    for _ in range(n_observations):
+        features = {"size": rng.uniform(5, 20), "depth": rng.uniform(0, 10)}
+        freq = rng.choice(observed)
+        yield profile, features, freq, rng
+        t_run = true_t_run(features, freq) * rng.uniform(0.95, 1.05)
+        profile.observe(freq, t_run, 0.0, t_run * 20.0, features)
+
+
+def mlp_gate_open(profile):
+    return profile._mlp.samples_seen >= profile._MLP_BATCH
+
+
+class TestMlpPathOracles:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_predictions_never_rise_with_frequency(self, seed):
+        # T_run = C/f + M with C, M >= 0, refined and clamped through the
+        # fit: a faster clock never predicts a longer run, for any row.
+        checked = 0
+        for profile, _, _, rng in mlp_stream(seed, 120):
+            if not mlp_gate_open(profile):
+                continue
+            features = {"size": rng.uniform(0, 40),
+                        "depth": rng.uniform(-5, 15)}
+            times = [profile.predict_t_run(f, features)
+                     for f in profile.scale.levels]
+            assert all(slow >= fast for slow, fast
+                       in zip(times, times[1:])), times
+            checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refined_predictions_beat_the_fit_alone(self, seed):
+        # Each prediction is made before its observation is absorbed.
+        refined, fit_only = [], []
+        for profile, features, freq, _ in mlp_stream(seed, 200):
+            if not mlp_gate_open(profile):
+                continue
+            truth = true_t_run(features, freq)
+            refined.append(
+                abs(profile.predict_t_run(freq, features) - truth) / truth)
+            fit_only.append(abs(profile.predict_t_run(freq) - truth) / truth)
+        mape, fit_mape = float(np.mean(refined)), float(np.mean(fit_only))
+        assert mape < fit_mape
+        assert mape < 0.25
