@@ -113,6 +113,19 @@ def _bad_top(top: int) -> bool:
     return True
 
 
+def _load_artifact(load, path: str, kind: str):
+    """``load(path)``, or ``None`` after one stderr line naming ``path``
+    as an unreadable or malformed ``kind``."""
+    try:
+        return load(path)
+    except OSError as error:
+        print(f"cannot read {kind} {path}: {error.strerror or error}",
+              file=sys.stderr)
+    except (ValueError, KeyError, TypeError) as error:
+        print(f"not a {kind}: {path} ({error})", file=sys.stderr)
+    return None
+
+
 def _report(argv: List[str]) -> int:
     """The ``repro report <trace.json>`` subcommand."""
     parser = argparse.ArgumentParser(
@@ -129,15 +142,10 @@ def _report(argv: List[str]) -> int:
     if _bad_top(args.top):
         return 2
     from repro import obs
-    try:
-        text = obs.report(args.trace, top_n=args.top, fmt=args.format)
-    except OSError as error:
-        print(f"cannot read trace file {args.trace}:"
-              f" {error.strerror or error}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as error:
-        print(f"not a trace-event JSON file: {args.trace} ({error})",
-              file=sys.stderr)
+    text = _load_artifact(
+        lambda path: obs.report(path, top_n=args.top, fmt=args.format),
+        args.trace, "trace-event JSON file")
+    if text is None:
         return 2
     print(text, end="")
     return 0
@@ -244,23 +252,24 @@ def _explain(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     if _bad_top(args.top):
         return 2
+    from repro.obs.audit import load_jsonl
     from repro.obs.explain import (
         explain,
         format_explanation,
         load_explain_data,
         missed_workflows,
     )
-    try:
-        data = load_explain_data(args.trace, audit_path=args.audit)
-    except OSError as error:
-        print(f"cannot read file"
-              f" {error.filename or args.trace}:"
-              f" {error.strerror or error}", file=sys.stderr)
+    # The trace and the audit log are parsed apart, so a bad file is
+    # named as what it is.
+    data = _load_artifact(load_explain_data, args.trace,
+                          "trace-event JSON file")
+    if data is None:
         return 2
-    except (ValueError, KeyError, TypeError) as error:
-        print(f"not a trace-event JSON file: {args.trace} ({error})",
-              file=sys.stderr)
-        return 2
+    if args.audit:
+        data.audit = _load_artifact(load_jsonl, args.audit,
+                                    "decision audit JSONL file")
+        if data.audit is None:
+            return 2
     uid, run = args.workflow, args.run
     if uid is None:
         missed = missed_workflows(data, run=run)

@@ -161,8 +161,11 @@ def load_jsonl(path: str) -> List[Dict[str, Any]]:
     """Read an audit JSONL file back into plain dicts (for explain)."""
     records = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"line {number} is not a JSON object")
+                records.append(record)
     return records

@@ -177,7 +177,7 @@ class Verifier:
         self.runs += 1
         state = _RunState()
         self._states[id(cluster)] = state
-        guard = getattr(cluster, "guard", None)
+        guard = cluster.guard
         if guard is not None and guard.breakers is not None:
             board = guard.breakers
             board.observer = self.on_breaker_transition
@@ -337,7 +337,7 @@ class Verifier:
                             attributed_j=attributed, metered_j=total)
 
     def _check_breaker_states(self, cluster) -> None:
-        guard = getattr(cluster, "guard", None)
+        guard = cluster.guard
         if guard is None or guard.breakers is None:
             return
         for function, breaker_state in guard.breakers.states().items():
@@ -348,7 +348,7 @@ class Verifier:
                             function=function, state=breaker_state)
 
     def _check_ha(self, cluster, state: _RunState) -> None:
-        ha = getattr(cluster, "ha", None)
+        ha = cluster.ha
         if ha is None:
             return
         metrics = cluster.metrics
@@ -402,7 +402,7 @@ class Verifier:
             state.seen_epochs[endpoint] = epoch
 
     def _check_tenancy(self, cluster, state: _RunState) -> None:
-        tenancy = getattr(cluster, "tenancy", None)
+        tenancy = cluster.tenancy
         if tenancy is None:
             return
         now = cluster.env.now
@@ -446,7 +446,7 @@ class Verifier:
                             lifetime_j=lifetime)
 
     def _check_cancel(self, cluster) -> None:
-        cancel = getattr(cluster, "cancel", None)
+        cancel = cluster.cancel
         if cancel is None:
             return
         metrics = cluster.metrics
@@ -487,23 +487,22 @@ class Verifier:
         state = self._states.pop(id(cluster), _RunState())
         self.sweep(cluster, state)
         metrics = cluster.metrics
-        submitted = getattr(cluster, "submitted_workflows", None)
-        if submitted is not None:
-            completed = len(metrics.workflow_records)
-            shed = metrics.shed_count()
-            terminal = (completed + metrics.failed_workflows + shed
-                        + cluster.inflight)
-            if submitted != terminal:
-                self.record(
-                    "workflow-lifecycle",
-                    f"{submitted} workflows submitted but"
-                    f" {terminal} accounted for ({completed} completed"
-                    f" + {metrics.failed_workflows} failed + {shed} shed"
-                    f" + {cluster.inflight} in flight)",
-                    submitted=submitted, completed=completed,
-                    failed=metrics.failed_workflows, shed=shed,
-                    inflight=cluster.inflight)
-        ha = getattr(cluster, "ha", None)
+        submitted = cluster.submitted_workflows
+        completed = len(metrics.workflow_records)
+        shed = metrics.shed_count()
+        terminal = (completed + metrics.failed_workflows + shed
+                    + cluster.inflight)
+        if submitted != terminal:
+            self.record(
+                "workflow-lifecycle",
+                f"{submitted} workflows submitted but"
+                f" {terminal} accounted for ({completed} completed"
+                f" + {metrics.failed_workflows} failed + {shed} shed"
+                f" + {cluster.inflight} in flight)",
+                submitted=submitted, completed=completed,
+                failed=metrics.failed_workflows, shed=shed,
+                inflight=cluster.inflight)
+        ha = cluster.ha
         if ha is not None:
             if metrics.ha_duplicate_completions != 0:
                 self.record("ha-exactly-once",

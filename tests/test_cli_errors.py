@@ -65,6 +65,21 @@ def test_non_trace_json_is_one_line_error(name, document, tmp_path, capsys):
     assert "Traceback" not in err and "Traceback" not in out
 
 
+@pytest.mark.parametrize("audit", ["{bad", "42"])
+def test_corrupt_audit_names_the_audit_file(audit, tmp_path, capsys):
+    # The trace is valid: the error must blame the audit log, not it.
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"traceEvents": []}), encoding="utf-8")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(audit + "\n", encoding="utf-8")
+    rc = _explain([str(trace), "0", "--audit", str(bad)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _one_line(err), f"expected one stderr line, got: {err!r}"
+    assert "bad.jsonl" in err and "trace.json" not in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("top", [0, -1, -2])
 @pytest.mark.parametrize("name", ["explain", "report"])
 def test_top_below_one_is_one_line_error(name, top, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from repro import cli
 from repro.verify import fuzz
 
 
@@ -91,14 +92,16 @@ class TestCorpus:
         for mutation in MUTATIONS:
             assert mutation in stems, f"no corpus artifact for {mutation}"
 
-    def test_every_artifact_replays_byte_identically(self):
+    def test_every_artifact_replays_byte_identically(self, capsys):
+        # Through the CLI, so its exit code is checked as well.
         for path in self.corpus_paths():
-            outcome = fuzz.replay(str(path))
-            assert outcome["match"], (
+            rc = cli._fuzz(["--replay", str(path)])
+            out, err = capsys.readouterr()
+            assert rc == 0, (
                 f"{path.name}: replay diverged from the stored"
-                f" violations/fingerprint\n stored: {outcome['stored']}\n"
-                f" replayed: {outcome['replayed']}")
-            assert outcome["violations"], (
+                f" violations/fingerprint\n{err}")
+            assert "byte-identical: yes" in out
+            assert "no violation" not in out, (
                 f"{path.name}: corpus artifacts must reproduce a"
                 " violation")
 
