@@ -438,17 +438,20 @@ class TestMlpPathOracles:
             checked += 1
         assert checked > 50
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_refined_predictions_beat_the_fit_alone(self, seed):
-        # Each prediction is made before its observation is absorbed.
+    def test_refined_predictions_beat_the_fit_alone(self):
+        # Observation-stream MAPE: each prediction is made before its
+        # observation is absorbed. Pooled over five streams, because one
+        # online-trained network's error swings from stream to stream.
         refined, fit_only = [], []
-        for profile, features, freq, _ in mlp_stream(seed, 200):
-            if not mlp_gate_open(profile):
-                continue
-            truth = true_t_run(features, freq)
-            refined.append(
-                abs(profile.predict_t_run(freq, features) - truth) / truth)
-            fit_only.append(abs(profile.predict_t_run(freq) - truth) / truth)
+        for seed in range(5):
+            for profile, features, freq, _ in mlp_stream(seed, 200):
+                if not mlp_gate_open(profile):
+                    continue
+                truth = true_t_run(features, freq)
+                refined.append(abs(profile.predict_t_run(freq, features)
+                                   - truth) / truth)
+                fit_only.append(
+                    abs(profile.predict_t_run(freq) - truth) / truth)
         mape, fit_mape = float(np.mean(refined)), float(np.mean(fit_only))
         assert mape < fit_mape
-        assert mape < 0.25
+        assert mape < 0.2
