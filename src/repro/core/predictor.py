@@ -33,18 +33,28 @@ from repro.hardware.power import PowerModel
 def fit_compute_memory(points: Sequence[tuple]) -> tuple:
     """Least-squares fit of ``t = a/f + b`` with ``a, b >= 0``.
 
-    ``points`` are ``(freq_ghz, t_seconds)`` pairs. With one point the fit
-    is the conservative pure-compute model (``b = 0``).
+    ``points`` are ``(freq_ghz, t_seconds)`` pairs. The unconstrained fit
+    is the closed-form solution of the 2x2 normal equations, centred on
+    the means. When every point sits at one frequency (one point, or a
+    rank-one design) the fit is the conservative pure-compute model
+    (``b = 0``) through the mean time.
     """
     if not points:
         raise ValueError("need at least one (frequency, time) point")
-    if len(points) == 1:
-        freq, t = points[0]
-        return (t * freq, 0.0)
-    inv_f = np.array([1.0 / f for f, _ in points])
-    times = np.array([t for _, t in points])
-    design = np.column_stack([inv_f, np.ones_like(inv_f)])
-    (a, b), *_ = np.linalg.lstsq(design, times, rcond=None)
+    inv_f = [1.0 / f for f, _ in points]
+    times = [t for _, t in points]
+    n = len(points)
+    t_mean = sum(times) / n
+    if min(inv_f) == max(inv_f):
+        return (t_mean * points[0][0], 0.0)
+    x_mean = sum(inv_f) / n
+    sxx = sxy = 0.0
+    for x, t in zip(inv_f, times):
+        dx = x - x_mean
+        sxx += dx * dx
+        sxy += dx * (t - t_mean)
+    a = sxy / sxx
+    b = t_mean - a * x_mean
     if b < 0:
         # Degenerate fit (noise): fall back to pure compute scaling
         # through the mean of the scaled points.
@@ -59,9 +69,13 @@ def fit_compute_memory(points: Sequence[tuple]) -> tuple:
 class FrequencyProfile:
     """Online estimator of one function's time/energy vs frequency."""
 
-    #: Replay-training cadence for the MLP.
+    #: MLP training cadence: every ``_MLP_REPLAY_EVERY`` observations,
+    #: one ``partial_fit`` of ``_MLP_EPOCHS`` epochs on the rows observed
+    #: since the last tick plus a replay sample of up to ``_MLP_BATCH``
+    #: history rows (DESIGN.md §4b).
     _MLP_REPLAY_EVERY = 8
     _MLP_BATCH = 32
+    _MLP_EPOCHS = 4
 
     def __init__(self, scale: FrequencyScale, power: PowerModel,
                  history: Optional[HistoryTable] = None,
@@ -81,10 +95,13 @@ class FrequencyProfile:
             self._mlp = MLPRegressor(len(self.feature_names), seed=seed)
         self._rng = np.random.default_rng(seed)
         self._observations = 0
-        # State derived from the observations, valid until the next
-        # observe(): the (a, b) fit, and the MLP's top-frequency estimate
-        # per feature row (one forward per job, however many levels the
-        # dispatcher asks about).
+        #: Featured ``(row, freq_ghz, t_run_s)`` observations the MLP has
+        #: not trained on yet.
+        self._pending: List[tuple] = []
+        # The (a, b) fit, valid until the next observe(); and the MLP's
+        # top-frequency estimate per feature row (one forward per job,
+        # however many levels the dispatcher asks about), valid until the
+        # MLP next trains.
         self._fit_cache: Optional[tuple] = None
         self._mlp_cache: Dict[tuple, float] = {}
 
@@ -104,45 +121,40 @@ class FrequencyProfile:
                 features: Optional[Dict[str, float]] = None) -> None:
         """Absorb one measured invocation (the dispatcher's profiling)."""
         self._fit_cache = None
-        self._mlp_cache.clear()
         self.history.record(freq_ghz, t_run_s, t_block_s, energy_j, features)
         self._t_run.setdefault(freq_ghz, AdaptiveEwma()).update(t_run_s)
         self._energy.setdefault(freq_ghz, AdaptiveEwma()).update(energy_j)
         self._t_block.update(t_block_s)
         self._observations += 1
         if self._mlp is not None and features:
-            self._train_mlp(features, freq_ghz, t_run_s)
+            self._pending.append((self._row(features), freq_ghz, t_run_s))
+            if self._observations % self._MLP_REPLAY_EVERY == 0:
+                self._train_mlp()
 
-    def _train_mlp(self, features: Dict[str, float], freq_ghz: float,
-                   t_run_s: float) -> None:
-        a, b = self._fit()
-        target = self._to_max_freq(t_run_s, freq_ghz, a, b)
-        if target <= 0:
-            return
-        row = [features.get(name, 0.0) for name in self.feature_names]
-        self._mlp.partial_fit([row], [target], epochs=2)
-        if self._observations % self._MLP_REPLAY_EVERY == 0:
-            self._replay()
+    def _row(self, features: Dict[str, float]) -> List[float]:
+        return [features.get(name, 0.0) for name in self.feature_names]
 
-    def _replay(self) -> None:
+    def _train_mlp(self) -> None:
+        """One training tick: the pending rows plus a replay sample, with
+        every target rescaled to the top frequency through today's fit."""
+        batch, self._pending = self._pending, []
         rows = self.history.rows
-        if len(rows) < 4:
-            return
+        if len(rows) >= 4:
+            sample = self._rng.choice(
+                len(rows), size=min(self._MLP_BATCH, len(rows)),
+                replace=False)
+            batch += [(self._row(row.features), row.freq_ghz, row.t_run_s)
+                      for row in (rows[i] for i in sample) if row.features]
         a, b = self._fit()
-        sample = self._rng.choice(
-            len(rows), size=min(self._MLP_BATCH, len(rows)), replace=False)
         x, y = [], []
-        for i in sample:
-            row = rows[i]
-            if not row.features:
-                continue
-            target = self._to_max_freq(row.t_run_s, row.freq_ghz, a, b)
-            if target <= 0:
-                continue
-            x.append([row.features.get(n, 0.0) for n in self.feature_names])
-            y.append(target)
+        for row, freq_ghz, t_run_s in batch:
+            target = self._to_max_freq(t_run_s, freq_ghz, a, b)
+            if target > 0:
+                x.append(row)
+                y.append(target)
         if x:
-            self._mlp.partial_fit(x, y, epochs=2)
+            self._mlp.partial_fit(x, y, epochs=self._MLP_EPOCHS)
+            self._mlp_cache.clear()
 
     # ------------------------------------------------------------------
     # Frequency scaling
@@ -186,7 +198,7 @@ class FrequencyProfile:
         fit_value = max(0.0, a / freq_ghz + b)
         if (self._mlp is not None and features
                 and self._mlp.samples_seen >= self._MLP_BATCH):
-            row = [features.get(n, 0.0) for n in self.feature_names]
+            row = self._row(features)
             key = tuple(row)
             t_at_max = self._mlp_cache.get(key)
             if t_at_max is None:

@@ -11,7 +11,11 @@ energy — into one SHA-256 hex string, stored per run label in
 * **Predictor** (``ecofaas_medium``): EcoFaaS on the medium three-server
   trace, long enough that the input-aware MLP refines most predictions
   (the low-load ``ecofaas`` rows make none). It is the one row that
-  pins the MLP's training and the compute/memory fit.
+  pins the MLP's training and the compute/memory fit. It was stored
+  before the MLP moved to one training tick per 8 observations, and
+  re-pinned by that change together with ``ha_partition``, the only
+  other row that makes many MLP-refined predictions (``ha_chaos`` makes
+  two, and kept its hash).
 * **Layers armed** (``guard_chaos``, ``cancel_chaos``, ``ha_chaos``,
   ``tenancy_cap``, ``all_armed``, ``ha_partition``): the ``ecofaas_chaos``
   run with guard, cancel (plus timeouts and hedging), HA or a capped

@@ -331,17 +331,37 @@ def test_observe_invalidates_the_fit_cache(monkeypatch):
 
 
 def test_observe_invalidates_the_mlp_cache(monkeypatch):
-    profile = trained_profile(use_mlp=True)
+    """A training tick clears the MLP cache; any other observe keeps it,
+    because the cached value depends only on the network."""
+    profile = trained_profile(use_mlp=True)  # 40 observations: a tick
     forwards = count_calls(monkeypatch, profile._mlp, "predict_one")
-    row = {"x": 2.0}
-    before = [profile.predict_t_run(f, row) for f in (1.2, 2.0, 3.0)]
+    row, levels = {"x": 2.0}, (1.2, 2.0, 3.0)
+    before = [profile.predict_t_run(f, row) for f in levels]
+    for _ in range(profile._MLP_REPLAY_EVERY - 1):
+        profile.observe(3.0, 0.3, 0.0, 1.0, {"x": 2.0})
+        between = [profile.predict_t_run(f, row) for f in levels]
     assert len(forwards) == 1
+    assert between == [reference_t_run(profile, f, row) for f in levels]
+    forwards.clear()
     profile.observe(3.0, 0.3, 0.0, 1.0, {"x": 2.0})
-    after = [profile.predict_t_run(f, row) for f in (1.2, 2.0, 3.0)]
-    assert len(forwards) == 2
+    after = [profile.predict_t_run(f, row) for f in levels]
+    assert len(forwards) == 1
     assert after != before
-    assert after == [reference_t_run(profile, f, row)
-                     for f in (1.2, 2.0, 3.0)]
+    assert after == [reference_t_run(profile, f, row) for f in levels]
+
+
+def test_eight_featured_observations_train_once(monkeypatch):
+    profile = make_profile(use_mlp=True, feature_names=["x"])
+    fits = count_calls(monkeypatch, profile._mlp, "partial_fit")
+    steps = count_calls(monkeypatch, profile._mlp, "_adam_step")
+    every = profile._MLP_REPLAY_EVERY
+    for i in range(2 * every):
+        profile.observe(3.0, 0.1 + 0.01 * (i % 3), 0.0, 1.0, {"x": float(i)})
+        assert len(fits) == (i + 1) // every
+    assert len(steps) == 2 * profile._MLP_EPOCHS
+    # Each tick trains on its pending rows plus a replay sample of the
+    # history so far.
+    assert [len(x) for x, _ in fits] == [every + every, every + 2 * every]
 
 
 def test_mlp_predict_one_is_uncached(monkeypatch):

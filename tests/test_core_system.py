@@ -248,7 +248,7 @@ class TestWorkCounters:
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
                     ClusterConfig(n_servers=2, seed=3))
         assert counts == {"events": 3997, "observations": 352,
-                          "solves": 11, "fits": 212, "adam_steps": 424}
+                          "solves": 11, "fits": 16, "adam_steps": 64}
 
     def test_baseline_low_load_work_counts(self, monkeypatch):
         counts = self._count(monkeypatch, [

@@ -63,11 +63,11 @@ ANCHORS = {
                      (130, 2330.046593, 4.130069, 0.130769)),
     "ecofaas_low": (lambda: _low_load(EcoFaaSSystem(EcoFaaSConfig())),
                     (130, 2310.111535, 3.631132, 0.061538)),
-    "ecofaas_chaos": (_chaos, (305, 3812.55121, 5.063173, 0.12459)),
+    "ecofaas_chaos": (_chaos, (305, 3823.215044, 4.927373, 0.114754)),
     "ecofaas_overload": (_overload,
-                         (428, 3664.159225, 3.899608, 0.049065)),
+                         (428, 3685.655985, 3.919018, 0.046729)),
     "ecofaas_partition": (_partition,
-                          (1752, 18244.99108, 5.250304, 0.072489)),
+                          (1752, 18497.957966, 5.197552, 0.077626)),
 }
 
 
