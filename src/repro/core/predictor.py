@@ -135,8 +135,8 @@ class FrequencyProfile:
         return [features.get(name, 0.0) for name in self.feature_names]
 
     def _train_mlp(self) -> None:
-        """One training tick: the pending rows plus a replay sample, with
-        every target rescaled to the top frequency through today's fit."""
+        """One training tick: the pending rows plus a replay sample, every
+        target rescaled to the top frequency through the current fit."""
         batch, self._pending = self._pending, []
         rows = self.history.rows
         if len(rows) >= 4:
