@@ -161,9 +161,6 @@ class CancelRuntime:
             return
         self.doomed_workflow_uids.add(wf_uid)
         self.metrics.record_workflow_doomed(benchmark)
-        self.env.trace.instant(
-            "workflow_doomed", FRONTEND_TRACK, benchmark=benchmark,
-            workflow=wf_uid, stage=stage_index, cause=cause)
         audit = self.env.audit
         if audit is not None:
             audit.record(
@@ -197,9 +194,6 @@ class CancelRuntime:
             return True
         self.metrics.retry_budget_denials += 1
         pool = self.budget.pool
-        self.env.trace.instant(
-            "retry_budget_exhausted", FRONTEND_TRACK, function=function,
-            attempt=attempt, capacity=pool.capacity, spent=pool.spent)
         audit = self.env.audit
         if audit is not None:
             audit.record(

@@ -10,7 +10,7 @@ Usage::
     python -m repro fig16 --trace out.json --ledger ledger.json --burnrate
     python -m repro fig16 --audit audit.jsonl
     python -m repro report out.json --format json
-    python -m repro explain out.json --audit audit.jsonl
+    python -m repro explain out.json
     python -m repro fig16 --trace out.json --fingerprints fp.json
     python -m repro diff fp_a.json fp_b.json
     python -m repro diff fp.json --run-a 0 --run-b 1
@@ -114,15 +114,17 @@ def _bad_top(top: int) -> bool:
 
 
 def _load_artifact(load, path: str, kind: str):
-    """``load(path)``, or ``None`` after one stderr line naming ``path``
-    as an unreadable or malformed ``kind``."""
+    """``load(path)``, or ``None`` after one stderr line naming the file
+    (``path``, or the one ``load`` failed to open) as an unreadable or
+    malformed ``kind``."""
     try:
         return load(path)
     except OSError as error:
-        print(f"cannot read {kind} {path}: {error.strerror or error}",
-              file=sys.stderr)
+        print(f"cannot read {kind} {error.filename or path}:"
+              f" {error.strerror or error}", file=sys.stderr)
     except (ValueError, KeyError, TypeError) as error:
-        print(f"not a {kind}: {path} ({error})", file=sys.stderr)
+        article = "an" if kind[0] in "aeiou" else "a"
+        print(f"not {article} {kind}: {path} ({error})", file=sys.stderr)
     return None
 
 
@@ -184,17 +186,16 @@ def _bill(argv: List[str]) -> int:
                       f" {owners[benchmark]} and {name}", file=sys.stderr)
                 return 2
             owners[benchmark] = name
-    try:
-        with open(args.ledger) as handle:
-            document = json.load(handle)
-        runs = document["runs"]
-    except OSError as error:
-        print(f"cannot read ledger file {args.ledger}:"
-              f" {error.strerror or error}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as error:
-        print(f"not an energy-ledger JSON file: {args.ledger} ({error})",
-              file=sys.stderr)
+
+    def load_runs(path: str) -> list:
+        with open(path) as handle:
+            runs = json.load(handle)["runs"]
+        if not isinstance(runs, list):
+            raise ValueError("its runs are not a list")
+        return runs
+
+    runs = _load_artifact(load_runs, args.ledger, "energy-ledger JSON file")
+    if runs is None:
         return 2
     if args.run is not None:
         runs = [run for run in runs if run.get("run") == args.run]
@@ -236,40 +237,29 @@ def _explain(argv: List[str]) -> int:
     """The ``repro explain`` subcommand: why did a workflow miss?"""
     parser = argparse.ArgumentParser(
         prog="ecofaas explain",
-        description="Walk a recorded trace (and optional decision audit"
-                    " log) and print ranked causes for one missed-SLO"
-                    " workflow.")
+        description="Walk a recorded trace and print ranked causes for"
+                    " one missed-SLO workflow.")
     parser.add_argument("trace", help="trace-event JSON file (--trace)")
     parser.add_argument("workflow", nargs="?", type=int,
                         help="workflow uid; omitted = the worst-missed"
                              " SLO workflow in the trace")
     parser.add_argument("--run", type=int, default=None,
                         help="restrict to one run index in the trace")
-    parser.add_argument("--audit", metavar="PATH",
-                        help="decision audit log (JSONL from --audit)")
     parser.add_argument("--top", type=int, default=10,
                         help="causes to print (default 10)")
     args = parser.parse_args(argv)
     if _bad_top(args.top):
         return 2
-    from repro.obs.audit import load_jsonl
     from repro.obs.explain import (
         explain,
         format_explanation,
         load_explain_data,
         missed_workflows,
     )
-    # The trace and the audit log are parsed apart, so a bad file is
-    # named as what it is.
     data = _load_artifact(load_explain_data, args.trace,
                           "trace-event JSON file")
     if data is None:
         return 2
-    if args.audit:
-        data.audit = _load_artifact(load_jsonl, args.audit,
-                                    "decision audit JSONL file")
-        if data.audit is None:
-            return 2
     uid, run = args.workflow, args.run
     if uid is None:
         missed = missed_workflows(data, run=run)
@@ -295,7 +285,7 @@ def _diff(argv: List[str]) -> int:
         description="Compare two fingerprinted runs (--fingerprints"
                     " artifacts): bisect the per-epoch chain digests to"
                     " the first diverging epoch and subsystem, name the"
-                    " first diverging audit decision inside it, and"
+                    " first diverging decision inside it, and"
                     " attribute the downstream energy / EWT / SLO"
                     " deltas. Exit 0 when identical, 1 when diverged.")
     parser.add_argument("a", help="fingerprints JSON file (A side)")
@@ -313,17 +303,18 @@ def _diff(argv: List[str]) -> int:
                              " ('-' prints JSON instead of text)")
     args = parser.parse_args(argv)
     from repro.obs import diff as diff_mod
-    try:
-        result = diff_mod.diff_documents(args.a, args.b,
-                                         run_a=args.run_a,
-                                         run_b=args.run_b)
-    except OSError as error:
-        print(f"cannot read fingerprints file"
-              f" {error.filename or args.a}:"
-              f" {error.strerror or error}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as error:
-        print(f"not a fingerprints document: {error}", file=sys.stderr)
+    from repro.obs.fingerprint import load_document
+    # Each side is read alone first, so a bad file is named as itself;
+    # what is left (epoch lengths, run picks) is about the pair.
+    for path in filter(None, (args.a, args.b)):
+        if _load_artifact(load_document, path,
+                          "fingerprints document") is None:
+            return 2
+    result = _load_artifact(
+        lambda path: diff_mod.diff_documents(path, args.b, run_a=args.run_a,
+                                             run_b=args.run_b),
+        args.a, "diffable fingerprints pair")
+    if result is None:
         return 2
     if args.json == "-":
         print(json.dumps(result, indent=1, sort_keys=True))
@@ -370,15 +361,9 @@ def _fuzz(argv: List[str]) -> int:
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.replay:
-        try:
-            outcome = fuzz_mod.replay(args.replay)
-        except OSError as error:
-            print(f"cannot read fuzz artifact {args.replay}:"
-                  f" {error.strerror or error}", file=sys.stderr)
-            return 2
-        except (ValueError, KeyError, TypeError) as error:
-            print(f"not a fuzz artifact: {args.replay} ({error})",
-                  file=sys.stderr)
+        outcome = _load_artifact(fuzz_mod.replay, args.replay,
+                                 "fuzz artifact")
+        if outcome is None:
             return 2
         names = sorted({v["invariant"] for v in outcome["violations"]})
         print(f"[replay: {args.replay} ->"

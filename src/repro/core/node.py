@@ -415,13 +415,6 @@ class EcoFaaSNode(NodeSystem):
         self._apply_demand(dict(smoothed))
         self.pool_count_samples.append((self.env.now, self.pool_count()))
         if self.env.trace.enabled:
-            self.env.trace.instant(
-                "pool_retune", self.track,
-                pools=self.pool_count(),
-                targets={f"{level:.2f}": count
-                         for level, count in sorted(self._targets.items())},
-                demand={f"{level:.2f}": round(weight, 4)
-                        for level, weight in sorted(smoothed.items())})
             self.env.trace.counter(self.track, "pool_count",
                                    self.pool_count())
         if audit is not None:

@@ -127,7 +127,9 @@ def run_cluster(system, trace: Trace,
     run untouched. When a tracer is installed (``repro.obs``), the run is
     recorded as a new run scope named after the system — or ``label``,
     which experiment A/B arms pass so their fingerprints/manifests stay
-    distinguishable.
+    distinguishable. A traced run always binds a decision log — the
+    installed one, or else a fresh one nobody exports — because the
+    trace's decision instants are written by that log.
     """
     env = Environment()
     if label is None:
@@ -137,6 +139,8 @@ def run_cluster(system, trace: Trace,
         tracer.begin_run(label)
         tracer.bind(env)
     audit = obs.active_audit()
+    if audit is None and tracer is not None:
+        audit = obs.AuditLog()
     if audit is not None:
         audit.begin_run(label)
         audit.bind(env)
@@ -177,7 +181,7 @@ def run_cluster(system, trace: Trace,
         # Fold the run into per-epoch chain digests (repro.obs.fingerprint).
         # After the ledger close, so the energy chains see classified
         # entries; reads recorded state only.
-        entry = tracer.fingerprint.close_run(cluster, tracer, audit=audit)
+        entry = tracer.fingerprint.close_run(cluster, tracer)
         if verifier is not None:
             # Self-check: the verify layer recomputes the chains from the
             # same recorded streams with its own inline hashing.

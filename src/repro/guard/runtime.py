@@ -104,9 +104,6 @@ class GuardRuntime:
         if reason is None:
             return True
         self.metrics.record_shed(benchmark, reason)
-        self.env.trace.instant(
-            "shed", FRONTEND_TRACK, benchmark=benchmark, reason=reason,
-            brownout_level=self.admission.level)
         if audit is not None:
             audit.record(
                 "admission_shed", FRONTEND_TRACK,
@@ -162,9 +159,6 @@ class GuardRuntime:
         breaker.record_failure(self.env.now)
         if breaker.open_count > opens_before:
             self.metrics.breaker_opens += 1
-            self.env.trace.instant("breaker_open", FRONTEND_TRACK,
-                                   function=function_name,
-                                   opens=breaker.open_count)
             if audit is not None:
                 audit.record(
                     "breaker_trip", FRONTEND_TRACK,

@@ -208,9 +208,6 @@ class HARuntime:
             failover_s = max(0.0, now - lost_at)
             self.metrics.ha_failovers += 1
             self.metrics.ha_failover_times_s.append(failover_s)
-            self.env.trace.instant(
-                "ha_failover", FRONTEND, leader=winner.rid, epoch=epoch,
-                failover_s=round(failover_s, 6))
             self.env.trace.counter(FRONTEND, "leader_epoch", epoch)
             audit = self.env.audit
             if audit is not None:
@@ -331,8 +328,6 @@ class HARuntime:
             return None
         self.journal.record_redispatch(key, self.env.now)
         self.metrics.ha_redispatches += 1
-        self.env.trace.instant("ha_redispatch", FRONTEND, key=str(key),
-                               to=target.track)
         audit = self.env.audit
         if audit is not None:
             stranded = sorted({

@@ -1,17 +1,26 @@
-"""The decision audit log: structured "why" records from the control plane.
+"""The decision audit log: the one stream of control-plane decisions.
 
 Every consequential control-plane decision — the MILP deadline split, a
-pool resize/retune, an admission shed, a brownout level change, a
-circuit-breaker trip, an HA failover or redispatch — emits one
-:class:`AuditRecord` describing the inputs the decider saw, the action
-it took, the alternatives it rejected, and a human-readable reason.
-Records carry the workflow/job uid where one applies, so they join
-against trace spans (and ``repro explain`` walks both together).
+pool retune, an admission shed, a brownout level change, a
+circuit-breaker trip, an HA failover or redispatch, a tenant throttle, a
+power-cap step, a doomed workflow, a denied retry — is emitted exactly
+once, through :meth:`AuditLog.record`. The record describes the inputs
+the decider saw, the action it took, the alternatives it rejected, and a
+human-readable reason, and carries the workflow/job uid where one
+applies.
+
+One emission has two writers. The record is appended to the log (JSONL
+export, :meth:`AuditLog.write`) and handed to the bound tracer as an
+instant named after the record's kind, on the actor's track, whose args
+are the record's payload. Traced runs always bind a log (see
+``repro.experiments.common.run_cluster``), so the trace carries every
+decision and ``repro explain`` / ``repro diff`` read decisions from it.
 
 Like the tracer, the audit log is opt-in and read-only: hooks check
 ``env.audit is not None`` (the :class:`~repro.sim.engine.Environment`
-default) before building any arguments, so unaudited runs are
-bit-identical to the seed fingerprints.
+default) before building any arguments, so runs with neither a tracer
+nor a log skip the record entirely, and untraced audited runs pay no
+trace cost (the null tracer's ``instant`` is a no-op).
 
 Export is JSONL with sorted keys and a monotonic per-run sequence
 number, which makes same-seed audit logs byte-identical — CI diffs two
@@ -25,8 +34,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 
-#: The audit record kinds emitted by the control plane. Purely
-#: documentary — the log accepts any kind string — but tests pin these.
+#: The audit record kinds emitted by the control plane. The log accepts
+#: any kind string, but tests pin these, and ``repro explain`` /
+#: ``repro diff`` treat the trace instants named here as decisions.
 KINDS = (
     "milp_split",      # workflow_controller: deadline split chosen
     "pool_retune",     # node refresh: pool resize / frequency retarget
@@ -127,6 +137,10 @@ class AuditLog:
             workflow_uid=workflow_uid, job_uid=job_uid)
         self._seq += 1
         self.records.append(rec)
+        self._env.trace.instant(
+            kind, actor, inputs=rec.inputs, action=rec.action,
+            alternatives=rec.alternatives, reason=reason,
+            workflow_uid=workflow_uid, job_uid=job_uid)
         return rec
 
     # ------------------------------------------------------------------
@@ -156,16 +170,3 @@ class AuditLog:
             handle.write(self.to_jsonl())
         return len(self.records)
 
-
-def load_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Read an audit JSONL file back into plain dicts (for explain)."""
-    records = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if line:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError(f"line {number} is not a JSON object")
-                records.append(record)
-    return records

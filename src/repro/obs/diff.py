@@ -7,13 +7,14 @@ whole-run fingerprint mismatch leaves open:
 * **where** — bisect each subsystem's per-epoch chain digests to the
   first diverging epoch (chain link ``e`` covers every epoch up to and
   including ``e``, so the first mismatch is binary-searchable), and rank
-  the diverged subsystems in causal priority order: a decision
-  (``audit``) precedes the point events it causes (``instants``), which
-  precede the rolled-up outcomes (``metrics``) and the energy
-  attribution (``ledger``);
-* **why** — join the audit JSONL (or the exported trace's instants)
-  inside that first epoch and name the first diverging decision: its
-  kind, actor, uid, time, and which input/action keys differ;
+  the diverged subsystems in causal priority order: the point events,
+  decisions included (``instants``), precede the rolled-up outcomes
+  (``metrics``) and the energy attribution (``ledger``);
+* **why** — join the exported trace's instants inside that first epoch
+  and name the first diverging decision (an instant written by
+  :mod:`repro.obs.audit`): its kind, actor, uids, time, reason, and
+  which input/action keys differ; when every decision agrees, name the
+  first diverging instant instead;
 * **so what** — attribute the downstream deltas between the two runs:
   total energy and its split across the ledger's buckets (checked to
   re-sum to the total within the ledger's 1e-6 conservation tolerance),
@@ -30,7 +31,8 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.fingerprint import load_document
+from repro.obs.audit import KINDS
+from repro.obs.fingerprint import SUBSYSTEMS, load_document
 
 #: Schema identifier of the JSON report ``repro diff --json`` writes.
 DIFF_FORMAT = "repro.obs.diff/1"
@@ -38,9 +40,6 @@ DIFF_FORMAT = "repro.obs.diff/1"
 #: Relative tolerance for the bucket-deltas-resum-to-total check
 #: (matches ``EnergyLedger.TOLERANCE``).
 REL_TOLERANCE = 1e-6
-
-#: Causal priority of diverged subsystems (decisions before outcomes).
-PRIORITY = ("audit", "instants", "metrics", "ledger")
 
 #: Manifest keys surfaced when two documents disagree about provenance.
 MANIFEST_KEYS = ("experiment", "seed", "config_digest")
@@ -127,12 +126,8 @@ def _artifact_path(doc: Dict[str, Any], doc_path: str,
 
 
 # ---------------------------------------------------------------------------
-# The first diverging decision (audit / instants join)
+# The first diverging decision (trace instants join)
 # ---------------------------------------------------------------------------
-def _strip_run(record: Dict[str, Any]) -> Dict[str, Any]:
-    return {k: v for k, v in record.items() if k != "run"}
-
-
 def _key_deltas(rec_a: Dict[str, Any], rec_b: Dict[str, Any]
                 ) -> List[str]:
     """Top-level keys (and inputs/action sub-keys) that differ."""
@@ -150,77 +145,65 @@ def _key_deltas(rec_a: Dict[str, Any], rec_b: Dict[str, Any]
     return deltas
 
 
-def _describe_divergence(records_a: List[dict], records_b: List[dict],
-                         source: str) -> Optional[Dict[str, Any]]:
+def _describe_divergence(records_a: List[dict], records_b: List[dict]
+                         ) -> Optional[Dict[str, Any]]:
     """The first position where two in-epoch record streams disagree."""
     for index, (rec_a, rec_b) in enumerate(zip(records_a, records_b)):
         if rec_a == rec_b:
             continue
-        return {"source": source, "index": index, "a": rec_a, "b": rec_b,
+        return {"index": index, "a": rec_a, "b": rec_b,
                 "differing_keys": _key_deltas(rec_a, rec_b)}
     if len(records_a) != len(records_b):
         index = min(len(records_a), len(records_b))
         longer, side = ((records_a, "a") if len(records_a) > len(records_b)
                         else (records_b, "b"))
-        return {"source": source, "index": index, "only_in": side,
-                side: longer[index]}
+        return {"index": index, "only_in": side, side: longer[index]}
     return None
-
-
-def _epoch_audit(doc: Dict[str, Any], doc_path: str, run: int,
-                 epoch: int, epoch_s: float) -> Optional[List[dict]]:
-    path = _artifact_path(doc, doc_path, "audit")
-    if path is None:
-        return None
-    from repro.obs.audit import load_jsonl
-    t0, t1 = epoch * epoch_s, (epoch + 1) * epoch_s
-    return [_strip_run(r) for r in load_jsonl(path)
-            if r.get("run") == run and t0 <= r.get("t", -1.0) < t1]
 
 
 def _epoch_instants(doc: Dict[str, Any], doc_path: str, run: int,
                     epoch: int, epoch_s: float) -> Optional[List[dict]]:
+    """The run's instants inside one epoch. A decision comes back in its
+    audit-record shape (kind, actor, t, then the payload), so a delta
+    names the input/action keys that moved."""
     path = _artifact_path(doc, doc_path, "trace")
     if path is None:
         return None
     from repro.obs.explain import load_explain_data
     t0, t1 = epoch * epoch_s, (epoch + 1) * epoch_s
-    return [{"name": i["name"], "track": i["track"],
-             "t": round(i["t"], 6), "args": i["args"]}
-            for i in load_explain_data(path).instants
-            if i["run"] == run and t0 <= i["t"] < t1]
+    records = []
+    for i in load_explain_data(path).instants:
+        if i["run"] != run or not t0 <= i["t"] < t1:
+            continue
+        if i["name"] in KINDS:
+            records.append({"kind": i["name"], "actor": i["track"],
+                            "t": round(i["t"], 6), **i["args"]})
+        else:
+            records.append({"name": i["name"], "track": i["track"],
+                            "t": round(i["t"], 6), "args": i["args"]})
+    return records
 
 
 def first_diverging_decision(doc_a: Dict[str, Any], path_a: str,
                              doc_b: Dict[str, Any], path_b: str,
-                             run_a: int, run_b: int, epoch: int,
-                             subsystem: str
+                             run_a: int, run_b: int, epoch: int
                              ) -> Tuple[Optional[dict], List[str]]:
-    """Join the records inside the first diverging epoch, name the first
-    diverging one. Falls back from audit to trace instants; returns
-    (decision, notes) where notes explain any degraded lookup."""
+    """Join the instants inside one epoch and name the first diverging
+    decision, or else the first diverging instant; returns (decision,
+    notes) where notes explain any degraded lookup."""
     epoch_s = float(doc_a["epoch_s"])
-    notes: List[str] = []
-    sources = []
-    if subsystem == "audit":
-        sources = [("audit", _epoch_audit), ("instants", _epoch_instants)]
-    elif subsystem == "instants":
-        sources = [("instants", _epoch_instants), ("audit", _epoch_audit)]
-    else:  # metrics/ledger diverged first: decisions give the best clue
-        sources = [("audit", _epoch_audit), ("instants", _epoch_instants)]
-    for name, loader in sources:
-        records_a = loader(doc_a, path_a, run_a, epoch, epoch_s)
-        records_b = loader(doc_b, path_b, run_b, epoch, epoch_s)
-        if records_a is None or records_b is None:
-            notes.append(f"{name} artifact missing on"
-                         f" {'A' if records_a is None else 'B'}:"
-                         f" cannot join epoch {epoch} records")
-            continue
-        decision = _describe_divergence(records_a, records_b, name)
-        if decision is not None:
-            return decision, notes
-        notes.append(f"{name} records inside epoch {epoch} are identical")
-    return None, notes
+    records_a = _epoch_instants(doc_a, path_a, run_a, epoch, epoch_s)
+    records_b = _epoch_instants(doc_b, path_b, run_b, epoch, epoch_s)
+    if records_a is None or records_b is None:
+        return None, [f"trace artifact missing on"
+                      f" {'A' if records_a is None else 'B'}:"
+                      f" cannot join epoch {epoch} instants"]
+    decision = (_describe_divergence([r for r in records_a if "kind" in r],
+                                     [r for r in records_b if "kind" in r])
+                or _describe_divergence(records_a, records_b))
+    if decision is not None:
+        return decision, []
+    return None, [f"instants inside epoch {epoch} are identical"]
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +298,18 @@ def diff_pair(entry_a: Dict[str, Any], entry_b: Dict[str, Any],
         "first": None,
         "decision": None,
         "attribution": None,
-        "notes": [],
+        # A parent-format document also chains an "audit" subsystem;
+        # its decisions are inside "instants" now.
+        "notes": [f"subsystem '{sub}' is from an older fingerprints"
+                  f" format: decisions are compared inside 'instants'"
+                  for sub in sorted(set(chains_a) | set(chains_b))
+                  if sub not in SUBSYSTEMS],
     }
     if identical:
         return pair
     if diverged:
         # Earliest epoch wins; the causal priority order breaks ties.
-        rank = {sub: i for i, sub in enumerate(PRIORITY)}
+        rank = {sub: i for i, sub in enumerate(SUBSYSTEMS)}
         ordered = sorted(diverged,
                          key=lambda d: (d[1], rank.get(d[0], len(rank))))
         sub, epoch = ordered[0]
@@ -332,16 +320,13 @@ def diff_pair(entry_a: Dict[str, Any], entry_b: Dict[str, Any],
         # can hold no record-level delta — the ledger reclassifies
         # earlier joules retroactively (a retried attempt's energy
         # becomes retry_waste at the *later* retry decision) — so fall
-        # forward through the other diverged audit/instants epochs
-        # until one names a record.
+        # forward to the epoch where the instants diverged.
         decision = None
-        for sub2, epoch2 in ordered:
-            if (sub2, epoch2) != (sub, epoch) \
-                    and sub2 not in ("audit", "instants"):
-                continue
+        for epoch2 in sorted({epoch} | {e for s, e in diverged
+                                        if s == "instants"}):
             decision, notes = first_diverging_decision(
                 doc_a, path_a, doc_b, path_b,
-                entry_a["run"], entry_b["run"], epoch2, sub2)
+                entry_a["run"], entry_b["run"], epoch2)
             for note in notes:
                 if note not in pair["notes"]:
                     pair["notes"].append(note)
@@ -406,57 +391,44 @@ def _short(digest_hex: str) -> str:
     return digest_hex[:12]
 
 
+def _what(record: Dict[str, Any]) -> str:
+    """A decision by its kind, actor and uids; any other instant by its
+    name and track."""
+    if "kind" not in record:
+        return f"{record.get('name')} on {record.get('track')}"
+    text = f"kind {record['kind']} actor {record.get('actor')}"
+    for key, label in (("workflow_uid", "workflow"), ("job_uid", "job")):
+        if record.get(key) is not None:
+            text += f" {label} {record[key]}"
+    return text
+
+
 def _format_decision(decision: Dict[str, Any]) -> List[str]:
-    lines = []
-    source, index = decision["source"], decision["index"]
-    where = (f"#{index} in epoch {decision['epoch']}"
-             if "epoch" in decision else f"#{index} in epoch")
+    where = f"#{decision['index']} in epoch {decision.get('epoch', '?')}"
     if "only_in" in decision:
-        side = decision["only_in"].upper()
-        record = decision[decision["only_in"]]
-        what = (f"kind {record.get('kind')} actor {record.get('actor')}"
-                if source == "audit" else f"{record.get('name')}"
-                f" on {record.get('track')}")
-        uid = record.get("workflow_uid") if source == "audit" else None
-        uid_text = f" workflow {uid}" if uid is not None else ""
-        job = record.get("job_uid") if source == "audit" else None
-        job_text = f" job {job}" if job is not None else ""
-        lines.append(
-            f"first diverging {source} record ({where}):"
-            f" only arm {side} has {what}{uid_text}{job_text}"
-            f" at t={record.get('t'):.3f}s")
-        reason = record.get("reason")
-        if reason:
-            lines.append(f"  reason: {reason}")
-        return lines
-    rec_a, rec_b = decision["a"], decision["b"]
-    keys = ", ".join(decision.get("differing_keys", [])) or "?"
-
-    def both(key: str, fmt=lambda v: str(v)) -> str:
-        va, vb = rec_a.get(key), rec_b.get(key)
-        return fmt(va) if va == vb else f"{fmt(va)} vs {fmt(vb)}"
-
-    def seconds(value) -> str:
-        return f"{value:.3f}s" if isinstance(value, (int, float)) else "?"
-
-    if source == "audit":
-        uid_bits = ""
-        if rec_a.get("workflow_uid") is not None \
-                or rec_b.get("workflow_uid") is not None:
-            uid_bits += f" workflow {both('workflow_uid')}"
-        if rec_a.get("job_uid") is not None \
-                or rec_b.get("job_uid") is not None:
-            uid_bits += f" job {both('job_uid')}"
-        lines.append(
-            f"first diverging audit decision ({where}):"
-            f" kind {both('kind')} actor {both('actor')}{uid_bits}"
-            f" at t={both('t', seconds)}")
+        records = [decision[decision["only_in"]]]
+        head = (f"only arm {decision['only_in'].upper()} has"
+                f" {_what(records[0])} at t={records[0].get('t'):.3f}s")
     else:
-        lines.append(
-            f"first diverging trace instant ({where}):"
-            f" {both('name')} on {both('track')}"
-            f" at t={both('t', seconds)}")
-    lines.append(f"  differs in: {keys}")
+        records = [decision["a"], decision["b"]]
+
+        def both(text_of) -> str:
+            va, vb = (text_of(r) for r in records)
+            return va if va == vb else f"{va} vs {vb}"
+
+        def seconds(record: Dict[str, Any]) -> str:
+            return f"{record.get('t'):.3f}s"
+
+        head = f"{both(_what)} at t={both(seconds)}"
+    is_decision = all("kind" in r for r in records)
+    noun = "decision" if is_decision else "trace instant"
+    lines = [f"first diverging {noun} ({where}): {head}"]
+    reasons = list(dict.fromkeys(r.get("reason") for r in records))
+    if is_decision and any(reasons):
+        lines.append(f"  reason: {' vs '.join(map(str, reasons))}")
+    if "only_in" not in decision:
+        keys = ", ".join(decision.get("differing_keys", [])) or "?"
+        lines.append(f"  differs in: {keys}")
     return lines
 
 

@@ -1,17 +1,14 @@
 """``repro explain``: ranked root causes for a missed-SLO workflow.
 
-Joins the three observability artifacts —
-
-* the exported Chrome trace (workflow/invocation/phase spans, instants,
-  and the workflow→job links stored in ``otherData.workflowLinks``),
-* optionally a decision audit log (JSONL), and
-
-— to answer "why did this workflow miss its SLO?" with a ranked list of
-concrete causes: seconds queued per pool (with the retune decision that
-shrank it, when the audit log has one), cold-start boots, block-phase
+Walks the exported Chrome trace — workflow/invocation/phase spans,
+instants, and the workflow→job links stored in
+``otherData.workflowLinks`` — to answer "why did this workflow miss its
+SLO?" with a ranked list of concrete causes: seconds queued per pool
+(with the retune decision that shrank it), cold-start boots, block-phase
 holds, energy burned by aborted/abandoned retry attempts, breaker
 fast-fails, HA redispatches, doom-line cancellations, and retry-budget
-denials.
+denials. Control-plane decisions are the trace's decision instants,
+written by :mod:`repro.obs.audit` with the record's payload as args.
 
 Everything operates on the exported files, not live tracer objects, so
 ``repro explain`` works on any trace produced earlier (and in CI).
@@ -23,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.audit import load_jsonl
+from repro.obs.audit import KINDS
 from repro.obs.export import read_chrome_trace, run_of_pid
 
 
@@ -56,7 +53,7 @@ class Cause:
 
 
 class ExplainData:
-    """Spans/instants/links/audit loaded from the exported artifacts."""
+    """Spans/instants/links loaded from an exported trace."""
 
     def __init__(self) -> None:
         self.run_labels: Dict[int, str] = {}
@@ -65,19 +62,15 @@ class ExplainData:
         #: run → workflow uid → [job uids].
         self.links: Dict[int, Dict[int, List[int]]] = defaultdict(
             lambda: defaultdict(list))
-        self.audit: List[Dict[str, Any]] = []
 
 
-def _track_of_pid(pid_names: Dict[int, str], pid: int) -> str:
-    name = pid_names.get(pid, "")
-    return name.rsplit(" ", 1)[-1] if name else ""
-
-
-def load_explain_data(trace_path: str,
-                      audit_path: Optional[str] = None) -> ExplainData:
-    """Parse the exported trace (and audit JSONL) back into memory."""
+def load_explain_data(trace_path: str) -> ExplainData:
+    """Parse the exported trace back into memory."""
     events, other, pid_names = read_chrome_trace(trace_path)
     data = ExplainData()
+    # An instant's track is its thread: a decision's actor, a pool, ...
+    threads = {(e["pid"], e["tid"]): e["args"]["name"] for e in events
+               if e.get("ph") == "M" and e.get("name") == "thread_name"}
     for run, wf_uid, job_uid in other.get("workflowLinks", []):
         data.links[run][wf_uid].append(job_uid)
     open_spans: Dict[Tuple[int, str, int, str], List[_Span]] = \
@@ -89,7 +82,7 @@ def load_explain_data(trace_path: str,
             data.run_labels.setdefault(run, label)
             data.instants.append({
                 "run": run, "name": event["name"],
-                "track": _track_of_pid(pid_names, event["pid"]),
+                "track": threads.get((event["pid"], event.get("tid")), ""),
                 "t": event["ts"] / 1e6, "args": event.get("args", {})})
             continue
         if phase not in ("b", "e"):
@@ -109,8 +102,6 @@ def load_explain_data(trace_path: str,
                 span = stack.pop(0)  # FIFO: b/e pairs are emitted adjacent
                 span.t1 = event["ts"] / 1e6
                 span.args.update(event.get("args", {}))
-    if audit_path:
-        data.audit = load_jsonl(audit_path)
     return data
 
 
@@ -136,27 +127,29 @@ def missed_workflows(data: ExplainData, run: Optional[int] = None
     return sorted(candidates, key=lambda s: (-overshoot(s), s.uid))
 
 
-def _audit_for(data: ExplainData, run: int, kind: str) -> List[dict]:
-    return [r for r in data.audit
-            if r.get("run") == run and r.get("kind") == kind]
+def _decisions(data: ExplainData, run: int, kind: str) -> List[dict]:
+    """The run's decision instants of one kind, in trace order."""
+    return [i for i in data.instants
+            if i["run"] == run and i["name"] == kind]
 
 
 def _shrink_context(data: ExplainData, run: int, pool: str,
                     before_t: float) -> str:
-    """The most recent audit retune that shrank ``pool`` before a time."""
+    """The most recent retune decision that shrank ``pool`` before a
+    time."""
     best = None
-    for rec in _audit_for(data, run, "pool_retune"):
-        if rec["t"] > before_t:
+    for inst in _decisions(data, run, "pool_retune"):
+        if inst["t"] > before_t:
             continue
-        prev = rec.get("inputs", {}).get("targets", {})
-        new = rec.get("action", {}).get("targets", {})
+        prev = inst["args"].get("inputs", {}).get("targets", {})
+        new = inst["args"].get("action", {}).get("targets", {})
         if pool in new and pool in prev and new[pool] < prev[pool]:
-            if best is None or rec["t"] > best["t"]:
-                best = rec
+            if best is None or inst["t"] > best["t"]:
+                best = inst
     if best is None:
         return ""
-    prev = best["inputs"]["targets"][pool]
-    new = best["action"]["targets"][pool]
+    prev = best["args"]["inputs"]["targets"][pool]
+    new = best["args"]["action"]["targets"][pool]
     return (f" (retune at t={best['t']:.2f}s shrank it"
             f" {prev}→{new} cores)")
 
@@ -256,17 +249,24 @@ def explain(data: ExplainData, workflow_uid: int,
                 f"{len(hits)} invocation{'s' if len(hits) != 1 else ''}"
                 f" {label} during this workflow"))
 
+    # Decision instants carry the audit record's payload as args.
+    def inputs(inst: dict) -> Dict[str, Any]:
+        return inst["args"].get("inputs", {})
+
+    def action(inst: dict) -> Dict[str, Any]:
+        return inst["args"].get("action", {})
+
     # Tenant budget enforcement against this workflow's benchmark.
     throttles = [i for i in in_window
                  if i["name"] == "tenant_throttle"
-                 and i["args"].get("benchmark") in benchmarks]
+                 and inputs(i).get("benchmark") in benchmarks]
     if throttles:
-        tenant = throttles[0]["args"].get("tenant", "?")
-        budget = throttles[0]["args"].get("budget_j")
+        tenant = inputs(throttles[0]).get("tenant", "?")
+        budget = inputs(throttles[0]).get("budget_j")
         budget_text = (f" (budget {budget:.0f} J)"
                        if isinstance(budget, (int, float)) else "")
         dropped = sum(1 for i in throttles
-                      if i["args"].get("action") != "throttled_admit")
+                      if action(i).get("decision") != "throttled_admit")
         causes.append(Cause(
             0.6 * len(throttles), "tenant_budget",
             f"tenant '{tenant}' over its energy budget{budget_text}:"
@@ -274,32 +274,38 @@ def explain(data: ExplainData, workflow_uid: int,
             f" throttled, {dropped} dropped, during this workflow"))
 
     # Power-cap governor steps that slowed the cluster in the window.
-    cap_steps = [i for i in in_window if i["name"] == "power_cap_step"]
-    tightens = [i for i in cap_steps
-                if i["args"].get("direction") == "tighten"]
+    tightens = [i for i in in_window if i["name"] == "power_cap_step"
+                and action(i).get("direction") == "tighten"]
     if tightens:
-        last = tightens[-1]["args"]
-        ceiling = last.get("freq_ceiling_ghz")
+        last = tightens[-1]
+        ceiling = action(last).get("freq_ceiling_ghz")
         ceiling_text = (f", frequency ceiling {ceiling:.1f} GHz"
                         if isinstance(ceiling, (int, float)) else "")
         causes.append(Cause(
             0.5 * len(tightens), "power_cap",
-            f"power cap epoch {last.get('epoch', '?')}:"
+            f"power cap epoch {action(last).get('epoch', '?')}:"
             f" {len(tightens)} tightening"
             f" step{'s' if len(tightens) != 1 else ''} under a"
-            f" {last.get('cap_w', 0):.0f} W cap{ceiling_text}"))
+            f" {inputs(last).get('cap_w', 0):.0f} W cap{ceiling_text}"))
 
-    # The cancel layer wrote this workflow off past its doom line.
-    doomed = [i for i in data.instants
-              if i["run"] == run and i["name"] == "workflow_doomed"
-              and i["args"].get("workflow") == workflow_uid]
-    for inst in doomed:
-        causes.append(Cause(
-            2.0, "doomed",
-            f"workflow doomed at t={inst['t']:.2f}s"
-            f" (stage {inst['args'].get('stage', '?')},"
-            f" cause: {inst['args'].get('cause', '?')}) — its doom line"
-            f" passed and the remaining chain was written off"))
+    # Decisions made about this workflow by uid: a doomed chain, a
+    # redispatch, and every such decision's reason verbatim.
+    own = [i for i in data.instants
+           if i["run"] == run and i["name"] in KINDS
+           and i["args"].get("workflow_uid") == workflow_uid]
+    for inst in own:
+        if inst["name"] == "workflow_doomed":
+            causes.append(Cause(
+                2.0, "doomed",
+                f"workflow doomed at t={inst['t']:.2f}s"
+                f" (stage {inputs(inst).get('stage', '?')},"
+                f" cause: {inputs(inst).get('cause', '?')}) — its doom"
+                f" line passed and the remaining chain was written off"))
+        elif inst["name"] == "ha_redispatch":
+            causes.append(Cause(
+                1.0, "ha",
+                f"work redispatched to {action(inst).get('to', '?')} at"
+                f" t={inst['t']:.2f}s after its node was suspected down"))
 
     # Queued attempts of this workflow dropped at dispatch as unmeetable.
     drops = [i for i in in_window if i["name"] == "doomed_drop"
@@ -314,32 +320,18 @@ def explain(data: ExplainData, workflow_uid: int,
     # Retries denied to this workflow's functions by the cluster budget.
     denials = [i for i in in_window
                if i["name"] == "retry_budget_exhausted"
-               and i["args"].get("function") in functions]
+               and inputs(i).get("function") in functions]
     if denials:
         causes.append(Cause(
             0.6 * len(denials), "retry_budget",
             f"{len(denials)} retr{'ies' if len(denials) != 1 else 'y'}"
             f" denied: the cluster-wide retry budget was exhausted"))
 
-    # HA redispatches keyed by this workflow's uid.
-    prefix = f"({workflow_uid},"
-    redispatches = [i for i in data.instants
-                    if i["run"] == run and i["name"] == "ha_redispatch"
-                    and str(i["args"].get("key", "")).startswith(prefix)]
-    for inst in redispatches:
+    for inst in own:
+        reason = inst["args"].get("reason") or inst["name"]
         causes.append(Cause(
-            1.0, "ha",
-            f"work redispatched to {inst['args'].get('to', '?')} at"
-            f" t={inst['t']:.2f}s after its node was suspected down"))
-
-    # Audit records carrying this workflow's uid (redispatch decisions,
-    # shed verdicts) add their reasons verbatim.
-    for rec in data.audit:
-        if rec.get("run") == run and rec.get("workflow_uid") == workflow_uid:
-            reason = rec.get("reason") or rec.get("kind", "decision")
-            causes.append(Cause(
-                0.3, "audit",
-                f"{rec.get('kind')}: {reason} (t={rec.get('t', 0):.2f}s)"))
+            0.3, "audit",
+            f"{inst['name']}: {reason} (t={inst['t']:.2f}s)"))
 
     causes.sort(key=lambda c: (-c.score, c.kind, c.text))
     slo_s = float(wf.args.get("slo_s", 0.0))

@@ -23,16 +23,15 @@ epoch and per subsystem:
   SLO violations, every counter column);
 * ``ledger`` — per-epoch joules per attribution component (present when
   the tracer carries an :class:`~repro.obs.ledger.EnergyLedger`);
-* ``audit`` — the decision records inside the epoch (present when an
-  audit log is installed);
-* ``instants`` — every trace instant inside the epoch.
+* ``instants`` — every trace instant inside the epoch, the control-plane
+  decisions (:mod:`repro.obs.audit`) included.
 
 Chain link ``e`` is ``sha256(chain[e-1] + "\\n" + payload_json[e])``, so
 two runs' chains agree at epoch ``e`` iff every epoch up to and
 including ``e`` agreed — which is what lets ``repro diff`` *bisect* two
 chains to the first diverging epoch instead of comparing full payloads.
 
-The recorder only reads recorded tracer/audit/ledger state after the
+The recorder only reads recorded tracer/ledger state after the
 run has finished: fingerprints-on runs are bit-identical to the stored
 seed fingerprints, including under chaos. Everything serializes to a
 small ``fingerprints.json`` artifact (:meth:`FingerprintRecorder.write`)
@@ -60,10 +59,10 @@ except ImportError:  # pragma: no cover - numpy is baked into the image
 #: Artifact schema identifier of a fingerprints.json document.
 FORMAT = "repro.obs.fingerprint/1"
 
-#: Chain subsystems in diff-priority order: a decision (audit) precedes
-#: the point events it causes (instants), which precede the rolled-up
-#: outcomes (metrics) and the energy attribution (ledger).
-SUBSYSTEMS = ("audit", "instants", "metrics", "ledger")
+#: Chain subsystems in diff-priority order: the point events, decisions
+#: included (instants), precede the rolled-up outcomes (metrics) and the
+#: energy attribution (ledger).
+SUBSYSTEMS = ("instants", "metrics", "ledger")
 
 #: Instant names rolled into the per-run summary counts, as
 #: ``summary["counts"][<key>]`` (a compact cross-run attribution view).
@@ -198,7 +197,7 @@ class FingerprintRecorder:
     # ------------------------------------------------------------------
     # Closing a run
     # ------------------------------------------------------------------
-    def close_run(self, cluster, tracer, audit=None) -> Dict[str, Any]:
+    def close_run(self, cluster, tracer) -> Dict[str, Any]:
         """Fold the just-finished run into chains; returns its entry."""
         from repro.obs.export import epoch_rows  # deferred: avoids cycle
         from repro.obs.registry import LEDGER_EPOCH_COLUMNS
@@ -233,17 +232,6 @@ class FingerprintRecorder:
                 "name": inst.name, "track": inst.track,
                 "t": round(inst.t, 9), "args": inst.args})
         payloads["instants"] = [canonical_json(bin) for bin in instant_bins]
-
-        # audit: the decision stream, when a log is installed.
-        if audit is not None:
-            audit_bins: List[List[Dict[str, Any]]] = [[] for _ in rows]
-            for record in audit.records:
-                if record.run != run:
-                    continue
-                row = record.to_dict()
-                del row["run"]
-                audit_bins[bin_of(record.t)].append(row)
-            payloads["audit"] = [canonical_json(bin) for bin in audit_bins]
 
         # ledger: per-epoch joules per component, when one is attached
         # and this run was closed (entries classified).

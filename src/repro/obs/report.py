@@ -76,6 +76,8 @@ def load_stats(path: str) -> TraceStats:
             run, label = run_of_pid(pid_names, event["pid"])
             stats.runs.setdefault(run, label)
             args = event.get("args", {})
+            if name == "tenant_throttle":  # a decision: payload in inputs
+                args = args.get("inputs", {})
             tenant = str(args.get("tenant", "?"))
             if name == "tenant_bill":
                 stats.tenant_bills.setdefault(run, {})[tenant] = {

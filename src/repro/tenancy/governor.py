@@ -143,11 +143,6 @@ class PowerCapGovernor:
             metrics.power_cap_tightens += 1
         else:
             metrics.power_cap_releases += 1
-        self.env.trace.instant(
-            "power_cap_step", FRONTEND_TRACK,
-            direction=direction, steps=self.steps, epoch=self.epoch,
-            draw_w=round(draw, 6), cap_w=round(cap, 6),
-            freq_ceiling_ghz=ceiling, core_fraction=round(fraction, 6))
         audit = self.env.audit
         if audit is not None:
             audit.record(

@@ -148,10 +148,6 @@ class TenancyRuntime:
         self.metrics.tenant_throttles += 1
         if reason is not None:
             self.metrics.record_shed(benchmark, reason)
-        self.env.trace.instant(
-            "tenant_throttle", FRONTEND_TRACK, benchmark=benchmark,
-            tenant=tenant.name, action=action,
-            used_j=round(used, 6), budget_j=tenant.budget_j)
         audit = self.env.audit
         if audit is not None:
             audit.record(

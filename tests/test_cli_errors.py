@@ -65,21 +65,6 @@ def test_non_trace_json_is_one_line_error(name, document, tmp_path, capsys):
     assert "Traceback" not in err and "Traceback" not in out
 
 
-@pytest.mark.parametrize("audit", ["{bad", "42"])
-def test_corrupt_audit_names_the_audit_file(audit, tmp_path, capsys):
-    # The trace is valid: the error must blame the audit log, not it.
-    trace = tmp_path / "trace.json"
-    trace.write_text(json.dumps({"traceEvents": []}), encoding="utf-8")
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text(audit + "\n", encoding="utf-8")
-    rc = _explain([str(trace), "0", "--audit", str(bad)])
-    out, err = capsys.readouterr()
-    assert rc == 2 and out == ""
-    assert _one_line(err), f"expected one stderr line, got: {err!r}"
-    assert "bad.jsonl" in err and "trace.json" not in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("top", [0, -1, -2])
 @pytest.mark.parametrize("name", ["explain", "report"])
 def test_top_below_one_is_one_line_error(name, top, tmp_path, capsys):
@@ -101,6 +86,16 @@ def test_bill_wrong_shape_json(tmp_path, capsys):
     assert "not an energy-ledger JSON file" in err
 
 
+def test_bill_runs_not_a_list(tmp_path, capsys):
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps({"runs": 5}), encoding="utf-8")
+    rc = _bill([str(ledger)])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert _one_line(err), f"expected one stderr line, got: {err!r}"
+    assert "not an energy-ledger JSON file: " in err and "ledger.json" in err
+
+
 def test_diff_wrong_shape_json(tmp_path, capsys):
     fp = tmp_path / "fp.json"
     fp.write_text(json.dumps({"format": "something-else", "runs": []}),
@@ -118,6 +113,34 @@ def test_diff_missing_b_side(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 2
     assert _one_line(err)
+
+
+def _fingerprints(path, epoch_s=2.0):
+    path.write_text(json.dumps({"format": "repro.obs.fingerprint/1",
+                                "epoch_s": epoch_s, "runs": []}),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("b_side", ["{bad", "[]"])
+def test_diff_bad_b_side_names_the_b_file(b_side, tmp_path, capsys):
+    a = _fingerprints(tmp_path / "a.json")
+    b = tmp_path / "b_side.json"
+    b.write_text(b_side, encoding="utf-8")
+    rc = _diff([a, str(b)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _one_line(err), f"expected one stderr line, got: {err!r}"
+    assert "b_side.json" in err and "a.json" not in err
+
+
+def test_diff_incomparable_pair_is_one_line_error(tmp_path, capsys):
+    a = _fingerprints(tmp_path / "a.json")
+    b = _fingerprints(tmp_path / "b.json", epoch_s=1.0)
+    rc = _diff([a, b])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _one_line(err) and "epoch lengths differ" in err
 
 
 def test_fuzz_replay_wrong_shape_json(tmp_path, capsys):

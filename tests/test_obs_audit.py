@@ -1,10 +1,16 @@
-"""Decision audit log: coverage, determinism, and zero perturbation.
+"""Decision audit log: coverage, determinism, and the one-stream oracle.
 
 Every control-plane decision point must leave a structured "why" record
-when a log is installed, two same-seed runs must serialize to
-byte-identical JSONL, and an audited run must be bit-identical to an
-unaudited one.
+when a log is installed, and two same-seed runs must serialize to
+byte-identical JSONL. Each decision is emitted once and written twice —
+to the JSONL log and, on traced runs, to the trace as a decision instant
+— and :func:`stream_mismatches` checks that the two writers agree
+(``tests/test_obs_explain.py`` and ``tests/test_tenancy_integration.py``
+apply it to their traced runs). That an audited run is bit-identical to
+an unaudited one is one row of ``tests/test_obs_determinism.py``.
 """
+
+import json
 
 import pytest
 
@@ -14,8 +20,59 @@ from repro.core.config import EcoFaaSConfig
 from repro.experiments import overload as overload_experiment
 from repro.experiments import partition as partition_experiment
 from repro.experiments.common import make_load_trace, run_cluster
-from repro.obs.audit import AuditLog, load_jsonl
+from repro.obs.audit import KINDS, AuditLog
+from repro.obs.explain import load_explain_data
 from repro.platform.cluster import ClusterConfig
+
+
+def read_jsonl(path):
+    with open(path) as handle:
+        return [json.loads(line) for line in handle if line.strip()]
+
+
+#: The record fields a decision instant carries in its args.
+PAYLOAD = ("inputs", "action", "alternatives", "reason", "workflow_uid",
+           "job_uid")
+
+
+def stream_mismatches(tracer, audit, trace_path, audit_path):
+    """Where the trace's decision instants and the audit records part.
+
+    Checked twice: in memory (exact times) and through the exported
+    files (the trace's microsecond timestamps, the JSONL's own
+    rounding). Returns a list of problems, empty when both writers
+    carry the same decision sequence.
+    """
+    problems = []
+    instants = [i for i in tracer.instants if i.name in KINDS]
+    memory = [(i.run, i.name, i.track, i.t, i.args) for i in instants]
+    records = [(r.run, r.kind, r.actor, r.t,
+                {key: getattr(r, key) for key in PAYLOAD})
+               for r in audit.records]
+    if memory != records:
+        problems.append(f"in memory: {len(memory)} decision instants vs"
+                        f" {len(records)} audit records")
+    exported = [i for i in load_explain_data(trace_path).instants
+                if i["name"] in KINDS]
+    lines = read_jsonl(audit_path)
+    if len(exported) != len(lines):
+        problems.append(f"exported: {len(exported)} decision instants vs"
+                        f" {len(lines)} JSONL records")
+    for inst, line in zip(exported, lines):
+        same = (inst["run"], inst["name"], inst["track"]) == (
+            line["run"], line["kind"], line["actor"]) \
+            and abs(inst["t"] - line["t"]) <= 1e-6 \
+            and all(inst["args"][key] == line[key] for key in PAYLOAD)
+        if not same:
+            problems.append(f"exported record seq {line['seq']} differs:"
+                            f" {inst} vs {line}")
+            break
+    kinds_traced = {i["name"] for i in exported}
+    kinds_logged = {line["kind"] for line in lines}
+    if kinds_traced != kinds_logged:
+        problems.append(f"kinds differ: {sorted(kinds_traced)} vs"
+                        f" {sorted(kinds_logged)}")
+    return problems
 
 
 def run_audited(seed=6, duration_s=8.0):
@@ -72,25 +129,11 @@ def test_same_seed_audit_logs_are_byte_identical(tmp_path):
         audit.write(str(path))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    loaded = load_jsonl(str(paths[0]))
+    loaded = read_jsonl(paths[0])
     assert loaded
     assert [r["seq"] for r in loaded] == \
         sorted(r["seq"] for r in loaded)
     assert all(r["kind"] for r in loaded)
-
-
-def test_audited_run_is_bit_identical_to_unaudited():
-    def fingerprint(cluster):
-        m = cluster.metrics
-        return (m.function_records, m.workflow_records, m.shed_workflows,
-                [s.meter.total_j for s in cluster.servers])
-
-    audited, _ = run_audited()
-    trace = make_load_trace("high", 2, 8.0, seed=6, cores_per_server=20)
-    config = ClusterConfig(n_servers=2, seed=6,
-                           guard=overload_experiment.guard_config(2, 20))
-    bare = run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace, config)
-    assert fingerprint(audited) == fingerprint(bare)
 
 
 def test_record_requires_binding():
@@ -106,9 +149,10 @@ def test_breaker_trip_is_recorded():
 
     class StubTrace:
         enabled = False
+        names = []
 
-        def instant(self, *args, **kwargs):
-            pass
+        def instant(self, name, track, **args):
+            self.names.append(name)
 
     class StubEnv:
         now = 1.0
@@ -136,3 +180,5 @@ def test_breaker_trip_is_recorded():
     assert len(trips) == 1
     assert trips[0].inputs["function"] == "f"
     assert trips[0].action["state"] == "open"
+    # The trip reaches the trace once, as the record's own instant.
+    assert StubTrace.names == ["breaker_trip"]

@@ -1,98 +1,106 @@
-"""Tracing must not perturb the simulation (the zero-overhead contract).
+"""Observers must not perturb the simulation (the zero-overhead contract).
 
 Two guarantees:
 
-* a traced run produces **bit-identical metrics** to an untraced run of
-  the same seed (the tracer only reads state, never mutates or draws
-  random numbers);
+* an observed run reproduces the **stored reference fingerprint** of its
+  row (``tests/fingerprints.py``): tracing, the ledger, burn-rate
+  monitors, progressive fingerprints and the decision audit log only
+  read state, never mutate it or draw random numbers. One matrix arms
+  each observer set over layers-off, chaos, guarded and all-armed rows,
+  plus a shedding overload run that no stored row covers (compared to
+  its own bare twin). The trace-only and trace + audit columns also
+  cover the decision log every traced run binds;
 * two traced runs of the same seed produce **byte-identical** trace
   files (the exporters are fully deterministic).
 """
 
+import functools
+
 import pytest
 
 from repro import obs
-from repro.baselines import BaselineSystem
 from repro.core import EcoFaaSSystem
 from repro.core.config import EcoFaaSConfig
+from repro.experiments import overload
 from repro.experiments.common import make_load_trace, run_cluster
-from repro.faults.plan import FaultPlan
 from repro.platform.cluster import ClusterConfig
+from tests.fingerprints import (
+    cluster_fingerprint,
+    load_reference,
+    reference_runs,
+)
 
-CONFIG = ClusterConfig(n_servers=2, drain_s=4.0)
-
-
-def small_trace():
-    return make_load_trace("low", 2, 6.0, seed=3)
-
-
-def run_once(system_factory, traced, fault_plan=None):
-    """One run; returns (cluster, tracer-or-None)."""
-    tracer = obs.install(obs.Tracer()) if traced else None
+def traced_run():
+    """One traced low-load EcoFaaS run; returns its tracer."""
+    tracer = obs.install(obs.Tracer())
     try:
-        cluster = run_cluster(system_factory(), small_trace(), CONFIG,
-                              fault_plan=fault_plan)
+        run_cluster(EcoFaaSSystem(EcoFaaSConfig()),
+                    make_load_trace("low", 2, 6.0, seed=3),
+                    ClusterConfig(n_servers=2, drain_s=4.0))
     finally:
         obs.uninstall()
-    return cluster, tracer
+    return tracer
 
 
-def metrics_fingerprint(cluster):
-    """Every observable outcome of a run, in a comparable form."""
-    m = cluster.metrics
-    return {
-        "functions": m.function_records,
-        "workflows": m.workflow_records,
-        "retries": m.retries,
-        "timeouts": m.timeouts,
-        "failures": m.failures,
-        "energy": [s.meter.total_j for s in cluster.servers],
-    }
+def overload_shed():
+    """A guarded high-load run that sheds arrivals (no stored row)."""
+    return run_cluster(
+        EcoFaaSSystem(EcoFaaSConfig()),
+        make_load_trace("high", 2, 8.0, seed=6, cores_per_server=20),
+        ClusterConfig(n_servers=2, seed=6,
+                      guard=overload.guard_config(2, 20)))
 
 
-@pytest.mark.parametrize("system_factory", [
-    BaselineSystem,
-    lambda: EcoFaaSSystem(EcoFaaSConfig()),
-], ids=["baseline", "ecofaas"])
-def test_traced_run_is_bit_identical_to_untraced(system_factory):
-    untraced, _ = run_once(system_factory, traced=False)
-    traced, tracer = run_once(system_factory, traced=True)
-    assert metrics_fingerprint(traced) == metrics_fingerprint(untraced)
-    # And the tracer actually recorded the run.
-    assert tracer.spans_of("invocation")
-    assert tracer.spans_of("phase")
-    assert tracer.counters
+ROWS = {label: factory for label, factory in reference_runs()
+        if label in ("baseline", "ecofaas_chaos", "guard_chaos",
+                     "all_armed")}
+ROWS["overload_shed"] = overload_shed
+
+#: Observer sets: (tracer factory or None, audit log wanted).
+OBSERVERS = {
+    "trace": (obs.Tracer, False),
+    "trace_ledger_burnrate_fingerprints": (
+        lambda: obs.Tracer(ledger=obs.EnergyLedger(),
+                           burnrate=obs.BurnRateMonitor(),
+                           fingerprint=obs.FingerprintRecorder()), False),
+    "audit": (None, True),
+    "trace_audit": (obs.Tracer, True),
+}
 
 
-def test_traced_chaos_run_is_bit_identical_to_untraced():
-    from repro.platform.reliability import ReliabilityPolicy
+@functools.lru_cache(maxsize=None)
+def expected_fingerprint(row):
+    stored = load_reference().get(row)
+    if stored is not None:
+        return stored
+    cluster = ROWS[row]()
+    assert cluster.metrics.shed_count() > 0, "the row must shed"
+    return cluster_fingerprint(cluster)
 
-    def plan():
-        return FaultPlan.calibrated(6.0, 2, ["WebServ", "CNNServ"], seed=5)
-    chaos_config = ClusterConfig(
-        n_servers=2, drain_s=4.0,
-        reliability=ReliabilityPolicy(max_retries=8, backoff_base_s=0.05))
-    results = []
-    for traced in (False, True):
-        tracer = obs.install(obs.Tracer()) if traced else None
-        try:
-            cluster = run_cluster(EcoFaaSSystem(EcoFaaSConfig()),
-                                  small_trace(), chaos_config,
-                                  fault_plan=plan())
-        finally:
-            obs.uninstall()
-        results.append(cluster)
-    untraced, traced_cluster = results
-    assert metrics_fingerprint(traced_cluster) == \
-        metrics_fingerprint(untraced)
-    assert tracer.instants_named("fault_node_crash")
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+@pytest.mark.parametrize("observers", sorted(OBSERVERS))
+def test_observed_run_matches_unobserved_fingerprint(observers, row):
+    make_tracer, audited = OBSERVERS[observers]
+    tracer = obs.install(make_tracer()) if make_tracer else None
+    audit = obs.install_audit(obs.AuditLog()) if audited else None
+    try:
+        cluster = ROWS[row]()
+    finally:
+        obs.uninstall()
+        obs.uninstall_audit()
+    assert cluster_fingerprint(cluster) == expected_fingerprint(row)
+    # The observers really watched the run (the Baseline decides nothing).
+    if tracer is not None:
+        assert tracer.spans_of("invocation") and tracer.counters
+    if audit is not None and row != "baseline":
+        assert audit.records
 
 
 def test_two_traced_runs_write_byte_identical_files(tmp_path):
     paths = []
     for i in range(2):
-        _, tracer = run_once(lambda: EcoFaaSSystem(EcoFaaSConfig()),
-                             traced=True)
+        tracer = traced_run()
         path = tmp_path / f"trace{i}.json"
         obs.write_chrome_trace(tracer, str(path))
         obs.write_epoch_metrics(tracer, str(tmp_path / f"epochs{i}.csv"))
@@ -106,7 +114,7 @@ def test_two_traced_runs_write_byte_identical_files(tmp_path):
 def test_cli_trace_and_report(tmp_path):
     """The --trace/--epoch-metrics/report plumbing end to end."""
     from repro.cli import main
-    _, tracer = run_once(lambda: EcoFaaSSystem(EcoFaaSConfig()), traced=True)
+    tracer = traced_run()
     trace_path = tmp_path / "trace.json"
     obs.write_chrome_trace(tracer, str(trace_path))
     assert main(["report", str(trace_path), "--top", "3"]) == 0

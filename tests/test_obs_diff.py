@@ -6,8 +6,8 @@ arm on the same trace — and pins ``repro diff`` against golden files:
 
 * same seed, same config  → every chain identical, exit 0;
 * config delta (chaos arm) → a stable first-divergence report naming
-  the epoch, subsystem, and first diverging audit decision, with the
-  energy delta attributed across ledger buckets to 1e-6.
+  the epoch, subsystem, and first diverging decision or trace instant,
+  with the energy delta attributed across ledger buckets to 1e-6.
 
 Regenerate the goldens (only when diff *output* intentionally changes)::
 
@@ -25,8 +25,13 @@ from repro.core import EcoFaaSSystem
 from repro.core.config import EcoFaaSConfig
 from repro.experiments.common import make_load_trace, run_cluster
 from repro.faults.plan import FaultPlan
-from repro.obs.diff import diff_documents, first_mismatch
-from repro.obs.fingerprint import FingerprintRecorder, digest, fold_chain
+from repro.obs.diff import _format_decision, diff_documents, first_mismatch
+from repro.obs.fingerprint import (
+    FORMAT,
+    FingerprintRecorder,
+    digest,
+    fold_chain,
+)
 from repro.obs.ledger import EnergyLedger
 from repro.platform.cluster import ClusterConfig
 from repro.platform.reliability import ReliabilityPolicy
@@ -182,7 +187,7 @@ def test_first_divergence_names_an_audit_decision(arena, monkeypatch):
         "diverged"
     decision = pair["decision"]
     assert decision is not None
-    assert decision["source"] in ("audit", "instants")
+    assert decision["differing_keys"]
     # The manifest config digests differ and the note says so.
     assert any("config_digest differs" in note for note in result["notes"])
 
@@ -207,6 +212,40 @@ def test_epoch_length_mismatch_is_an_error(arena, tmp_path, monkeypatch):
     other.write_text(json.dumps(document))
     with pytest.raises(ValueError):
         diff_documents("a.json", str(other))
+
+
+def test_decision_line_names_kind_actor_uid_and_reason():
+    record = {"kind": "workflow_doomed", "actor": "frontend", "t": 0.514,
+              "inputs": {"stage": 1}, "action": {"doomed": True},
+              "alternatives": [], "reason": "its doom line passed",
+              "workflow_uid": 12, "job_uid": None}
+    lines = _format_decision({"index": 3, "epoch": 0, "only_in": "b",
+                              "b": record})
+    assert lines == [
+        "first diverging decision (#3 in epoch 0): only arm B has kind"
+        " workflow_doomed actor frontend workflow 12 at t=0.514s",
+        "  reason: its doom line passed"]
+
+
+def _document(path, chains):
+    entry = {"run": 0, "label": "EcoFaaS", "final": "f" * 64,
+             "n_epochs": 1, "chains": chains, "summary": {}}
+    path.write_text(json.dumps({"format": FORMAT, "epoch_s": 2.0,
+                                "manifest": {}, "runs": [entry]}))
+    return str(path)
+
+
+def test_older_format_audit_chain_gets_a_note(tmp_path, capsys):
+    """A document written while decisions had their own chain still
+    diffs: one note, no traceback."""
+    chains = {"instants": ["i"], "metrics": ["m"]}
+    older = _document(tmp_path / "older.json", {**chains, "audit": ["a"]})
+    newer = _document(tmp_path / "newer.json", chains)
+    rc = _diff([older, newer])
+    out, err = capsys.readouterr()
+    assert rc == 1 and err == ""
+    assert "note: subsystem 'audit' is from an older fingerprints format" \
+        in out
 
 
 # ---------------------------------------------------------------------------

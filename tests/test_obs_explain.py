@@ -3,7 +3,9 @@
 The acceptance bar: in both the guarded-overload and the HA-partition
 regimes, at least one workflow misses its SLO and ``explain`` produces a
 non-empty ranked cause list for it, joining trace spans, instants, and
-audit records.
+the decision instants the audit log writes into the trace. Both runs
+also record the audit JSONL, and the one-stream oracle checks that it
+and the trace carry the same decisions.
 """
 
 import pytest
@@ -21,6 +23,7 @@ from repro.obs.explain import (
     missed_workflows,
 )
 from repro.platform.cluster import ClusterConfig
+from tests.test_obs_audit import stream_mismatches
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +46,7 @@ def overload_artifacts(tmp_path_factory):
     audit_path = out / "audit.jsonl"
     obs.write_chrome_trace(tracer, str(trace_path))
     audit.write(str(audit_path))
-    return str(trace_path), str(audit_path)
+    return tracer, audit, str(trace_path), str(audit_path)
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +65,11 @@ def partition_artifacts(tmp_path_factory):
     audit_path = out / "audit.jsonl"
     obs.write_chrome_trace(tracer, str(trace_path))
     audit.write(str(audit_path))
-    return str(trace_path), str(audit_path)
+    return tracer, audit, str(trace_path), str(audit_path)
 
 
-def explain_worst(trace_path, audit_path):
-    data = load_explain_data(trace_path, audit_path=audit_path)
+def explain_worst(artifacts):
+    data = load_explain_data(artifacts[2])
     missed = missed_workflows(data)
     assert missed, "expected at least one missed-SLO workflow"
     worst = missed[0]
@@ -74,7 +77,7 @@ def explain_worst(trace_path, audit_path):
 
 
 def test_overload_miss_has_ranked_causes(overload_artifacts):
-    _, result = explain_worst(*overload_artifacts)
+    _, result = explain_worst(overload_artifacts)
     assert result["causes"]
     scores = [c["score"] for c in result["causes"]]
     assert scores == sorted(scores, reverse=True)
@@ -87,16 +90,16 @@ def test_overload_miss_has_ranked_causes(overload_artifacts):
 
 
 def test_partition_miss_has_ranked_causes(partition_artifacts):
-    data, result = explain_worst(*partition_artifacts)
+    data, result = explain_worst(partition_artifacts)
     assert result["causes"]
     assert result["missed_by_s"] is None or result["missed_by_s"] > 0 \
         or result["status"] == "failed"
-    # Somewhere in the partition run, HA redispatches left audit records
-    # that explain can join by workflow uid.
-    redispatched = [r for r in data.audit
-                    if r.get("kind") == "ha_redispatch"]
+    # Somewhere in the partition run, HA redispatches left decision
+    # instants that explain can join by workflow uid.
+    redispatched = [i for i in data.instants
+                    if i["name"] == "ha_redispatch"]
     assert redispatched
-    uid = redispatched[0].get("workflow_uid")
+    uid = redispatched[0]["args"]["workflow_uid"]
     if any(s.cat == "workflow" and s.uid == uid for s in data.spans):
         joined = explain(data, uid)
         kinds = {c["kind"] for c in joined["causes"]}
@@ -104,13 +107,13 @@ def test_partition_miss_has_ranked_causes(partition_artifacts):
 
 
 def test_explain_links_jobs_to_workflows(overload_artifacts):
-    data, result = explain_worst(*overload_artifacts)
+    data, result = explain_worst(overload_artifacts)
     assert result["jobs"], "workflow uid should link to its job uids"
     assert data.links, "trace should carry workflowLinks metadata"
 
 
 def test_explain_unknown_workflow_raises(overload_artifacts):
-    data = load_explain_data(overload_artifacts[0])
+    data = load_explain_data(overload_artifacts[2])
     with pytest.raises(KeyError):
         explain(data, 10**9)
 
@@ -118,9 +121,8 @@ def test_explain_unknown_workflow_raises(overload_artifacts):
 def test_cli_explain_end_to_end(overload_artifacts, capsys):
     from repro.cli import main
 
-    trace_path, audit_path = overload_artifacts
-    assert main(["explain", trace_path, "--audit", audit_path,
-                 "--top", "5"]) == 0
+    trace_path = overload_artifacts[2]
+    assert main(["explain", trace_path, "--top", "5"]) == 0
     out = capsys.readouterr().out
     assert "ranked causes:" in out
     assert "1." in out
@@ -129,12 +131,25 @@ def test_cli_explain_end_to_end(overload_artifacts, capsys):
 def test_cli_explain_specific_workflow(overload_artifacts, capsys):
     from repro.cli import main
 
-    trace_path, audit_path = overload_artifacts
+    trace_path = overload_artifacts[2]
     data = load_explain_data(trace_path)
     uid = missed_workflows(data)[0].uid
     assert main(["explain", trace_path, str(uid)]) == 0
     out = capsys.readouterr().out
     assert f"workflow {uid} " in out
+
+
+@pytest.mark.parametrize("name", ["overload", "partition"])
+def test_trace_and_audit_log_carry_one_decision_stream(
+        name, overload_artifacts, partition_artifacts):
+    artifacts = {"overload": overload_artifacts,
+                 "partition": partition_artifacts}[name]
+    assert stream_mismatches(*artifacts) == []
+    kinds = {r.kind for r in artifacts[1].records}
+    expected = ({"admission_shed", "brownout_change", "milp_split",
+                 "pool_retune"} if name == "overload"
+                else {"ha_failover", "ha_redispatch"})
+    assert expected <= kinds
 
 
 def test_cli_explain_missing_file(capsys):

@@ -207,3 +207,24 @@ def test_load_document_rejects_wrong_format(tmp_path):
     path.write_text(json.dumps({"format": "other", "runs": []}))
     with pytest.raises(ValueError):
         load_document(str(path))
+
+
+def test_summary_counts_every_admission_shed():
+    """The guard's shed decision reaches the trace under its record kind,
+    so the summary's ``admission_sheds`` count is the metrics' shed
+    count (it read 0 while the guard's instant was named ``shed``)."""
+    from repro.experiments import overload
+
+    tracer = obs.install(obs.Tracer(fingerprint=FingerprintRecorder()))
+    try:
+        cluster = run_cluster(
+            EcoFaaSSystem(EcoFaaSConfig()),
+            make_load_trace("high", 2, 8.0, seed=6, cores_per_server=20),
+            ClusterConfig(n_servers=2, seed=6,
+                          guard=overload.guard_config(2, 20)))
+    finally:
+        obs.uninstall()
+    sheds = cluster.metrics.shed_count()
+    assert sheds > 0
+    counts = tracer.fingerprint.entries[-1]["summary"]["counts"]
+    assert counts["admission_sheds"] == sheds

@@ -116,6 +116,15 @@ class TestEnforcement:
         assert sample.action["decision"] in ("shed", "throttled_admit",
                                              "throttled_drop")
 
+    def test_trace_and_audit_log_carry_one_decision_stream(
+            self, armed_artifacts):
+        from tests.test_obs_audit import stream_mismatches
+        a = armed_artifacts
+        assert stream_mismatches(a["tracer"], a["audit"], a["trace"],
+                                 a["audit_path"]) == []
+        kinds = {r.kind for r in a["audit"].records}
+        assert {"tenant_throttle", "power_cap_step"} <= kinds
+
     def test_trace_instants_match_the_count(self, armed_artifacts):
         tracer = armed_artifacts["tracer"]
         instants = [i for i in tracer.instants
@@ -134,7 +143,7 @@ class TestPowerCap:
 
     def test_cap_step_instants_carry_epochs(self, armed_artifacts):
         tracer = armed_artifacts["tracer"]
-        epochs = [i.args["epoch"] for i in tracer.instants
+        epochs = [i.args["action"]["epoch"] for i in tracer.instants
                   if i.name == "power_cap_step"]
         assert epochs and epochs == sorted(epochs)
 
@@ -271,8 +280,7 @@ class TestReportAndBillPipelines:
             load_explain_data,
             missed_workflows,
         )
-        data = load_explain_data(armed_artifacts["trace"],
-                                 audit_path=armed_artifacts["audit_path"])
+        data = load_explain_data(armed_artifacts["trace"])
         kinds = set()
         for span in missed_workflows(data)[:20]:
             result = explain(data, span.uid, run=span.run)
