@@ -238,11 +238,11 @@ def explain(data: ExplainData, workflow_uid: int,
             f"{'s' if len(fast_fails) != 1 else ''} for"
             f" {sorted({i['args'].get('function') for i in fast_fails})}"))
 
-    # Retries/timeouts/shed attributed by benchmark within the window.
+    # Retries and timeouts of this workflow's functions in the window.
     for name, label in (("retry", "retried"),
                         ("invocation_timeout", "timed out")):
         hits = [i for i in in_window if i["name"] == name
-                and i["args"].get("benchmark") in benchmarks]
+                and i["args"].get("function") in functions]
         if hits:
             causes.append(Cause(
                 0.4 * len(hits), "reliability",

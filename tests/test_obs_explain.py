@@ -152,6 +152,26 @@ def test_trace_and_audit_log_carry_one_decision_stream(
     assert expected <= kinds
 
 
+def test_chaos_miss_names_retries_of_its_functions(tmp_path):
+    """Retry and timeout instants carry the function, not the benchmark:
+    a chaos miss with a retry of its own function inside its window is
+    explained by a reliability cause."""
+    from tests.fingerprints import reference_runs
+
+    tracer = obs.install(obs.Tracer())
+    try:
+        dict(reference_runs())["ecofaas_chaos"]()
+    finally:
+        obs.uninstall()
+    trace_path = str(tmp_path / "trace.json")
+    obs.write_chrome_trace(tracer, trace_path)
+    data = load_explain_data(trace_path)
+    texts = [c["text"] for span in missed_workflows(data)
+             for c in explain(data, span.uid, run=span.run)["causes"]
+             if c["kind"] == "reliability"]
+    assert any("retried during this workflow" in t for t in texts)
+
+
 def test_cli_explain_missing_file(capsys):
     from repro.cli import main
 
