@@ -13,12 +13,14 @@ v2 adds, all equally opt-in and determinism-safe:
 * :class:`~repro.obs.ledger.EnergyLedger` — per-joule attribution into
   run / block / cold-start / idle / freq-switch / retry-waste / shed /
   static components, validated against the hardware meters;
-* :class:`~repro.obs.audit.AuditLog` — structured "why" records from
-  every control-plane decision point (install via :func:`install_audit`);
+* :class:`~repro.obs.audit.AuditLog` — the one emission of every
+  control-plane decision: a structured "why" record written to the
+  JSONL log and, on traced runs, to the trace as a decision instant
+  (install via :func:`install_audit`; traced runs bind one anyway);
 * :class:`~repro.obs.burnrate.BurnRateMonitor` — per-benchmark SLO
   burn-rate alerting on deterministic log-bucket histograms;
 * :mod:`~repro.obs.explain` — ranked root causes for missed-SLO
-  workflows from the exported artifacts.
+  workflows from the exported trace.
 
 The reproduction's own wall time is measured from outside, by the
 end-to-end benchmark in ``bench/`` (see ``bench/README.md``).
@@ -139,7 +141,8 @@ def active_tracer() -> Optional[Tracer]:
 
 
 def install_audit(audit: AuditLog) -> AuditLog:
-    """Make ``audit`` the active decision log for subsequent runs."""
+    """Make ``audit`` the active decision log for subsequent runs (the
+    one a traced run writes its decision instants through)."""
     global _active_audit
     _active_audit = audit
     return audit

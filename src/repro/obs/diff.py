@@ -298,8 +298,8 @@ def diff_pair(entry_a: Dict[str, Any], entry_b: Dict[str, Any],
         "first": None,
         "decision": None,
         "attribution": None,
-        # A parent-format document also chains an "audit" subsystem;
-        # its decisions are inside "instants" now.
+        # A document written before decisions joined the trace also
+        # chains an "audit" subsystem.
         "notes": [f"subsystem '{sub}' is from an older fingerprints"
                   f" format: decisions are compared inside 'instants'"
                   for sub in sorted(set(chains_a) | set(chains_b))

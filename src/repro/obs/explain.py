@@ -127,19 +127,14 @@ def missed_workflows(data: ExplainData, run: Optional[int] = None
     return sorted(candidates, key=lambda s: (-overshoot(s), s.uid))
 
 
-def _decisions(data: ExplainData, run: int, kind: str) -> List[dict]:
-    """The run's decision instants of one kind, in trace order."""
-    return [i for i in data.instants
-            if i["run"] == run and i["name"] == kind]
-
-
 def _shrink_context(data: ExplainData, run: int, pool: str,
                     before_t: float) -> str:
     """The most recent retune decision that shrank ``pool`` before a
     time."""
     best = None
-    for inst in _decisions(data, run, "pool_retune"):
-        if inst["t"] > before_t:
+    for inst in data.instants:
+        if inst["run"] != run or inst["name"] != "pool_retune" \
+                or inst["t"] > before_t:
             continue
         prev = inst["args"].get("inputs", {}).get("targets", {})
         new = inst["args"].get("action", {}).get("targets", {})

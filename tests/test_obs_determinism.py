@@ -52,8 +52,8 @@ def overload_shed():
 
 
 ROWS = {label: factory for label, factory in reference_runs()
-        if label in ("baseline", "ecofaas_chaos", "guard_chaos",
-                     "all_armed")}
+        if label in ("baseline", "ecofaas", "ecofaas_chaos",
+                     "guard_chaos", "all_armed")}
 ROWS["overload_shed"] = overload_shed
 
 #: Observer sets: (tracer factory or None, audit log wanted).
