@@ -56,10 +56,11 @@ ROWS = {label: factory for label, factory in reference_runs()
                      "guard_chaos", "all_armed")}
 ROWS["overload_shed"] = overload_shed
 
-#: Observer sets: (tracer factory or None, audit log wanted).
+#: Observer sets: (tracer factory or None, audit log wanted). ``full``
+#: is a tracer with the ledger, burn-rate monitors and fingerprints.
 OBSERVERS = {
     "trace": (obs.Tracer, False),
-    "trace_ledger_burnrate_fingerprints": (
+    "full": (
         lambda: obs.Tracer(ledger=obs.EnergyLedger(),
                            burnrate=obs.BurnRateMonitor(),
                            fingerprint=obs.FingerprintRecorder()), False),
