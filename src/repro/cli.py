@@ -6,14 +6,16 @@ Usage::
     python -m repro fig15
     python -m repro fig13 --full --seed 7
     python -m repro all            # every experiment, quick mode
-    python -m repro fig16 --trace out.json --epoch-metrics out.csv
-    python -m repro fig16 --trace out.json --ledger ledger.json --burnrate
-    python -m repro fig16 --audit audit.jsonl
-    python -m repro report out.json --format json
-    python -m repro explain out.json
-    python -m repro fig16 --trace out.json --fingerprints fp.json
-    python -m repro diff fp_a.json fp_b.json
-    python -m repro diff fp.json --run-a 0 --run-b 1
+    python -m repro fig16 --out run1   # record a run directory
+    python -m repro report run1 --format json
+    python -m repro explain run1
+    python -m repro bill run1 --tenant web=WebServ,eBank
+    python -m repro diff run1 run2
+    python -m repro diff run1 --run-a 0 --run-b 1
+
+A run directory holds ``trace.json`` (Chrome trace-event JSON, open it
+at https://ui.perfetto.dev), ``epochs.csv``, ``ledger.json``,
+``audit.jsonl`` and ``fingerprints.json`` (``repro.obs.RUN_FILES``).
 
 The end-to-end benchmark and its per-layer profiler are not
 subcommands: run ``python3 bench/ecobench.py`` (``--trace 1`` for
@@ -128,13 +130,23 @@ def _load_artifact(load, path: str, kind: str):
     return None
 
 
+def _load_run_file(load, directory: str, name: str, kind: str):
+    """:func:`_load_artifact` of the file ``name`` in the run directory
+    ``directory``, or ``None`` after one stderr line when ``directory``
+    is not a run directory."""
+    if not os.path.isdir(directory):
+        print(f"not a run directory: {directory}", file=sys.stderr)
+        return None
+    return _load_artifact(load, os.path.join(directory, name), kind)
+
+
 def _report(argv: List[str]) -> int:
-    """The ``repro report <trace.json>`` subcommand."""
+    """The ``repro report <run-dir>`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="ecofaas report",
-        description="Analyze a recorded trace: top functions by energy,"
-                    " queueing delay, and deadline misses.")
-    parser.add_argument("trace", help="trace-event JSON file (--trace)")
+        description="Analyze a recorded run's trace: top functions by"
+                    " energy, queueing delay, and deadline misses.")
+    parser.add_argument("run_dir", help="run directory (--out)")
     parser.add_argument("--top", type=int, default=10,
                         help="rows per ranking (default 10)")
     parser.add_argument("--format", choices=("text", "json"),
@@ -144,9 +156,10 @@ def _report(argv: List[str]) -> int:
     if _bad_top(args.top):
         return 2
     from repro import obs
-    text = _load_artifact(
+    from repro.obs.export import TRACE_FILE
+    text = _load_run_file(
         lambda path: obs.report(path, top_n=args.top, fmt=args.format),
-        args.trace, "trace-event JSON file")
+        args.run_dir, TRACE_FILE, "trace-event JSON file")
     if text is None:
         return 2
     print(text, end="")
@@ -157,11 +170,11 @@ def _bill(argv: List[str]) -> int:
     """The ``repro bill`` subcommand: price a ledger's joules by tenant."""
     parser = argparse.ArgumentParser(
         prog="ecofaas bill",
-        description="Price an energy ledger (JSON from --ledger) into a"
+        description="Price a recorded run's energy ledger into a"
                     " per-tenant bill: joules priced per component"
                     " (run/cold_start/retry_waste/... at different $/MJ),"
                     " unattributed overhead spread pro-rata.")
-    parser.add_argument("ledger", help="energy-ledger JSON file (--ledger)")
+    parser.add_argument("run_dir", help="run directory (--out)")
     parser.add_argument("--tenant", action="append", default=[],
                         metavar="NAME=BENCH1,BENCH2",
                         help="map benchmarks to a tenant (repeatable);"
@@ -194,13 +207,15 @@ def _bill(argv: List[str]) -> int:
             raise ValueError("its runs are not a list")
         return runs
 
-    runs = _load_artifact(load_runs, args.ledger, "energy-ledger JSON file")
+    from repro.obs.export import LEDGER_FILE
+    runs = _load_run_file(load_runs, args.run_dir, LEDGER_FILE,
+                          "energy-ledger JSON file")
     if runs is None:
         return 2
     if args.run is not None:
         runs = [run for run in runs if run.get("run") == args.run]
         if not runs:
-            print(f"no run {args.run} in {args.ledger}", file=sys.stderr)
+            print(f"no run {args.run} in {args.run_dir}", file=sys.stderr)
             return 2
     from repro.tenancy import UNATTRIBUTED, bill_from_breakdown, format_bill
 
@@ -237,9 +252,9 @@ def _explain(argv: List[str]) -> int:
     """The ``repro explain`` subcommand: why did a workflow miss?"""
     parser = argparse.ArgumentParser(
         prog="ecofaas explain",
-        description="Walk a recorded trace and print ranked causes for"
-                    " one missed-SLO workflow.")
-    parser.add_argument("trace", help="trace-event JSON file (--trace)")
+        description="Walk a recorded run's trace and print ranked causes"
+                    " for one missed-SLO workflow.")
+    parser.add_argument("run_dir", help="run directory (--out)")
     parser.add_argument("workflow", nargs="?", type=int,
                         help="workflow uid; omitted = the worst-missed"
                              " SLO workflow in the trace")
@@ -256,7 +271,8 @@ def _explain(argv: List[str]) -> int:
         load_explain_data,
         missed_workflows,
     )
-    data = _load_artifact(load_explain_data, args.trace,
+    from repro.obs.export import TRACE_FILE
+    data = _load_run_file(load_explain_data, args.run_dir, TRACE_FILE,
                           "trace-event JSON file")
     if data is None:
         return 2
@@ -273,6 +289,9 @@ def _explain(argv: List[str]) -> int:
     except KeyError as error:
         print(f"workflow not found in trace: {error}", file=sys.stderr)
         return 2
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     result["causes"] = result["causes"][:args.top]
     print(format_explanation(result))
     return 0
@@ -282,17 +301,17 @@ def _diff(argv: List[str]) -> int:
     """The ``repro diff`` subcommand: first-divergence attribution."""
     parser = argparse.ArgumentParser(
         prog="ecofaas diff",
-        description="Compare two fingerprinted runs (--fingerprints"
-                    " artifacts): bisect the per-epoch chain digests to"
-                    " the first diverging epoch and subsystem, name the"
-                    " first diverging decision inside it, and"
-                    " attribute the downstream energy / EWT / SLO"
-                    " deltas. Exit 0 when identical, 1 when diverged.")
-    parser.add_argument("a", help="fingerprints JSON file (A side)")
+        description="Compare two recorded runs (--out directories):"
+                    " bisect the per-epoch chain digests to the first"
+                    " diverging epoch and subsystem, name the first"
+                    " diverging decision inside it, and attribute the"
+                    " downstream energy / EWT / SLO deltas. Exit 0 when"
+                    " identical, 1 when diverged.")
+    parser.add_argument("a", help="run directory (A side)")
     parser.add_argument("b", nargs="?", default=None,
-                        help="fingerprints JSON file (B side); omitted ="
-                             " diff two runs inside A (e.g. the arms of"
-                             " an A/B experiment)")
+                        help="run directory (B side); omitted = diff two"
+                             " runs inside A (e.g. the arms of an A/B"
+                             " experiment)")
     parser.add_argument("--run-a", type=int, default=None, metavar="I",
                         help="run index on the A side (default: align"
                              " runs pairwise)")
@@ -303,17 +322,21 @@ def _diff(argv: List[str]) -> int:
                              " ('-' prints JSON instead of text)")
     args = parser.parse_args(argv)
     from repro.obs import diff as diff_mod
+    from repro.obs.export import FINGERPRINTS_FILE
     from repro.obs.fingerprint import load_document
     # Each side is read alone first, so a bad file is named as itself;
     # what is left (epoch lengths, run picks) is about the pair.
-    for path in filter(None, (args.a, args.b)):
-        if _load_artifact(load_document, path,
+    directories = [d for d in (args.a, args.b) if d]
+    for directory in directories:
+        if _load_run_file(load_document, directory, FINGERPRINTS_FILE,
                           "fingerprints document") is None:
             return 2
+    paths = [os.path.join(d, FINGERPRINTS_FILE) for d in directories]
     result = _load_artifact(
-        lambda path: diff_mod.diff_documents(path, args.b, run_a=args.run_a,
+        lambda path: diff_mod.diff_documents(path, *paths[1:],
+                                             run_a=args.run_a,
                                              run_b=args.run_b),
-        args.a, "diffable fingerprints pair")
+        paths[0], "diffable fingerprints pair")
     if result is None:
         return 2
     if args.json == "-":
@@ -429,37 +452,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="arm the repro.cancel cancellation + retry-budget layer in"
              " experiments that support it (chaos)")
     parser.add_argument(
-        "--trace", metavar="PATH",
-        help="record an invocation-lifecycle trace to PATH"
-             " (Chrome trace-event JSON, loadable in Perfetto)")
-    parser.add_argument(
-        "--epoch-metrics", metavar="PATH",
-        help="also export a per-epoch metrics time series"
-             " (CSV, or JSON for .json paths; requires --trace)")
+        "--out", metavar="DIR",
+        help="record the run into the new or existing directory DIR:"
+             " the Chrome trace, per-epoch metrics, the energy ledger,"
+             " the decision audit log and the fingerprints with a run"
+             " manifest, for `report`, `explain`, `bill` and `diff`")
     parser.add_argument(
         "--epoch-s", type=float, default=2.0,
-        help="epoch length for --epoch-metrics in simulated seconds"
-             " (default 2.0, the EcoFaaS T_refresh)")
-    parser.add_argument(
-        "--ledger", metavar="PATH",
-        help="attribute every joule of cluster energy to run / block /"
-             " cold-start / idle / freq-switch / retry-waste / shed and"
-             " write the validated ledger to PATH (requires --trace)")
-    parser.add_argument(
-        "--audit", metavar="PATH",
-        help="record every control-plane decision (MILP split, pool"
-             " retune, shed, brownout, breaker trip, failover,"
-             " redispatch) as JSONL to PATH")
-    parser.add_argument(
-        "--fingerprints", metavar="PATH",
-        help="write progressive per-epoch chain digests and a run"
-             " manifest to PATH for `repro diff` (requires --trace;"
-             " epoch length follows --epoch-s)")
-    parser.add_argument(
-        "--burnrate", action="store_true",
-        help="arm per-benchmark SLO burn-rate monitors: latency"
-             " histograms plus fast/slow burn alert instants in the"
-             " trace (requires --trace)")
+        help="epoch length of --out's epoch metrics and fingerprints in"
+             " simulated seconds (default 2.0, the EcoFaaS T_refresh)")
     parser.add_argument(
         "--verify", action="store_true",
         help="arm the repro.verify invariant monitors (clock, energy"
@@ -467,14 +468,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              " HA fencing, tenant budgets); any violation fails the run"
              " with a non-zero exit code")
     args = parser.parse_args(argv)
-    if args.epoch_metrics and not args.trace:
-        parser.error("--epoch-metrics requires --trace")
-    if args.ledger and not args.trace:
-        parser.error("--ledger requires --trace")
-    if args.burnrate and not args.trace:
-        parser.error("--burnrate requires --trace")
-    if args.fingerprints and not args.trace:
-        parser.error("--fingerprints requires --trace")
     if not 0 < args.epoch_s < math.inf:
         parser.error("--epoch-s must be a positive, finite number")
     if args.seed < 0:
@@ -491,29 +484,21 @@ def main(argv: Optional[List[str]] = None) -> int:
               f" try 'list'", file=sys.stderr)
         return 2
 
-    # Artifacts are written after the run: a missing output directory
-    # must fail now, not after minutes of simulation.
-    for flag, path in (("--trace", args.trace),
-                       ("--epoch-metrics", args.epoch_metrics),
-                       ("--ledger", args.ledger),
-                       ("--audit", args.audit),
-                       ("--fingerprints", args.fingerprints)):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            print(f"cannot write {flag} {path}: no such directory",
+    tracer = audit = None
+    if args.out:
+        # Artifacts are written after the run: a directory that cannot
+        # be made must fail now, not after minutes of simulation.
+        try:
+            if not os.path.isdir(args.out):
+                os.mkdir(args.out)
+        except OSError as error:
+            print(f"cannot create --out {args.out}: {error.strerror}",
                   file=sys.stderr)
             return 2
-
-    tracer = None
-    audit = None
-    if args.trace:
         from repro import obs
         tracer = obs.install(obs.Tracer(
-            ledger=obs.EnergyLedger() if args.ledger else None,
-            burnrate=obs.BurnRateMonitor() if args.burnrate else None,
-            fingerprint=(obs.FingerprintRecorder(epoch_s=args.epoch_s)
-                         if args.fingerprints else None)))
-    if args.audit:
-        from repro import obs
+            ledger=obs.EnergyLedger(), burnrate=obs.BurnRateMonitor(),
+            fingerprint=obs.FingerprintRecorder(epoch_s=args.epoch_s)))
         audit = obs.install_audit(obs.AuditLog())
     verifier = None
     if args.verify:
@@ -587,7 +572,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if tracer is not None:
             obs.uninstall()
-        if audit is not None:
             obs.uninstall_audit()
         if verifier is not None:
             verify.uninstall()
@@ -599,43 +583,14 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{': ' + _new_violations(0) if total else ''}]")
 
     if tracer is not None:
-        n_events = obs.write_chrome_trace(tracer, args.trace)
-        print(f"[trace: {n_events} events -> {args.trace};"
-              f" open at https://ui.perfetto.dev]")
-        if args.epoch_metrics:
-            rows = obs.write_epoch_metrics(tracer, args.epoch_metrics,
-                                           epoch_s=args.epoch_s)
-            print(f"[epoch metrics: {len(rows)} rows"
-                  f" -> {args.epoch_metrics}]")
-        if args.ledger:
-            document = tracer.ledger.write(args.ledger)
-            conserved = all(run["conserved"] for run in document["runs"])
-            print(f"[ledger: {len(document['runs'])} runs"
-                  f" -> {args.ledger}; conservation"
-                  f" {'OK' if conserved else 'FAILED'}]")
-        if args.fingerprints:
-            artifacts = {key: value for key, value in (
-                ("trace", args.trace),
-                ("epoch_metrics", args.epoch_metrics),
-                ("ledger", args.ledger),
-                ("audit", args.audit)) if value}
-            config = {"experiment": args.experiment, "seed": args.seed,
-                      "full": bool(args.full), "ha": bool(args.ha),
-                      "tenancy": bool(args.tenancy),
-                      "power_cap": args.power_cap,
-                      "cancel": bool(args.cancel),
-                      "epoch_s": args.epoch_s}
-            manifest = {**config,
-                        "config_digest": obs.digest(config),
-                        "artifacts": artifacts}
-            document = tracer.fingerprint.write(args.fingerprints,
-                                                manifest)
-            print(f"[fingerprints: {len(document['runs'])} runs"
-                  f" -> {args.fingerprints}]")
+        config = {"experiment": args.experiment, "seed": args.seed,
+                  "full": bool(args.full), "ha": bool(args.ha),
+                  "tenancy": bool(args.tenancy),
+                  "power_cap": args.power_cap,
+                  "cancel": bool(args.cancel), "epoch_s": args.epoch_s}
         print(obs.run_summary(tracer))
-    if audit is not None:
-        n_records = audit.write(args.audit)
-        print(f"[audit: {n_records} records -> {args.audit}]")
+        print(obs.write_run(tracer, audit, args.out,
+                            {**config, "config_digest": obs.digest(config)}))
     return status
 
 

@@ -23,10 +23,11 @@ Both arms replay the identical arrival trace and fault schedule:
 
 Reported per arm: goodput before / during / after the storm, the time
 goodput stays degraded after the trigger clears, and the wasted-energy
-fraction (retry waste + cancelled work over total). The CI smoke asserts
-the off arm stays degraded at least twice as long as the on arm, and
-that the energy ledger — including the new ``cancelled``/``doomed``
-buckets — conserves within 1e-6.
+fraction (retry waste + cancelled work over total).
+``tests/test_cancel_integration.py`` asserts the off arm stays degraded
+at least twice as long as the on arm, and that the energy ledger —
+including the new ``cancelled``/``doomed`` buckets — conserves within
+1e-6.
 """
 
 from __future__ import annotations

@@ -39,12 +39,14 @@ from repro.obs.burnrate import (
 from repro.obs.diff import diff_documents, format_diff
 from repro.obs.explain import explain, format_explanation, load_explain_data
 from repro.obs.export import (
+    RUN_FILES,
     chrome_trace_events,
     epoch_rows,
     queueing_by_function,
     run_summary,
     write_chrome_trace,
     write_epoch_metrics,
+    write_run,
 )
 from repro.obs.fingerprint import (
     FingerprintRecorder,
@@ -68,13 +70,14 @@ from repro.obs.tracer import (
     SpanRecord,
     Tracer,
 )
-from repro.obs.validate import validate_events, validate_file
+from repro.obs.validate import validate_events
 
 __all__ = [
     "EPOCH_INSTANT_COLUMNS",
     "LEDGER_COMPONENTS",
     "LEDGER_EPOCH_COLUMNS",
     "NULL_TRACER",
+    "RUN_FILES",
     "AuditLog",
     "AuditRecord",
     "BurnRateConfig",
@@ -109,9 +112,9 @@ __all__ = [
     "uninstall",
     "uninstall_audit",
     "validate_events",
-    "validate_file",
     "write_chrome_trace",
     "write_epoch_metrics",
+    "write_run",
 ]
 
 #: The process-wide tracer the experiment harness attaches to every

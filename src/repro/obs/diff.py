@@ -1,8 +1,10 @@
 """``repro diff``: first-divergence attribution between fingerprinted runs.
 
 Given two ``fingerprints.json`` documents (or one document holding two
-arms of an A/B experiment), this module answers the three questions a
-whole-run fingerprint mismatch leaves open:
+arms of an A/B experiment), each in a run directory beside its
+``trace.json`` (:data:`repro.obs.export.RUN_FILES`), this module
+answers the three questions a whole-run fingerprint mismatch leaves
+open:
 
 * **where** — bisect each subsystem's per-epoch chain digests to the
   first diverging epoch (chain link ``e`` covers every epoch up to and
@@ -32,6 +34,7 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.audit import KINDS
+from repro.obs.export import TRACE_FILE
 from repro.obs.fingerprint import SUBSYSTEMS, load_document
 
 #: Schema identifier of the JSON report ``repro diff --json`` writes.
@@ -113,18 +116,6 @@ def pair_entries(doc_a: Dict[str, Any], doc_b: Dict[str, Any],
     return list(zip(runs_a, runs_b)), notes
 
 
-def _artifact_path(doc: Dict[str, Any], doc_path: str,
-                   key: str) -> Optional[str]:
-    """Resolve a manifest artifact path (relative to the document)."""
-    path = (doc.get("manifest", {}).get("artifacts") or {}).get(key)
-    if not path:
-        return None
-    if not os.path.isabs(path):
-        path = os.path.join(os.path.dirname(os.path.abspath(doc_path)),
-                            path)
-    return path if os.path.exists(path) else None
-
-
 # ---------------------------------------------------------------------------
 # The first diverging decision (trace instants join)
 # ---------------------------------------------------------------------------
@@ -161,13 +152,14 @@ def _describe_divergence(records_a: List[dict], records_b: List[dict]
     return None
 
 
-def _epoch_instants(doc: Dict[str, Any], doc_path: str, run: int,
-                    epoch: int, epoch_s: float) -> Optional[List[dict]]:
-    """The run's instants inside one epoch. A decision comes back in its
-    audit-record shape (kind, actor, t, then the payload), so a delta
-    names the input/action keys that moved."""
-    path = _artifact_path(doc, doc_path, "trace")
-    if path is None:
+def _epoch_instants(doc_path: str, run: int, epoch: int, epoch_s: float
+                    ) -> Optional[List[dict]]:
+    """The run's instants inside one epoch, read from the trace in the
+    fingerprints document's run directory (None when it has none). A
+    decision comes back in its audit-record shape (kind, actor, t, then
+    the payload), so a delta names the input/action keys that moved."""
+    path = os.path.join(os.path.dirname(doc_path), TRACE_FILE)
+    if not os.path.exists(path):
         return None
     from repro.obs.explain import load_explain_data
     t0, t1 = epoch * epoch_s, (epoch + 1) * epoch_s
@@ -184,16 +176,14 @@ def _epoch_instants(doc: Dict[str, Any], doc_path: str, run: int,
     return records
 
 
-def first_diverging_decision(doc_a: Dict[str, Any], path_a: str,
-                             doc_b: Dict[str, Any], path_b: str,
-                             run_a: int, run_b: int, epoch: int
+def first_diverging_decision(path_a: str, path_b: str, run_a: int,
+                             run_b: int, epoch: int, epoch_s: float
                              ) -> Tuple[Optional[dict], List[str]]:
     """Join the instants inside one epoch and name the first diverging
     decision, or else the first diverging instant; returns (decision,
     notes) where notes explain any degraded lookup."""
-    epoch_s = float(doc_a["epoch_s"])
-    records_a = _epoch_instants(doc_a, path_a, run_a, epoch, epoch_s)
-    records_b = _epoch_instants(doc_b, path_b, run_b, epoch, epoch_s)
+    records_a = _epoch_instants(path_a, run_a, epoch, epoch_s)
+    records_b = _epoch_instants(path_b, run_b, epoch, epoch_s)
     if records_a is None or records_b is None:
         return None, [f"trace artifact missing on"
                       f" {'A' if records_a is None else 'B'}:"
@@ -263,10 +253,8 @@ def attribute(entry_a: Dict[str, Any], entry_b: Dict[str, Any]
 # Whole-document diff
 # ---------------------------------------------------------------------------
 def diff_pair(entry_a: Dict[str, Any], entry_b: Dict[str, Any],
-              doc_a: Dict[str, Any], path_a: str,
-              doc_b: Dict[str, Any], path_b: str) -> Dict[str, Any]:
+              path_a: str, path_b: str, epoch_s: float) -> Dict[str, Any]:
     """Compare one aligned run pair; the per-pair report dict."""
-    epoch_s = float(doc_a["epoch_s"])
     chains_a, chains_b = entry_a["chains"], entry_b["chains"]
     subsystems: Dict[str, Dict[str, Any]] = {}
     diverged: List[Tuple[str, int]] = []
@@ -325,8 +313,8 @@ def diff_pair(entry_a: Dict[str, Any], entry_b: Dict[str, Any],
         for epoch2 in sorted({epoch} | {e for s, e in diverged
                                         if s == "instants"}):
             decision, notes = first_diverging_decision(
-                doc_a, path_a, doc_b, path_b,
-                entry_a["run"], entry_b["run"], epoch2)
+                path_a, path_b, entry_a["run"], entry_b["run"], epoch2,
+                epoch_s)
             for note in notes:
                 if note not in pair["notes"]:
                     pair["notes"].append(note)
@@ -368,7 +356,8 @@ def diff_documents(path_a: str, path_b: Optional[str] = None,
                          f" {man_a[key]!r} vs {man_b[key]!r}")
     pairs, pair_notes = pair_entries(doc_a, doc_b, same_file, run_a, run_b)
     notes.extend(pair_notes)
-    compared = [diff_pair(ea, eb, doc_a, path_a, doc_b, real_b)
+    epoch_s = float(doc_a["epoch_s"])
+    compared = [diff_pair(ea, eb, path_a, real_b, epoch_s)
                 for ea, eb in pairs]
     return {
         "format": DIFF_FORMAT,
@@ -376,7 +365,7 @@ def diff_documents(path_a: str, path_b: Optional[str] = None,
               "runs": len(doc_a["runs"])},
         "b": {"path": real_b, "manifest": man_b,
               "runs": len(doc_b["runs"])},
-        "epoch_s": float(doc_a["epoch_s"]),
+        "epoch_s": epoch_s,
         "identical": all(p["identical"] for p in compared) and not any(
             "run counts differ" in n for n in notes),
         "notes": notes,

@@ -151,14 +151,23 @@ def _shrink_context(data: ExplainData, run: int, pool: str,
 
 def explain(data: ExplainData, workflow_uid: int,
             run: Optional[int] = None) -> Dict[str, Any]:
-    """Build the ranked cause list for one workflow."""
-    wf = next((s for s in data.spans
+    """Build the ranked cause list for one workflow.
+
+    Workflow uids restart in every run, so without ``run`` a uid found
+    in more than one run raises ValueError naming those runs."""
+    matches = [s for s in data.spans
                if s.cat == "workflow" and s.uid == workflow_uid
-               and (run is None or s.run == run)), None)
-    if wf is None:
+               and (run is None or s.run == run)]
+    if not matches:
         raise KeyError(
             f"no workflow span with uid {workflow_uid}"
             + (f" in run {run}" if run is not None else ""))
+    runs = sorted({s.run for s in matches})
+    if len(runs) > 1:
+        raise ValueError(
+            f"workflow {workflow_uid} is in runs"
+            f" {', '.join(map(str, runs))}: pick one with --run")
+    wf = matches[0]
     run = wf.run
     job_uids = set(data.links.get(run, {}).get(workflow_uid, []))
     jobs = [s for s in data.spans

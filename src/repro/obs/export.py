@@ -1,17 +1,21 @@
 """Trace exporters: Perfetto-loadable Chrome JSON, epoch metrics, summary.
 
-Three views of one :class:`~repro.obs.tracer.Tracer`:
+Three views of one :class:`~repro.obs.tracer.Tracer`, plus the run
+directory that holds them:
 
 * :func:`write_chrome_trace` — the Chrome trace-event format (open the
   file at https://ui.perfetto.dev): one process per run and node, one
   thread per core pool, async tracks for invocation/workflow spans, and
   counter tracks for pool sizes, per-node power draw, and EWT;
-  :func:`read_chrome_trace` and :func:`run_of_pid` read it back for
-  ``repro report`` and ``repro explain``;
+  :func:`read_chrome_trace` validates it and reads it back for
+  ``repro report``, ``repro explain`` and ``repro diff``;
 * :func:`epoch_rows` / :func:`write_epoch_metrics` — a per-epoch
-  (``T_refresh``-granularity) metrics time series: energy, p50/p99,
-  SLO violations, pool occupancy, retry counters;
-* :func:`run_summary` — a plain-text rollup per run.
+  (``T_refresh``-granularity) metrics time series as CSV: energy,
+  p50/p99, SLO violations, pool occupancy, retry counters;
+* :func:`run_summary` — a plain-text rollup per run;
+* :func:`write_run` — one recorded run as a directory of
+  :data:`RUN_FILES`: the trace, the epoch metrics, the energy ledger,
+  the decision audit log and the fingerprints with their manifest.
 
 Everything here is pure stdlib and fully deterministic: identical traces
 serialize to identical bytes.
@@ -22,11 +26,23 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.registry import (EPOCH_INSTANT_COLUMNS, LEDGER_COMPONENTS,
                                 LEDGER_EPOCH_COLUMNS)
 from repro.obs.tracer import Tracer
+from repro.obs.validate import validate_events
+
+#: The file names of a run directory (``repro <experiment> --out DIR``),
+#: the one layout every writer and every consumer uses.
+TRACE_FILE = "trace.json"
+EPOCHS_FILE = "epochs.csv"
+LEDGER_FILE = "ledger.json"
+AUDIT_FILE = "audit.jsonl"
+FINGERPRINTS_FILE = "fingerprints.json"
+RUN_FILES = (TRACE_FILE, EPOCHS_FILE, LEDGER_FILE, AUDIT_FILE,
+             FINGERPRINTS_FILE)
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +188,26 @@ def read_chrome_trace(path: str
                       ) -> Tuple[List[dict], dict, Dict[int, str]]:
     """Read an exported trace back: its events, its ``otherData`` and
     each pid's process name. A bare event list (no ``otherData``) is
-    accepted too; any other JSON document raises ValueError."""
+    accepted too. A document that is not a valid, non-empty trace-event
+    file (see :func:`repro.obs.validate.validate_events`) raises
+    ValueError naming its first problem."""
     with open(path) as handle:
         document = json.load(handle)
     if isinstance(document, list):
         events, other = document, {}
     elif isinstance(document, dict):
-        events = document.get("traceEvents", [])
+        events = document.get("traceEvents")
         other = document.get("otherData", {})
     else:
         raise ValueError("expected a JSON object or event list")
+    if not isinstance(events, list):
+        raise ValueError("no traceEvents array")
     if not isinstance(other, dict):
         raise ValueError("otherData is not a JSON object")
+    problems = validate_events(events) if events else ["no events"]
+    if problems:
+        more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise ValueError(f"{problems[0]}{more}")
     pid_names = {e["pid"]: e["args"]["name"] for e in events
                  if e.get("ph") == "M" and e.get("name") == "process_name"}
     return events, other, pid_names
@@ -331,13 +355,8 @@ def epoch_rows(tracer: Tracer, epoch_s: float = 2.0) -> List[Dict[str, Any]]:
 
 def write_epoch_metrics(tracer: Tracer, path: str,
                         epoch_s: float = 2.0) -> List[Dict[str, Any]]:
-    """Write :func:`epoch_rows` as CSV (or JSON for ``.json`` paths)."""
+    """Write :func:`epoch_rows` as CSV; returns the rows."""
     rows = epoch_rows(tracer, epoch_s)
-    if path.endswith(".json"):
-        with open(path, "w") as handle:
-            json.dump(rows, handle, indent=1)
-            handle.write("\n")
-        return rows
     columns = list(rows[0].keys()) if rows else ["run", "system", "epoch"]
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=columns)
@@ -433,3 +452,34 @@ def run_summary(tracer: Tracer, top_n: int = 5) -> str:
                                     for name, value in ranked)
                 lines.append(f"  top by {title}: {listing}")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The run directory
+# ---------------------------------------------------------------------------
+def write_run(tracer: Tracer, audit, directory: str,
+              manifest: Dict[str, Any]) -> str:
+    """Write one recorded run into ``directory`` as :data:`RUN_FILES`.
+
+    ``tracer`` carries an energy ledger and a fingerprint recorder, and
+    the epoch metrics use the recorder's epoch length, so the CSV rows
+    and the fingerprint chains cover the same epochs. ``audit`` is the
+    run's :class:`~repro.obs.audit.AuditLog`. The fingerprints document
+    carries ``manifest`` with ``artifacts``, the sorted file names.
+    Returns a one-line summary of what was written.
+    """
+    def path(name: str) -> str:
+        return os.path.join(directory, name)
+
+    n_events = write_chrome_trace(tracer, path(TRACE_FILE))
+    rows = write_epoch_metrics(tracer, path(EPOCHS_FILE),
+                               epoch_s=tracer.fingerprint.epoch_s)
+    ledger = tracer.ledger.write(path(LEDGER_FILE))
+    n_records = audit.write(path(AUDIT_FILE))
+    tracer.fingerprint.write(path(FINGERPRINTS_FILE),
+                             {**manifest, "artifacts": sorted(RUN_FILES)})
+    conserved = all(run["conserved"] for run in ledger["runs"])
+    return (f"[run: {len(ledger['runs'])} runs, {n_events} trace events,"
+            f" {len(rows)} epoch rows, {n_records} audit records"
+            f" -> {directory}; conservation"
+            f" {'OK' if conserved else 'FAILED'}]")

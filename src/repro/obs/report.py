@@ -1,4 +1,4 @@
-"""Post-hoc trace analysis: the ``repro report <trace>`` subcommand.
+"""Post-hoc trace analysis: the ``repro report <run-dir>`` subcommand.
 
 Reads a Chrome trace-event JSON file produced by
 :func:`repro.obs.export.write_chrome_trace` and prints, per run, the top

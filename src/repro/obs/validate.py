@@ -1,19 +1,15 @@
-"""Chrome trace-event schema validation (CI's trace-smoke gate).
-
-Usage::
-
-    PYTHONPATH=src python -m repro.obs.validate out.json
+"""Chrome trace-event schema validation.
 
 Checks the structural contract Perfetto's JSON importer relies on:
-a ``traceEvents`` array of event objects with known phases, numeric
-timestamps, pid/tid routing, numeric counter values, and balanced
-``b``/``e`` async span pairs.
+event objects with known phases, numeric timestamps, pid/tid routing,
+numeric counter values, and balanced ``b``/``e`` async span pairs.
+:func:`repro.obs.export.read_chrome_trace`, the one trace reader,
+rejects any trace this finds a problem in, so ``repro report``,
+``explain`` and ``diff`` never analyze a malformed file.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from typing import List
 
 #: Event phases repro.obs emits (a subset of the trace-event spec).
@@ -70,41 +66,3 @@ def validate_events(events: List[dict]) -> List[str]:
         problems.append(f"{len(dangling)} async span(s) never closed:"
                         f" {sorted(dangling)[:3]}...")
     return problems
-
-
-def validate_file(path: str) -> List[str]:
-    """Validate one trace JSON file; returns the problem list."""
-    with open(path) as handle:
-        document = json.load(handle)
-    if isinstance(document, list):
-        events = document  # the bare-array flavour of the format
-    elif isinstance(document, dict):
-        events = document.get("traceEvents")
-        if not isinstance(events, list):
-            return ["top-level object has no traceEvents array"]
-    else:
-        return ["top level is neither an object nor an array"]
-    if not events:
-        return ["trace contains no events"]
-    return validate_events(events)
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python -m repro.obs.validate <trace.json>",
-              file=sys.stderr)
-        return 2
-    problems = validate_file(argv[0])
-    if problems:
-        for problem in problems[:20]:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        return 1
-    with open(argv[0]) as handle:
-        count = len(json.load(handle)["traceEvents"])
-    print(f"OK: {argv[0]} is valid trace-event JSON ({count} events)")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

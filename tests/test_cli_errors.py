@@ -1,12 +1,14 @@
 """CLI error-handling regressions: bad artifact paths must not traceback.
 
-Every artifact-consuming subcommand (``report``, ``explain``, ``bill``,
-``diff``, ``fuzz --replay``) gets the same treatment for a missing and for a corrupt input
-file: exit non-zero (2), print exactly one explanatory line on stderr,
-and never raise. Bad experiment arguments (an output path in a missing
-directory, a negative seed) are rejected before the run starts, and a
-``--top`` below 1 before ``report`` or ``explain`` reads its trace. These
-run no simulation.
+Every artifact-consuming subcommand gets the same treatment for a bad
+input: ``report``, ``explain``, ``bill`` and ``diff`` take a run
+directory (``--out``), ``fuzz --replay`` a file. A missing path, a path
+that is not a run directory, and a corrupt artifact all exit non-zero
+(2), print exactly one explanatory line on stderr, and never raise. Bad
+experiment arguments (an ``--out`` that cannot be created, a negative
+seed, a retired artifact flag) are rejected before the run starts, and
+a ``--top`` below 1 before ``report`` or ``explain`` reads its trace.
+These run no simulation.
 """
 
 import json
@@ -24,9 +26,24 @@ SUBCOMMANDS = {
     "fuzz": lambda argv: _fuzz(["--replay", *argv]),
 }
 
+#: The run-directory file each directory consumer opens.
+RUN_FILE = {"report": "trace.json", "explain": "trace.json",
+            "bill": "ledger.json", "diff": "fingerprints.json"}
+
 
 def _one_line(err: str) -> bool:
     return len(err.strip().splitlines()) == 1
+
+
+def _artifact(name, path, text):
+    """Hand ``text`` to subcommand ``name``: as the file ``path`` for
+    ``fuzz``, else as the consumer's file in the new run directory
+    ``path``. Returns the argument to pass."""
+    if name != "fuzz":
+        path.mkdir()
+        path = path / RUN_FILE[name]
+    path.write_text(text, encoding="utf-8")
+    return str(path if name == "fuzz" else path.parent)
 
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
@@ -40,24 +57,36 @@ def test_missing_file_is_one_line_error(name, tmp_path, capsys):
     assert "Traceback" not in err and "Traceback" not in out
 
 
+@pytest.mark.parametrize("name", sorted(RUN_FILE))
+def test_file_is_not_a_run_directory(name, tmp_path, capsys):
+    path = tmp_path / RUN_FILE[name]
+    path.write_text("{}", encoding="utf-8")
+    rc = SUBCOMMANDS[name]([str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"not a run directory: {path}\n"
+
+
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_corrupt_json_is_one_line_error(name, tmp_path, capsys):
-    corrupt = tmp_path / "corrupt.json"
-    corrupt.write_text("{this is not json", encoding="utf-8")
-    rc = SUBCOMMANDS[name]([str(corrupt)])
+    rc = SUBCOMMANDS[name]([_artifact(name, tmp_path / "run",
+                                      "{this is not json")])
     out, err = capsys.readouterr()
     assert rc == 2
     assert _one_line(err), f"expected one stderr line, got: {err!r}"
     assert "Traceback" not in err and "Traceback" not in out
 
 
-@pytest.mark.parametrize("document", ["42", '"text"',
-                                      '{"traceEvents": [], "otherData": 5}'])
+# The last three documents are JSON the one trace reader's validation
+# rejects: no events, an unknown phase, a span never closed.
+@pytest.mark.parametrize("document", [
+    "42", '"text"', '{"traceEvents": [], "otherData": 5}',
+    '{"traceEvents": []}', '[{"ph": "Z", "name": "x", "pid": 1, "tid": 0}]',
+    '[{"ph": "b", "name": "x", "cat": "c", "id": 1, "pid": 1, "tid": 0,'
+    ' "ts": 0}]'])
 @pytest.mark.parametrize("name", ["explain", "report"])
 def test_non_trace_json_is_one_line_error(name, document, tmp_path, capsys):
-    trace = tmp_path / "trace.json"
-    trace.write_text(document, encoding="utf-8")
-    rc = SUBCOMMANDS[name]([str(trace)])
+    rc = SUBCOMMANDS[name]([_artifact(name, tmp_path / "run", document)])
     out, err = capsys.readouterr()
     assert rc == 2
     assert _one_line(err), f"expected one stderr line, got: {err!r}"
@@ -68,9 +97,8 @@ def test_non_trace_json_is_one_line_error(name, document, tmp_path, capsys):
 @pytest.mark.parametrize("top", [0, -1, -2])
 @pytest.mark.parametrize("name", ["explain", "report"])
 def test_top_below_one_is_one_line_error(name, top, tmp_path, capsys):
-    trace = tmp_path / "trace.json"
-    trace.write_text(json.dumps({"traceEvents": []}), encoding="utf-8")
-    rc = SUBCOMMANDS[name]([str(trace), "--top", str(top)])
+    run_dir = _artifact(name, tmp_path / "run", "{}")
+    rc = SUBCOMMANDS[name]([run_dir, "--top", str(top)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert _one_line(err), f"expected one stderr line, got: {err!r}"
@@ -78,18 +106,14 @@ def test_top_below_one_is_one_line_error(name, top, tmp_path, capsys):
 
 
 def test_bill_wrong_shape_json(tmp_path, capsys):
-    ledger = tmp_path / "ledger.json"
-    ledger.write_text(json.dumps({"not": "a ledger"}), encoding="utf-8")
-    rc = _bill([str(ledger)])
+    rc = _bill([_artifact("bill", tmp_path / "run", '{"not": "a ledger"}')])
     _, err = capsys.readouterr()
     assert rc == 2
     assert "not an energy-ledger JSON file" in err
 
 
 def test_bill_runs_not_a_list(tmp_path, capsys):
-    ledger = tmp_path / "ledger.json"
-    ledger.write_text(json.dumps({"runs": 5}), encoding="utf-8")
-    rc = _bill([str(ledger)])
+    rc = _bill([_artifact("bill", tmp_path / "run", '{"runs": 5}')])
     _, err = capsys.readouterr()
     assert rc == 2
     assert _one_line(err), f"expected one stderr line, got: {err!r}"
@@ -97,46 +121,40 @@ def test_bill_runs_not_a_list(tmp_path, capsys):
 
 
 def test_diff_wrong_shape_json(tmp_path, capsys):
-    fp = tmp_path / "fp.json"
-    fp.write_text(json.dumps({"format": "something-else", "runs": []}),
-                  encoding="utf-8")
-    rc = _diff([str(fp)])
+    rc = _diff([_artifact("diff", tmp_path / "run",
+                          '{"format": "something-else", "runs": []}')])
     _, err = capsys.readouterr()
     assert rc == 2
     assert "not a fingerprints document" in err
 
 
 def test_diff_missing_b_side(tmp_path, capsys):
-    fp = tmp_path / "a.json"
-    fp.write_text(json.dumps({"format": "x"}), encoding="utf-8")
-    rc = _diff([str(fp), str(tmp_path / "b.json")])
+    a = _artifact("diff", tmp_path / "a", '{"format": "x"}')
+    rc = _diff([a, str(tmp_path / "b")])
     _, err = capsys.readouterr()
     assert rc == 2
     assert _one_line(err)
 
 
 def _fingerprints(path, epoch_s=2.0):
-    path.write_text(json.dumps({"format": "repro.obs.fingerprint/1",
-                                "epoch_s": epoch_s, "runs": []}),
-                    encoding="utf-8")
-    return str(path)
+    return _artifact("diff", path, json.dumps(
+        {"format": "repro.obs.fingerprint/1", "epoch_s": epoch_s,
+         "runs": []}))
 
 
 @pytest.mark.parametrize("b_side", ["{bad", "[]"])
 def test_diff_bad_b_side_names_the_b_file(b_side, tmp_path, capsys):
-    a = _fingerprints(tmp_path / "a.json")
-    b = tmp_path / "b_side.json"
-    b.write_text(b_side, encoding="utf-8")
-    rc = _diff([a, str(b)])
+    a = _fingerprints(tmp_path / "a_side")
+    rc = _diff([a, _artifact("diff", tmp_path / "b_side", b_side)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert _one_line(err), f"expected one stderr line, got: {err!r}"
-    assert "b_side.json" in err and "a.json" not in err
+    assert "b_side" in err and "a_side" not in err
 
 
 def test_diff_incomparable_pair_is_one_line_error(tmp_path, capsys):
-    a = _fingerprints(tmp_path / "a.json")
-    b = _fingerprints(tmp_path / "b.json", epoch_s=1.0)
+    a = _fingerprints(tmp_path / "a")
+    b = _fingerprints(tmp_path / "b", epoch_s=1.0)
     rc = _diff([a, b])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
@@ -161,20 +179,31 @@ def no_run(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("flag", ["--trace", "--epoch-metrics", "--ledger",
-                                  "--audit", "--fingerprints"])
-def test_output_in_missing_directory_fails_before_run(flag, tmp_path,
+@pytest.mark.parametrize("out_dir", ["absent/run", "a_file/run", "a_file"],
+                         ids=["parent_missing", "parent_is_a_file",
+                              "is_a_file"])
+def test_output_in_missing_directory_fails_before_run(out_dir, tmp_path,
                                                       capsys, no_run):
-    missing = str(tmp_path / "absent" / "out.json")
-    argv = ["fig16", flag, missing]
-    if flag != "--trace":
-        argv += ["--trace", str(tmp_path / "trace.json")]
-    rc = cli.main(argv)
+    """``--out`` makes one directory, not its parents, and never
+    replaces a file."""
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    out_dir = str(tmp_path / out_dir)
+    rc = cli.main(["fig16", "--out", out_dir])
     out, err = capsys.readouterr()
     assert rc == 2 and no_run == []
     assert _one_line(err), f"expected one stderr line, got: {err!r}"
-    assert flag in err and missing in err
+    assert "--out" in err and out_dir in err
     assert "Traceback" not in err and "Traceback" not in out
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--epoch-metrics", "--ledger",
+                                  "--audit", "--fingerprints", "--burnrate"])
+def test_retired_artifact_flags_are_rejected(flag, capsys, no_run):
+    """``--out DIR`` replaced the six per-artifact flags."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["fig16", flag, "x.json"])
+    assert excinfo.value.code == 2 and no_run == []
+    assert flag in capsys.readouterr().err
 
 
 def test_negative_seed_rejected_before_run(capsys, no_run):

@@ -11,6 +11,7 @@ an unaudited one is one row of ``tests/test_obs_determinism.py``.
 """
 
 import json
+import os
 
 import pytest
 
@@ -35,13 +36,13 @@ PAYLOAD = ("inputs", "action", "alternatives", "reason", "workflow_uid",
            "job_uid")
 
 
-def stream_mismatches(tracer, audit, trace_path, audit_path):
+def stream_mismatches(tracer, audit, run_dir):
     """Where the trace's decision instants and the audit records part.
 
-    Checked twice: in memory (exact times) and through the exported
-    files (the trace's microsecond timestamps, the JSONL's own
-    rounding). Returns a list of problems, empty when both writers
-    carry the same decision sequence.
+    Checked twice: in memory (exact times) and through the run
+    directory's exported files (the trace's microsecond timestamps, the
+    JSONL's own rounding). Returns a list of problems, empty when both
+    writers carry the same decision sequence.
     """
     problems = []
     instants = [i for i in tracer.instants if i.name in KINDS]
@@ -52,9 +53,9 @@ def stream_mismatches(tracer, audit, trace_path, audit_path):
     if memory != records:
         problems.append(f"in memory: {len(memory)} decision instants vs"
                         f" {len(records)} audit records")
-    exported = [i for i in load_explain_data(trace_path).instants
-                if i["name"] in KINDS]
-    lines = read_jsonl(audit_path)
+    exported = [i for i in load_explain_data(
+        os.path.join(run_dir, "trace.json")).instants if i["name"] in KINDS]
+    lines = read_jsonl(os.path.join(run_dir, "audit.jsonl"))
     if len(exported) != len(lines):
         problems.append(f"exported: {len(exported)} decision instants vs"
                         f" {len(lines)} JSONL records")

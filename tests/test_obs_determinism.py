@@ -10,8 +10,8 @@ Two guarantees:
   plus a shedding overload run that no stored row covers (compared to
   its own bare twin). The trace-only and trace + audit columns also
   cover the decision log every traced run binds;
-* two traced runs of the same seed produce **byte-identical** trace
-  files (the exporters are fully deterministic).
+* two traced runs of the same seed write **byte-identical** run
+  directories (the exporters are fully deterministic).
 """
 
 import functools
@@ -23,6 +23,7 @@ from repro.core import EcoFaaSSystem
 from repro.core.config import EcoFaaSConfig
 from repro.experiments import overload
 from repro.experiments.common import make_load_trace, run_cluster
+from repro.obs.export import read_chrome_trace
 from repro.platform.cluster import ClusterConfig
 from tests.fingerprints import (
     cluster_fingerprint,
@@ -30,16 +31,20 @@ from tests.fingerprints import (
     reference_runs,
 )
 
-def traced_run():
-    """One traced low-load EcoFaaS run; returns its tracer."""
-    tracer = obs.install(obs.Tracer())
+def recorded_run(run_dir):
+    """One low-load EcoFaaS run, recorded into the new ``run_dir``."""
+    tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger(),
+                                    fingerprint=obs.FingerprintRecorder()))
+    audit = obs.install_audit(obs.AuditLog())
     try:
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()),
                     make_load_trace("low", 2, 6.0, seed=3),
                     ClusterConfig(n_servers=2, drain_s=4.0))
     finally:
         obs.uninstall()
-    return tracer
+        obs.uninstall_audit()
+    run_dir.mkdir()
+    obs.write_run(tracer, audit, str(run_dir), {})
 
 
 def overload_shed():
@@ -99,38 +104,27 @@ def test_observed_run_matches_unobserved_fingerprint(observers, row):
 
 
 def test_two_traced_runs_write_byte_identical_files(tmp_path):
-    paths = []
     for i in range(2):
-        tracer = traced_run()
-        path = tmp_path / f"trace{i}.json"
-        obs.write_chrome_trace(tracer, str(path))
-        obs.write_epoch_metrics(tracer, str(tmp_path / f"epochs{i}.csv"))
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert (tmp_path / "epochs0.csv").read_bytes() == \
-           (tmp_path / "epochs1.csv").read_bytes()
-    assert obs.validate_file(str(paths[0])) == []
+        recorded_run(tmp_path / f"run{i}")
+    for name in obs.RUN_FILES:
+        assert (tmp_path / "run0" / name).read_bytes() == \
+            (tmp_path / "run1" / name).read_bytes(), name
+    # The one trace reader validates the file as it reads it back.
+    assert read_chrome_trace(str(tmp_path / "run0" / "trace.json"))[0]
 
 
 def test_cli_trace_and_report(tmp_path):
-    """The --trace/--epoch-metrics/report plumbing end to end."""
+    """A run directory's trace through ``repro report`` end to end."""
     from repro.cli import main
-    tracer = traced_run()
-    trace_path = tmp_path / "trace.json"
-    obs.write_chrome_trace(tracer, str(trace_path))
-    assert main(["report", str(trace_path), "--top", "3"]) == 0
+    recorded_run(tmp_path / "run")
+    assert main(["report", str(tmp_path / "run"), "--top", "3"]) == 0
 
 
 @pytest.mark.parametrize("epoch_s", ["-1", "0", "nan", "inf"])
-def test_epoch_s_must_be_positive_and_finite(epoch_s):
+def test_epoch_s_must_be_positive_and_finite(epoch_s, tmp_path):
     from repro.cli import main
+    out_dir = tmp_path / "run"
     with pytest.raises(SystemExit) as excinfo:
-        main(["fig16", "--trace", "t.json", "--epoch-metrics", "m.csv",
-              "--epoch-s", epoch_s])
+        main(["fig16", "--out", str(out_dir), "--epoch-s", epoch_s])
     assert excinfo.value.code == 2
-
-
-def test_epoch_metrics_requires_trace_flag(capsys):
-    from repro.cli import main
-    with pytest.raises(SystemExit):
-        main(["fig16", "--epoch-metrics", "x.csv"])
+    assert not out_dir.exists()

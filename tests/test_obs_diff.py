@@ -1,7 +1,7 @@
 """repro.obs.diff: chain bisection, run alignment, golden diff output.
 
-The integration half builds one deterministic "arena" of fingerprint
-artifacts — two identical plain EcoFaaS reference runs plus one chaos
+The integration half builds one deterministic "arena" of run
+directories — two identical plain EcoFaaS reference runs plus one chaos
 arm on the same trace — and pins ``repro diff`` against golden files:
 
 * same seed, same config  → every chain identical, exit 0;
@@ -94,25 +94,19 @@ def _run_arm(chaos: bool):
     return tracer, audit
 
 
-def _manifest(arm: str, stem: str) -> dict:
+def _manifest(arm: str) -> dict:
     config = {"experiment": "ref", "seed": 3, "arm": arm}
     return {"experiment": "ref", "seed": 3,
-            "config_digest": digest(config),
-            "artifacts": {"audit": f"{stem}_audit.jsonl",
-                          "trace": f"{stem}_trace.json"}}
+            "config_digest": digest(config)}
 
 
 def build_arena(dirpath: str) -> None:
-    """Write a.json/b.json (identical plain runs) and chaos.json."""
-    from repro.obs.export import write_chrome_trace
-    for stem, chaos in (("a", False), ("b", False), ("chaos", True)):
+    """Write run directories a/ and b/ (identical plain runs) and chaos/."""
+    for name, chaos in (("a", False), ("b", False), ("chaos", True)):
         tracer, audit = _run_arm(chaos)
-        audit.write(os.path.join(dirpath, f"{stem}_audit.jsonl"))
-        write_chrome_trace(tracer,
-                           os.path.join(dirpath, f"{stem}_trace.json"))
-        tracer.fingerprint.write(
-            os.path.join(dirpath, f"{stem}.json"),
-            _manifest("chaos" if chaos else "plain", stem))
+        os.mkdir(os.path.join(dirpath, name))
+        obs.write_run(tracer, audit, os.path.join(dirpath, name),
+                      _manifest("chaos" if chaos else "plain"))
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +121,7 @@ def arena(tmp_path_factory):
 # ---------------------------------------------------------------------------
 def test_same_seed_runs_diff_identical(arena, monkeypatch, capsys):
     monkeypatch.chdir(arena)
-    rc = _diff(["a.json", "b.json"])
+    rc = _diff(["a", "b"])
     out, _ = capsys.readouterr()
     assert rc == 0
     assert "identical: every chain and the final fingerprint agree" in out
@@ -136,7 +130,7 @@ def test_same_seed_runs_diff_identical(arena, monkeypatch, capsys):
 
 def test_run_against_itself_is_identical(arena, monkeypatch, capsys):
     monkeypatch.chdir(arena)
-    rc = _diff(["a.json", "a.json", "--run-a", "0", "--run-b", "0"])
+    rc = _diff(["a", "a", "--run-a", "0", "--run-b", "0"])
     out, _ = capsys.readouterr()
     assert rc == 0
     assert "identical" in out
@@ -152,7 +146,7 @@ def _golden(path: str) -> str:
 
 def test_config_delta_matches_golden_text(arena, monkeypatch, capsys):
     monkeypatch.chdir(arena)
-    rc = _diff(["a.json", "chaos.json"])
+    rc = _diff(["a", "chaos"])
     out, _ = capsys.readouterr()
     assert rc == 1
     assert out == _golden(GOLDEN_TEXT)
@@ -160,7 +154,7 @@ def test_config_delta_matches_golden_text(arena, monkeypatch, capsys):
 
 def test_config_delta_matches_golden_json(arena, monkeypatch, capsys):
     monkeypatch.chdir(arena)
-    rc = _diff(["a.json", "chaos.json", "--json", "-"])
+    rc = _diff(["a", "chaos", "--json", "-"])
     out, _ = capsys.readouterr()
     assert rc == 1
     assert out == _golden(GOLDEN_JSON)
@@ -169,16 +163,16 @@ def test_config_delta_matches_golden_json(arena, monkeypatch, capsys):
 def test_diff_output_is_byte_identical_across_invocations(
         arena, monkeypatch, capsys):
     monkeypatch.chdir(arena)
-    _diff(["a.json", "chaos.json"])
+    _diff(["a", "chaos"])
     first, _ = capsys.readouterr()
-    _diff(["a.json", "chaos.json"])
+    _diff(["a", "chaos"])
     second, _ = capsys.readouterr()
     assert first == second
 
 
 def test_first_divergence_names_an_audit_decision(arena, monkeypatch):
     monkeypatch.chdir(arena)
-    result = diff_documents("a.json", "chaos.json")
+    result = diff_documents("a/fingerprints.json", "chaos/fingerprints.json")
     assert result["identical"] is False
     pair = result["pairs"][0]
     assert pair["first"] is not None
@@ -194,7 +188,7 @@ def test_first_divergence_names_an_audit_decision(arena, monkeypatch):
 
 def test_attribution_buckets_resum_to_energy_total(arena, monkeypatch):
     monkeypatch.chdir(arena)
-    result = diff_documents("a.json", "chaos.json")
+    result = diff_documents("a/fingerprints.json", "chaos/fingerprints.json")
     attribution = result["pairs"][0]["attribution"]
     energy = attribution["energy_total_j"]
     buckets = attribution["energy_by_component_delta_j"]
@@ -205,13 +199,13 @@ def test_attribution_buckets_resum_to_energy_total(arena, monkeypatch):
 
 def test_epoch_length_mismatch_is_an_error(arena, tmp_path, monkeypatch):
     monkeypatch.chdir(arena)
-    with open("a.json") as handle:
+    with open("a/fingerprints.json") as handle:
         document = json.load(handle)
     document["epoch_s"] = 1.0
     other = tmp_path / "other_epoch.json"
     other.write_text(json.dumps(document))
     with pytest.raises(ValueError):
-        diff_documents("a.json", str(other))
+        diff_documents("a/fingerprints.json", str(other))
 
 
 def test_decision_line_names_kind_actor_uid_and_reason():
@@ -227,25 +221,44 @@ def test_decision_line_names_kind_actor_uid_and_reason():
         "  reason: its doom line passed"]
 
 
-def _document(path, chains):
+def _document(directory, chains):
     entry = {"run": 0, "label": "EcoFaaS", "final": "f" * 64,
              "n_epochs": 1, "chains": chains, "summary": {}}
-    path.write_text(json.dumps({"format": FORMAT, "epoch_s": 2.0,
-                                "manifest": {}, "runs": [entry]}))
-    return str(path)
+    directory.mkdir()
+    (directory / "fingerprints.json").write_text(json.dumps(
+        {"format": FORMAT, "epoch_s": 2.0, "manifest": {}, "runs": [entry]}))
+    return str(directory)
 
 
 def test_older_format_audit_chain_gets_a_note(tmp_path, capsys):
     """A document written while decisions had their own chain still
     diffs: one note, no traceback."""
     chains = {"instants": ["i"], "metrics": ["m"]}
-    older = _document(tmp_path / "older.json", {**chains, "audit": ["a"]})
-    newer = _document(tmp_path / "newer.json", chains)
+    older = _document(tmp_path / "older", {**chains, "audit": ["a"]})
+    newer = _document(tmp_path / "newer", chains)
     rc = _diff([older, newer])
     out, err = capsys.readouterr()
     assert rc == 1 and err == ""
     assert "note: subsystem 'audit' is from an older fingerprints format" \
         in out
+
+
+def test_benchmark_run_directories_diff(arena, tmp_path):
+    """The benchmark's armed workload writes its manifest's artifacts as
+    a list of file names, with no run config: such run directories still
+    diff to a report that names the first diverging instant."""
+    import shutil
+    paths = []
+    for name in ("a", "chaos"):
+        shutil.copytree(os.path.join(arena, name), tmp_path / name)
+        path = tmp_path / name / "fingerprints.json"
+        document = json.loads(path.read_text())
+        document["manifest"] = {"workload": "eco_armed",
+                                "artifacts": sorted(obs.RUN_FILES)}
+        path.write_text(json.dumps(document))
+        paths.append(str(path))
+    decision = diff_documents(*paths)["pairs"][0]["decision"]
+    assert decision["differing_keys"]
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +275,8 @@ if __name__ == "__main__":
     workdir = tempfile.mkdtemp(prefix="diff_arena_")
     build_arena(workdir)
     os.chdir(workdir)
-    for golden, argv in ((GOLDEN_TEXT, ["a.json", "chaos.json"]),
-                         (GOLDEN_JSON,
-                          ["a.json", "chaos.json", "--json", "-"])):
+    for golden, argv in ((GOLDEN_TEXT, ["a", "chaos"]),
+                         (GOLDEN_JSON, ["a", "chaos", "--json", "-"])):
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             rc = _diff(argv)

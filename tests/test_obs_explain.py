@@ -4,9 +4,11 @@ The acceptance bar: in both the guarded-overload and the HA-partition
 regimes, at least one workflow misses its SLO and ``explain`` produces a
 non-empty ranked cause list for it, joining trace spans, instants, and
 the decision instants the audit log writes into the trace. Both runs
-also record the audit JSONL, and the one-stream oracle checks that it
-and the trace carry the same decisions.
+are written as run directories, and the one-stream oracle checks that
+their trace and audit JSONL carry the same decisions.
 """
+
+import os
 
 import pytest
 
@@ -28,9 +30,10 @@ from tests.test_obs_audit import stream_mismatches
 
 @pytest.fixture(scope="module")
 def overload_artifacts(tmp_path_factory):
-    """Trace + audit files from one guarded overload run."""
+    """The run directory of one guarded overload run."""
     out = tmp_path_factory.mktemp("overload")
-    tracer = obs.install(obs.Tracer())
+    tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger(),
+                                    fingerprint=obs.FingerprintRecorder()))
     audit = obs.install_audit(obs.AuditLog())
     try:
         trace = make_load_trace("high", 2, 12.0, seed=6,
@@ -42,18 +45,16 @@ def overload_artifacts(tmp_path_factory):
     finally:
         obs.uninstall()
         obs.uninstall_audit()
-    trace_path = out / "trace.json"
-    audit_path = out / "audit.jsonl"
-    obs.write_chrome_trace(tracer, str(trace_path))
-    audit.write(str(audit_path))
-    return tracer, audit, str(trace_path), str(audit_path)
+    obs.write_run(tracer, audit, str(out), {})
+    return tracer, audit, str(out)
 
 
 @pytest.fixture(scope="module")
 def partition_artifacts(tmp_path_factory):
-    """Trace + audit files from one HA partition run."""
+    """The run directory of one HA partition run."""
     out = tmp_path_factory.mktemp("partition")
-    tracer = obs.install(obs.Tracer())
+    tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger(),
+                                    fingerprint=obs.FingerprintRecorder()))
     audit = obs.install_audit(obs.AuditLog())
     try:
         partition_experiment.run_one(seed=0, with_faults=True,
@@ -61,15 +62,16 @@ def partition_artifacts(tmp_path_factory):
     finally:
         obs.uninstall()
         obs.uninstall_audit()
-    trace_path = out / "trace.json"
-    audit_path = out / "audit.jsonl"
-    obs.write_chrome_trace(tracer, str(trace_path))
-    audit.write(str(audit_path))
-    return tracer, audit, str(trace_path), str(audit_path)
+    obs.write_run(tracer, audit, str(out), {})
+    return tracer, audit, str(out)
+
+
+def trace_of(artifacts):
+    return os.path.join(artifacts[2], "trace.json")
 
 
 def explain_worst(artifacts):
-    data = load_explain_data(artifacts[2])
+    data = load_explain_data(trace_of(artifacts))
     missed = missed_workflows(data)
     assert missed, "expected at least one missed-SLO workflow"
     worst = missed[0]
@@ -113,7 +115,7 @@ def test_explain_links_jobs_to_workflows(overload_artifacts):
 
 
 def test_explain_unknown_workflow_raises(overload_artifacts):
-    data = load_explain_data(overload_artifacts[2])
+    data = load_explain_data(trace_of(overload_artifacts))
     with pytest.raises(KeyError):
         explain(data, 10**9)
 
@@ -121,8 +123,7 @@ def test_explain_unknown_workflow_raises(overload_artifacts):
 def test_cli_explain_end_to_end(overload_artifacts, capsys):
     from repro.cli import main
 
-    trace_path = overload_artifacts[2]
-    assert main(["explain", trace_path, "--top", "5"]) == 0
+    assert main(["explain", overload_artifacts[2], "--top", "5"]) == 0
     out = capsys.readouterr().out
     assert "ranked causes:" in out
     assert "1." in out
@@ -131,10 +132,9 @@ def test_cli_explain_end_to_end(overload_artifacts, capsys):
 def test_cli_explain_specific_workflow(overload_artifacts, capsys):
     from repro.cli import main
 
-    trace_path = overload_artifacts[2]
-    data = load_explain_data(trace_path)
+    data = load_explain_data(trace_of(overload_artifacts))
     uid = missed_workflows(data)[0].uid
-    assert main(["explain", trace_path, str(uid)]) == 0
+    assert main(["explain", overload_artifacts[2], str(uid)]) == 0
     out = capsys.readouterr().out
     assert f"workflow {uid} " in out
 
@@ -170,6 +170,27 @@ def test_chaos_miss_names_retries_of_its_functions(tmp_path):
              for c in explain(data, span.uid, run=span.run)["causes"]
              if c["kind"] == "reliability"]
     assert any("retried during this workflow" in t for t in texts)
+
+
+def test_uid_in_two_runs_needs_a_run(tmp_path, capsys):
+    """Workflow uids restart in every run: a uid two runs share is not
+    silently explained from the first of them."""
+    from repro.cli import main
+    from repro.sim import Environment
+
+    tracer = obs.Tracer()
+    for _ in range(2):
+        tracer.begin_run("EcoFaaS")
+        tracer.bind(Environment())
+        tracer.workflow_begin(7, "App", slo_s=1.0)
+        tracer.workflow_end(7, "completed", met_slo=False)
+    obs.write_chrome_trace(tracer, str(tmp_path / "trace.json"))
+    assert main(["explain", str(tmp_path), "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "workflow 7 is in runs 0, 1: pick one with --run\n"
+    assert main(["explain", str(tmp_path), "7", "--run", "1"]) == 0
+    assert "workflow 7 (App) in run 1" in capsys.readouterr().out
 
 
 def test_cli_explain_missing_file(capsys):

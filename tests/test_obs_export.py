@@ -8,7 +8,8 @@ import pytest
 
 from repro import obs
 from repro.obs.export import _nearest_rank, _process_of
-from repro.obs.validate import validate_events, validate_file
+from repro.obs.export import read_chrome_trace
+from repro.obs.validate import validate_events
 from repro.sim import Environment
 
 
@@ -85,7 +86,8 @@ class TestChromeTrace:
         tracer = synthetic_tracer()
         path = str(tmp_path / "trace.json")
         obs.write_chrome_trace(tracer, path)
-        assert validate_file(path) == []
+        events, _, _ = read_chrome_trace(path)  # raises when invalid
+        assert validate_events(events) == []
 
     def test_process_names_carry_run_labels(self, tmp_path):
         tracer = synthetic_tracer()
@@ -135,7 +137,8 @@ class TestValidator:
     def test_flags_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"notTraceEvents\": []}")
-        assert validate_file(str(path)) != []
+        with pytest.raises(ValueError, match="no traceEvents"):
+            read_chrome_trace(str(path))
 
 
 class TestEpochRows:
@@ -201,18 +204,14 @@ class TestEpochRows:
         import repro.obs.export as export_module
         assert not hasattr(export_module, "_EPOCH_INSTANTS")
 
-    def test_csv_and_json_writers(self, tmp_path):
+    def test_csv_writer(self, tmp_path):
         tracer = synthetic_tracer()
         csv_path = tmp_path / "epochs.csv"
-        json_path = tmp_path / "epochs.json"
         rows = obs.write_epoch_metrics(tracer, str(csv_path), epoch_s=1.0)
-        obs.write_epoch_metrics(tracer, str(json_path), epoch_s=1.0)
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(rows)
         assert lines[0].startswith("run,system,epoch")
-        parsed = json.loads(json_path.read_text())
-        assert len(parsed) == len(rows)
-        assert parsed[1]["invocations"] == 1
+        assert rows[1]["invocations"] == 1
 
 
 class TestSummaryAndReport:
@@ -248,8 +247,8 @@ class TestSummaryAndReport:
 
     def test_cli_report_json_format(self, tmp_path, capsys):
         from repro.cli import main
-        path = str(tmp_path / "trace.json")
-        obs.write_chrome_trace(synthetic_tracer(), path)
-        assert main(["report", path, "--format", "json"]) == 0
+        obs.write_chrome_trace(synthetic_tracer(),
+                               str(tmp_path / "trace.json"))
+        assert main(["report", str(tmp_path), "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["runs"][0]["completed_invocations"] == 1

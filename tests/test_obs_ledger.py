@@ -201,7 +201,8 @@ def test_ledger_summary_is_json_serializable(tmp_path):
 
 
 def test_cli_ledger_audit_burnrate_flags(monkeypatch, tmp_path, capsys):
-    """--ledger/--audit/--burnrate end to end through the CLI."""
+    """``--out`` records the ledger, audit log and burn-rate monitors
+    into one run directory, end to end through the CLI."""
     import importlib
     import json
     import sys
@@ -225,28 +226,17 @@ def test_cli_ledger_audit_burnrate_flags(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(importlib, "import_module",
                         lambda name: sys.modules[name])
 
-    trace_path = tmp_path / "trace.json"
-    ledger_path = tmp_path / "ledger.json"
-    audit_path = tmp_path / "audit.jsonl"
-    epochs_path = tmp_path / "epochs.csv"
-    assert cli.main(["tiny", "--trace", str(trace_path),
-                     "--ledger", str(ledger_path),
-                     "--audit", str(audit_path), "--burnrate",
-                     "--epoch-metrics", str(epochs_path)]) == 0
+    out_dir = tmp_path / "run"
+    assert cli.main(["tiny", "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "conservation OK" in out
-    document = json.loads(ledger_path.read_text())
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        obs.RUN_FILES)
+    document = json.loads((out_dir / "ledger.json").read_text())
     assert document["runs"][0]["conserved"] is True
-    assert audit_path.read_text().strip()
+    assert (out_dir / "audit.jsonl").read_text().strip()
     # Ledger columns ride along in the epoch-metrics CSV.
-    header = epochs_path.read_text().splitlines()[0]
+    header = (out_dir / "epochs.csv").read_text().splitlines()[0]
     assert "energy_run_j" in header and "is_partial" in header
-
-
-def test_cli_ledger_requires_trace():
-    import pytest as _pytest
-
-    from repro.cli import main
-
-    with _pytest.raises(SystemExit):
-        main(["fig16", "--ledger", "x.json"])
+    fingerprints = json.loads((out_dir / "fingerprints.json").read_text())
+    assert fingerprints["manifest"]["experiment"] == "tiny"

@@ -74,7 +74,8 @@ def run_armed(tenancy, trace=None, fault_plan=None, policy=None,
 def armed_artifacts(tmp_path_factory):
     """One enforced, capped, chaos-free run with every artifact exported."""
     out = tmp_path_factory.mktemp("tenancy")
-    tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger()))
+    tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger(),
+                                    fingerprint=obs.FingerprintRecorder()))
     audit = obs.install_audit(obs.AuditLog())
     try:
         cluster = run_armed(tight_tenancy(
@@ -82,15 +83,10 @@ def armed_artifacts(tmp_path_factory):
     finally:
         obs.uninstall()
         obs.uninstall_audit()
-    trace_path = str(out / "trace.json")
-    ledger_path = str(out / "ledger.json")
-    audit_path = str(out / "audit.jsonl")
-    obs.write_chrome_trace(tracer, trace_path)
-    tracer.ledger.write(ledger_path)
-    audit.write(audit_path)
+    obs.write_run(tracer, audit, str(out), {})
     return {"cluster": cluster, "tracer": tracer, "audit": audit,
-            "trace": trace_path, "ledger": ledger_path,
-            "audit_path": audit_path}
+            "run_dir": str(out), "trace": str(out / "trace.json"),
+            "ledger": str(out / "ledger.json")}
 
 
 class TestEnforcement:
@@ -120,8 +116,8 @@ class TestEnforcement:
             self, armed_artifacts):
         from tests.test_obs_audit import stream_mismatches
         a = armed_artifacts
-        assert stream_mismatches(a["tracer"], a["audit"], a["trace"],
-                                 a["audit_path"]) == []
+        assert stream_mismatches(a["tracer"], a["audit"],
+                                 a["run_dir"]) == []
         kinds = {r.kind for r in a["audit"].records}
         assert {"tenant_throttle", "power_cap_step"} <= kinds
 
@@ -252,7 +248,7 @@ class TestReportAndBillPipelines:
         from repro.cli import main
         names = sorted(benchmark_names())
         third = len(names) // 3
-        argv = ["bill", armed_artifacts["ledger"],
+        argv = ["bill", armed_artifacts["run_dir"],
                 "--tenant", "alpha=" + ",".join(names[:third]),
                 "--tenant", "beta=" + ",".join(names[third:2 * third]),
                 "--tenant", "gamma=" + ",".join(names[2 * third:])]
@@ -270,7 +266,7 @@ class TestReportAndBillPipelines:
     def test_cli_bill_rejects_bad_tenant_spec(self, armed_artifacts,
                                               capsys):
         from repro.cli import main
-        assert main(["bill", armed_artifacts["ledger"],
+        assert main(["bill", armed_artifacts["run_dir"],
                      "--tenant", "nonsense"]) == 2
         capsys.readouterr()
 
