@@ -487,15 +487,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracer = audit = None
     if args.out:
         # Artifacts are written after the run: a directory that cannot
-        # be made must fail now, not after minutes of simulation.
+        # be made, or an artifact name in it taken by a directory, must
+        # fail now, not after minutes of simulation.
+        from repro import obs
         try:
             if not os.path.isdir(args.out):
                 os.mkdir(args.out)
+            for name in obs.RUN_FILES:
+                path = os.path.join(args.out, name)
+                if os.path.isdir(path):
+                    raise IsADirectoryError(0, "Is a directory", path)
         except OSError as error:
-            print(f"cannot create --out {args.out}: {error.strerror}",
+            print(f"cannot write --out {error.filename}: {error.strerror}",
                   file=sys.stderr)
             return 2
-        from repro import obs
         tracer = obs.install(obs.Tracer(
             ledger=obs.EnergyLedger(), burnrate=obs.BurnRateMonitor(),
             fingerprint=obs.FingerprintRecorder(epoch_s=args.epoch_s)))

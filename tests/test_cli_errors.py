@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro import cli
+from repro import cli, obs
 from repro.cli import _bill, _diff, _explain, _fuzz, _report
 
 SUBCOMMANDS = {
@@ -179,20 +179,31 @@ def no_run(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("out_dir", ["absent/run", "a_file/run", "a_file"],
-                         ids=["parent_missing", "parent_is_a_file",
-                              "is_a_file"])
-def test_output_in_missing_directory_fails_before_run(out_dir, tmp_path,
-                                                      capsys, no_run):
-    """``--out`` makes one directory, not its parents, and never
-    replaces a file."""
+#: Each artifact name blocked by a directory, under the id of the flag
+#: that wrote that artifact before ``--out`` replaced it.
+BLOCKED_ARTIFACTS = [("run", f"run/{name}") for name in obs.RUN_FILES]
+
+
+@pytest.mark.parametrize(
+    "out_dir, bad_path",
+    [("absent/run", "absent/run"), ("a_file/run", "a_file/run"),
+     ("a_file", "a_file"), *BLOCKED_ARTIFACTS],
+    ids=["parent_missing", "parent_is_a_file", "is_a_file", "--trace",
+         "--epoch-metrics", "--ledger", "--audit", "--fingerprints"])
+def test_output_in_missing_directory_fails_before_run(out_dir, bad_path,
+                                                      tmp_path, capsys,
+                                                      no_run):
+    """``--out`` makes one directory, not its parents, never replaces a
+    file, and fails when a directory holds an artifact's name in it."""
     (tmp_path / "a_file").write_text("", encoding="utf-8")
-    out_dir = str(tmp_path / out_dir)
+    if bad_path != out_dir:
+        (tmp_path / bad_path).mkdir(parents=True)
+    out_dir, bad_path = str(tmp_path / out_dir), str(tmp_path / bad_path)
     rc = cli.main(["fig16", "--out", out_dir])
     out, err = capsys.readouterr()
     assert rc == 2 and no_run == []
     assert _one_line(err), f"expected one stderr line, got: {err!r}"
-    assert "--out" in err and out_dir in err
+    assert "--out" in err and bad_path in err
     assert "Traceback" not in err and "Traceback" not in out
 
 
