@@ -8,6 +8,7 @@ from repro.core import EcoFaaSConfig, EcoFaaSSystem
 from repro.core import dpt as dpt_module
 from repro.core.mlp import MLPRegressor
 from repro.core.predictor import FrequencyProfile
+from repro.core.profiles import ProfileStore
 from repro.experiments.common import make_load_trace, run_cluster
 from repro.platform.cluster import Cluster, ClusterConfig
 from repro.sim import Environment
@@ -243,12 +244,14 @@ class TestWorkCounters:
             (FrequencyProfile, "observe", "observations"),
             (dpt_module, "solve_milp", "solves"),
             (MLPRegressor, "partial_fit", "fits"),
-            (MLPRegressor, "_adam_step", "adam_steps")])
+            (MLPRegressor, "_adam_step", "adam_steps"),
+            (ProfileStore, "predict_t_run", "store_predictions")])
         trace = make_load_trace("low", 2, 8.0, seed=3)
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
                     ClusterConfig(n_servers=2, seed=3))
         assert counts == {"events": 3997, "observations": 352,
-                          "solves": 11, "fits": 16, "adam_steps": 64}
+                          "solves": 11, "fits": 16, "adam_steps": 64,
+                          "store_predictions": 1678}
 
     def test_baseline_low_load_work_counts(self, monkeypatch):
         counts = self._count(monkeypatch, [
