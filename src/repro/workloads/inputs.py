@@ -64,7 +64,9 @@ class FeatureSpec:
             centre = (lo + hi) / 2.0
             half = (hi - lo) / 2.0 * min(dispersion, 1.0)
             return float(rng.uniform(centre - half, centre + half))
-        return float(rng.choice(self.params))
+        # Indexing by ``rng.integers`` draws exactly what ``rng.choice``
+        # draws, without its array conversion.
+        return float(self.params[rng.integers(len(self.params))])
 
 
 @dataclass(frozen=True)

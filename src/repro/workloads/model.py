@@ -11,8 +11,9 @@ the paper found after profiling 100+ open-source functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -139,8 +140,10 @@ class FunctionModel:
         run_total = (self.run_seconds_at_max * input_mult
                      * self._lognoise(rng, self.run_noise_cv))
         # I/O time grows with input size too, but sub-linearly (larger
-        # payloads amortise per-request latency).
-        block_total = (self.block_seconds * np.sqrt(input_mult)
+        # payloads amortise per-request latency). Every duration stays a
+        # Python float, so the kernel clock never turns into a numpy
+        # scalar (math.sqrt and np.sqrt both round correctly).
+        block_total = (self.block_seconds * math.sqrt(input_mult)
                        * self._lognoise(rng, self.block_noise_cv))
 
         run_shares = self._shares(rng, self.n_blocks + 1)
@@ -168,10 +171,17 @@ class FunctionModel:
         return float(np.exp(cv * rng.standard_normal()))
 
     @staticmethod
-    def _shares(rng: np.random.Generator, n: int) -> np.ndarray:
-        """n random positive shares summing to 1 (Dirichlet, mildly even)."""
+    def _shares(rng: np.random.Generator, n: int) -> List[float]:
+        """n random positive shares summing to 1 (Dirichlet, mildly even).
+
+        ``rng.dirichlet(np.full(n, 4.0))`` draws the same values and
+        leaves the generator in the same state: for every alpha above 0.1
+        numpy normalises standard-gamma draws by their running sum.
+        """
         if n <= 0:
-            return np.array([])
+            return []
         if n == 1:
-            return np.array([1.0])
-        return rng.dirichlet(np.full(n, 4.0))
+            return [1.0]
+        gammas = rng.standard_gamma(4.0, n).tolist()
+        scale = 1.0 / sum(gammas)
+        return [g * scale for g in gammas]

@@ -212,6 +212,35 @@ class TestOverpredictionKnob:
         assert wrong.total_energy_j > exact.total_energy_j
 
 
+class TestFloatClock:
+    """DESIGN.md §5: simulated time is a Python float for the whole run.
+
+    numpy scalars round like floats, so a numpy clock would not change a
+    result, only make every time computation of the run numpy math. The
+    run ends with ``run(until=...)``, which sets a float clock, so the
+    clock is checked after every event too.
+    """
+
+    @pytest.mark.parametrize("system", [
+        lambda: EcoFaaSSystem(EcoFaaSConfig()), BaselineSystem],
+        ids=["ecofaas", "baseline"])
+    def test_clock_stays_a_float(self, monkeypatch, system):
+        clock_types = set()
+        step = Environment.step
+
+        def watched(env):
+            step(env)
+            clock_types.add(type(env.now))
+
+        monkeypatch.setattr(Environment, "step", watched)
+        trace = make_load_trace("low", 2, 4.0, seed=3)
+        cluster = run_cluster(system(), trace,
+                              ClusterConfig(n_servers=2, seed=3))
+        assert cluster.metrics.workflow_records
+        assert type(cluster.env.now) is float
+        assert clock_types == {float}
+
+
 class TestWorkCounters:
     """Exact kernel, platform, predictor and splitter work for pinned runs.
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.workloads import inputs
 from repro.workloads.functionbench import (
     CNN_SERV,
     ML_TRAIN,
@@ -13,6 +14,20 @@ from repro.workloads.functionbench import (
     WEB_SERV,
 )
 from repro.workloads.model import FunctionModel
+from repro.workloads.registry import all_benchmarks
+from repro.workloads.spec import RunSegment
+
+#: Every function model of the twelve benchmarks, by name.
+ALL_FUNCTIONS = {fn.name: fn for workflow in all_benchmarks()
+                 for stage in workflow.stages for fn in stage.functions}
+
+#: Every discrete ("choice") feature of the shipped input spaces.
+CHOICE_FEATURES = {
+    (space.name, feature.name): feature
+    for space in (inputs.json_space(), inputs.image_space(),
+                  inputs.video_space(), inputs.text_space(),
+                  inputs.tabular_space())
+    for feature in space.features if feature.kind == "choice"}
 
 
 class TestFunctionModelBasics:
@@ -179,3 +194,62 @@ def test_sampled_segments_always_consistent(seed, freq):
         assert spec.function_name == model.name
         assert spec.service_time(freq) == pytest.approx(
             spec.total_run_seconds(freq) + spec.total_block_seconds)
+
+
+def test_sampled_durations_are_python_floats():
+    """The kernel clock stays a float only if every sampled duration is
+    one: a numpy scalar delay turns ``Environment.now`` into numpy math
+    for the rest of the run."""
+    assert len(ALL_FUNCTIONS) == 37
+    rng = np.random.default_rng(11)
+    for model in ALL_FUNCTIONS.values():
+        for _ in range(3):
+            spec = model.sample_invocation(rng)
+            for segment in spec.segments:
+                if isinstance(segment, RunSegment):
+                    values = (segment.work.gcycles, segment.work.mem_seconds)
+                else:
+                    values = (segment.seconds,)
+                assert all(type(v) is float for v in values), (
+                    model.name, segment)
+            assert all(type(v) is float for v in spec.features.values())
+
+
+class TestRngEquivalence:
+    """The sampler's cheaper draws against numpy's own calls.
+
+    Each pair of twin generators must yield equal values and be left in
+    the same state, so every later draw of a run is unchanged too.
+    """
+
+    SEEDS = range(40)
+
+    @pytest.mark.parametrize("key", sorted(CHOICE_FEATURES),
+                             ids="-".join)
+    def test_choice_matches_generator_choice(self, key):
+        feature = CHOICE_FEATURES[key]
+        for seed in self.SEEDS:
+            ours = np.random.default_rng(seed)
+            oracle = np.random.default_rng(seed)
+            for _ in range(50):
+                assert feature.sample(ours) == float(
+                    oracle.choice(feature.params))
+            assert ours.random() == oracle.random()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_shares_match_generator_dirichlet(self, n):
+        for seed in self.SEEDS:
+            ours = np.random.default_rng(seed)
+            oracle = np.random.default_rng(seed)
+            for _ in range(50):
+                shares = FunctionModel._shares(ours, n)
+                assert all(type(v) is float for v in shares)
+                assert shares == oracle.dirichlet(np.full(n, 4.0)).tolist()
+            assert ours.random() == oracle.random()
+
+    def test_degenerate_shares_draw_nothing(self):
+        ours = np.random.default_rng(5)
+        oracle = np.random.default_rng(5)
+        assert FunctionModel._shares(ours, 0) == []
+        assert FunctionModel._shares(ours, 1) == [1.0]
+        assert ours.random() == oracle.random()
