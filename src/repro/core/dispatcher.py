@@ -43,6 +43,10 @@ class EnergyAwareDispatcher:
         #: Counters for Section VIII-style reporting.
         self.registered = 0
         self.boost_strategy_counts = [0, 0, 0]
+        #: Raw store T_Run predictions of the job being placed, by level:
+        #: ``(job_id, store observation count, {freq: seconds})``. Every
+        #: observation bumps the count, so a stale entry is never read.
+        self._t_run_memo = (None, -1, {})
 
     # ------------------------------------------------------------------
     # Prediction wrappers
@@ -65,10 +69,21 @@ class EnergyAwareDispatcher:
                                          self.node.track)
 
     def _predict_t_run(self, freq: float, job: Job) -> float:
-        return self._sanitize("t_run", self._overpredict(
-            self.node.store.predict_t_run(
+        # Placing one job asks for the same levels several times. The
+        # guard stays outside the memo: an armed guard screens every call.
+        store = self.node.store
+        job_id, observations, by_freq = self._t_run_memo
+        if (job_id != job.job_id
+                or observations != store._total_observations):
+            by_freq = {}
+            self._t_run_memo = (job.job_id, store._total_observations,
+                                by_freq)
+        raw = by_freq.get(freq)
+        if raw is None:
+            raw = by_freq[freq] = store.predict_t_run(
                 self.fn_model.name, self.machine_type, freq,
-                job.spec.features)), freq)
+                job.spec.features)
+        return self._sanitize("t_run", self._overpredict(raw), freq)
 
     def _predict_t_block(self, job: Job) -> float:
         return self._sanitize("t_block", self.node.store.predict_t_block(

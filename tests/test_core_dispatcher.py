@@ -173,6 +173,51 @@ class TestDispatcherProfiledPath:
         dispatcher._predict_energy(2.4, job)
         assert env.guard.kinds == ["t_run@1.20", "t_block", "energy@2.40"]
 
+    def test_t_run_memo_follows_new_observations(self):
+        env, node, store = make_node()
+        profile = warm_profile(store, WEB_SERV)
+        job = submit(env, node, WEB_SERV, deadline_offset=10.0)
+        dispatcher = node._dispatcher(WEB_SERV)
+        before = dispatcher._predict_t_run(3.0, job)
+        assert dispatcher._predict_t_run(3.0, job) == before
+        # An observation lands the way record_completion lands one.
+        profile.observe(3.0, 4 * before, WEB_SERV.block_seconds, 1.0)
+        store.note_observation()
+        after = dispatcher._predict_t_run(3.0, job)
+        assert after > before
+        assert after == store.predict_t_run(WEB_SERV.name,
+                                            dispatcher.machine_type, 3.0,
+                                            job.spec.features)
+
+    def test_t_run_memo_is_per_job(self):
+        env, node, store = make_node()
+        warm_profile(store, WEB_SERV)
+        dispatcher = node._dispatcher(WEB_SERV)
+        first = submit(env, node, WEB_SERV, deadline_offset=10.0)
+        second = submit(env, node, WEB_SERV, deadline_offset=10.0)
+        dispatcher._predict_t_run(1.2, first)
+        assert dispatcher._t_run_memo[0] == first.job_id
+        dispatcher._predict_t_run(1.2, second)
+        assert dispatcher._t_run_memo[0] == second.job_id
+        assert list(dispatcher._t_run_memo[2]) == [1.2]
+
+    def test_armed_guard_screens_every_memoized_prediction(self):
+        class CountingGuard:
+            calls = 0
+
+            def sanitize_prediction(self, function_name, kind, value, track):
+                self.calls += 1
+                return value
+
+        env, node, store = make_node()
+        warm_profile(store, WEB_SERV)
+        job = submit(env, node, WEB_SERV, deadline_offset=10.0)
+        dispatcher = node._dispatcher(WEB_SERV)
+        env.guard = CountingGuard()
+        values = {dispatcher._predict_t_run(2.4, job) for _ in range(3)}
+        assert len(values) == 1
+        assert env.guard.calls == 3
+
 
 class TestNodeMechanics:
     def test_note_demand_accumulates(self):

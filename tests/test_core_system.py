@@ -280,7 +280,7 @@ class TestWorkCounters:
                     ClusterConfig(n_servers=2, seed=3))
         assert counts == {"events": 3997, "observations": 352,
                           "solves": 11, "fits": 16, "adam_steps": 64,
-                          "store_predictions": 1678}
+                          "store_predictions": 766}
 
     def test_baseline_low_load_work_counts(self, monkeypatch):
         counts = self._count(monkeypatch, [
