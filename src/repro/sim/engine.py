@@ -142,15 +142,16 @@ class Environment:
         When ``until`` is given the clock is left exactly at ``until`` even
         if the next event lies beyond it.
         """
-        if until is not None:
-            until = float(until)
-            if until < self._now:
-                raise ValueError(
-                    f"until={until} lies in the past (now={self._now})")
-        while self._queue:
-            if until is not None and self._queue[0][0] > until:
-                self._now = until
-                return
-            self.step()
-        if until is not None:
-            self._now = until
+        queue = self._queue
+        step = self.step
+        if until is None:
+            while queue:
+                step()
+            return
+        until = float(until)
+        if until < self._now:
+            raise ValueError(
+                f"until={until} lies in the past (now={self._now})")
+        while queue and queue[0][0] <= until:
+            step()
+        self._now = until

@@ -41,6 +41,8 @@ class Event:
     receiving the event itself.
     """
 
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
+
     def __init__(self, env: "Environment"):
         self.env = env
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
@@ -104,6 +106,8 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after a fixed delay."""
 
+    __slots__ = ("_delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -120,6 +124,8 @@ class Timeout(Event):
 
 class Initialize(Event):
     """Internal event that starts a freshly created process."""
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", process: Any):
         super().__init__(env)
