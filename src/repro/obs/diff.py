@@ -152,19 +152,35 @@ def _describe_divergence(records_a: List[dict], records_b: List[dict]
     return None
 
 
-def _epoch_instants(doc_path: str, run: int, epoch: int, epoch_s: float
+#: Parsed trace instants by absolute trace path (None: no trace there).
+TraceCache = Dict[str, Optional[List[dict]]]
+
+
+def _trace_instants(doc_path: str, traces: TraceCache
                     ) -> Optional[List[dict]]:
-    """The run's instants inside one epoch, read from the trace in the
-    fingerprints document's run directory (None when it has none). A
-    decision comes back in its audit-record shape (kind, actor, t, then
-    the payload), so a delta names the input/action keys that moved."""
-    path = os.path.join(os.path.dirname(doc_path), TRACE_FILE)
-    if not os.path.exists(path):
+    """Every instant of the trace in the fingerprints document's run
+    directory (None when it has none), parsed on first use only."""
+    path = os.path.abspath(os.path.join(os.path.dirname(doc_path),
+                                        TRACE_FILE))
+    if path not in traces:
+        from repro.obs.explain import load_explain_data
+        traces[path] = (load_explain_data(path).instants
+                        if os.path.exists(path) else None)
+    return traces[path]
+
+
+def _epoch_instants(doc_path: str, run: int, epoch: int, epoch_s: float,
+                    traces: TraceCache) -> Optional[List[dict]]:
+    """The run's instants inside one epoch (None when the run directory
+    has no trace). A decision comes back in its audit-record shape (kind,
+    actor, t, then the payload), so a delta names the input/action keys
+    that moved."""
+    instants = _trace_instants(doc_path, traces)
+    if instants is None:
         return None
-    from repro.obs.explain import load_explain_data
     t0, t1 = epoch * epoch_s, (epoch + 1) * epoch_s
     records = []
-    for i in load_explain_data(path).instants:
+    for i in instants:
         if i["run"] != run or not t0 <= i["t"] < t1:
             continue
         if i["name"] in KINDS:
@@ -177,13 +193,15 @@ def _epoch_instants(doc_path: str, run: int, epoch: int, epoch_s: float
 
 
 def first_diverging_decision(path_a: str, path_b: str, run_a: int,
-                             run_b: int, epoch: int, epoch_s: float
+                             run_b: int, epoch: int, epoch_s: float,
+                             traces: TraceCache
                              ) -> Tuple[Optional[dict], List[str]]:
     """Join the instants inside one epoch and name the first diverging
     decision, or else the first diverging instant; returns (decision,
-    notes) where notes explain any degraded lookup."""
-    records_a = _epoch_instants(path_a, run_a, epoch, epoch_s)
-    records_b = _epoch_instants(path_b, run_b, epoch, epoch_s)
+    notes) where notes explain any degraded lookup. ``traces`` keeps
+    parsed traces across calls."""
+    records_a = _epoch_instants(path_a, run_a, epoch, epoch_s, traces)
+    records_b = _epoch_instants(path_b, run_b, epoch, epoch_s, traces)
     if records_a is None or records_b is None:
         return None, [f"trace artifact missing on"
                       f" {'A' if records_a is None else 'B'}:"
@@ -253,7 +271,8 @@ def attribute(entry_a: Dict[str, Any], entry_b: Dict[str, Any]
 # Whole-document diff
 # ---------------------------------------------------------------------------
 def diff_pair(entry_a: Dict[str, Any], entry_b: Dict[str, Any],
-              path_a: str, path_b: str, epoch_s: float) -> Dict[str, Any]:
+              path_a: str, path_b: str, epoch_s: float,
+              traces: TraceCache) -> Dict[str, Any]:
     """Compare one aligned run pair; the per-pair report dict."""
     chains_a, chains_b = entry_a["chains"], entry_b["chains"]
     subsystems: Dict[str, Dict[str, Any]] = {}
@@ -314,7 +333,7 @@ def diff_pair(entry_a: Dict[str, Any], entry_b: Dict[str, Any],
                                         if s == "instants"}):
             decision, notes = first_diverging_decision(
                 path_a, path_b, entry_a["run"], entry_b["run"], epoch2,
-                epoch_s)
+                epoch_s, traces)
             for note in notes:
                 if note not in pair["notes"]:
                     pair["notes"].append(note)
@@ -357,7 +376,9 @@ def diff_documents(path_a: str, path_b: Optional[str] = None,
     pairs, pair_notes = pair_entries(doc_a, doc_b, same_file, run_a, run_b)
     notes.extend(pair_notes)
     epoch_s = float(doc_a["epoch_s"])
-    compared = [diff_pair(ea, eb, path_a, real_b, epoch_s)
+    # Each side's trace is parsed once for every pair and epoch joined.
+    traces: TraceCache = {}
+    compared = [diff_pair(ea, eb, path_a, real_b, epoch_s, traces)
                 for ea, eb in pairs]
     return {
         "format": DIFF_FORMAT,

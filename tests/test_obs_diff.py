@@ -261,6 +261,50 @@ def test_benchmark_run_directories_diff(arena, tmp_path):
     assert decision["differing_keys"]
 
 
+def _count_trace_loads(monkeypatch):
+    import importlib
+    explain = importlib.import_module("repro.obs.explain")
+    loads = {}
+    load = explain.load_explain_data
+
+    def counted(path):
+        loads[path] = loads.get(path, 0) + 1
+        return load(path)
+
+    monkeypatch.setattr(explain, "load_explain_data", counted)
+    return loads
+
+
+def test_each_trace_is_parsed_once_per_diff(arena, monkeypatch):
+    """The a/chaos diff joins epochs 0 and 1 (the golden report's
+    fall-forward note), yet reads each side's trace once."""
+    loads = _count_trace_loads(monkeypatch)
+    result = diff_documents(os.path.join(arena, "a", "fingerprints.json"),
+                            os.path.join(arena, "chaos", "fingerprints.json"))
+    assert result["pairs"][0]["decision"]["epoch"] == 1
+    assert any("instants inside epoch 0 are identical" in note
+               for note in result["pairs"][0]["notes"])
+    assert sorted(loads.items()) == [
+        (os.path.join(arena, name, "trace.json"), 1)
+        for name in ("a", "chaos")]
+
+
+def test_one_file_diff_parses_its_trace_once(arena, tmp_path, monkeypatch):
+    """Both arms of one document share its trace: one parse for both."""
+    import shutil
+    shutil.copytree(os.path.join(arena, "a"), tmp_path / "ab")
+    path = tmp_path / "ab" / "fingerprints.json"
+    document = json.loads(path.read_text())
+    with open(os.path.join(arena, "chaos", "fingerprints.json")) as handle:
+        other = json.load(handle)["runs"][0]
+    document["runs"].append({**other, "run": 1})
+    path.write_text(json.dumps(document))
+    loads = _count_trace_loads(monkeypatch)
+    result = diff_documents(str(path))
+    assert result["pairs"][0]["decision"] is not None
+    assert loads == {str(tmp_path / "ab" / "trace.json"): 1}
+
+
 # ---------------------------------------------------------------------------
 # Golden regeneration entrypoint
 # ---------------------------------------------------------------------------
