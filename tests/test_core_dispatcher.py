@@ -189,18 +189,6 @@ class TestDispatcherProfiledPath:
                                             dispatcher.machine_type, 3.0,
                                             job.spec.features)
 
-    def test_t_run_memo_is_per_job(self):
-        env, node, store = make_node()
-        warm_profile(store, WEB_SERV)
-        dispatcher = node._dispatcher(WEB_SERV)
-        first = submit(env, node, WEB_SERV, deadline_offset=10.0)
-        second = submit(env, node, WEB_SERV, deadline_offset=10.0)
-        dispatcher._predict_t_run(1.2, first)
-        assert dispatcher._t_run_memo[0] == first.job_id
-        dispatcher._predict_t_run(1.2, second)
-        assert dispatcher._t_run_memo[0] == second.job_id
-        assert list(dispatcher._t_run_memo[2]) == [1.2]
-
     def test_armed_guard_screens_every_memoized_prediction(self):
         class CountingGuard:
             calls = 0
