@@ -183,5 +183,10 @@ class FunctionModel:
         if n == 1:
             return [1.0]
         gammas = rng.standard_gamma(4.0, n).tolist()
-        scale = 1.0 / sum(gammas)
+        # Add up in order, as numpy does: ``sum()`` compensates its
+        # rounding on Python 3.12+ and can differ in the last bit.
+        total = 0.0
+        for g in gammas:
+            total += g
+        scale = 1.0 / total
         return [g * scale for g in gammas]
