@@ -73,11 +73,9 @@ class EnergyAwareDispatcher:
         # guard stays outside the memo: an armed guard screens every call.
         store = self.node.store
         job_id, observations, by_freq = self._t_run_memo
-        if (job_id != job.job_id
-                or observations != store._total_observations):
+        if job_id != job.job_id or observations != store.observations:
             by_freq = {}
-            self._t_run_memo = (job.job_id, store._total_observations,
-                                by_freq)
+            self._t_run_memo = (job.job_id, store.observations, by_freq)
         raw = by_freq.get(freq)
         if raw is None:
             raw = by_freq[freq] = store.predict_t_run(

@@ -94,6 +94,12 @@ class ProfileStore:
         return any(name == function_name
                    for _, name in self._profiles)
 
+    @property
+    def observations(self) -> int:
+        """Observations noted so far; any cache of predictions made at
+        an older count is stale."""
+        return self._total_observations
+
     def note_observation(self) -> None:
         """Bridge-cache invalidation tick (called by dispatchers)."""
         self._total_observations += 1
