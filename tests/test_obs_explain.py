@@ -6,6 +6,12 @@ non-empty ranked cause list for it, joining trace spans, instants, and
 the decision instants the audit log writes into the trace. Both runs
 are written as run directories, and the one-stream oracle checks that
 their trace and audit JSONL carry the same decisions.
+
+The overload run directory also pins ``repro report`` (text and JSON)
+and ``repro explain`` on its worst-missed workflow against golden
+files. Regenerate them (only when that output intentionally changes)::
+
+    PYTHONPATH=src:. python tests/test_obs_explain.py --write-golden
 """
 
 import os
@@ -28,10 +34,17 @@ from repro.platform.cluster import ClusterConfig
 from tests.test_obs_audit import stream_mismatches
 
 
-@pytest.fixture(scope="module")
-def overload_artifacts(tmp_path_factory):
-    """The run directory of one guarded overload run."""
-    out = tmp_path_factory.mktemp("overload")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+#: Golden CLI outputs on the overload run directory, by their argv tail.
+GOLDENS = {
+    "report_golden.txt": ["report"],
+    "report_golden.json": ["report", "--format", "json"],
+    "explain_golden.txt": ["explain"],
+}
+
+
+def record_overload_run(out: str):
+    """Record one guarded overload run into the run directory ``out``."""
     tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger(),
                                     fingerprint=obs.FingerprintRecorder()))
     audit = obs.install_audit(obs.AuditLog())
@@ -45,8 +58,14 @@ def overload_artifacts(tmp_path_factory):
     finally:
         obs.uninstall()
         obs.uninstall_audit()
-    obs.write_run(tracer, audit, str(out), {})
-    return tracer, audit, str(out)
+    obs.write_run(tracer, audit, out, {})
+    return tracer, audit, out
+
+
+@pytest.fixture(scope="module")
+def overload_artifacts(tmp_path_factory):
+    """The run directory of one guarded overload run."""
+    return record_overload_run(str(tmp_path_factory.mktemp("overload")))
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +216,42 @@ def test_cli_explain_missing_file(capsys):
     from repro.cli import main
 
     assert main(["explain", "/nonexistent/trace.json"]) == 2
+
+
+def cli_output(argv) -> str:
+    """Stdout of ``repro <argv>``, which must exit 0."""
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        rc = main(argv)
+    assert rc == 0, f"{argv} exited {rc}"
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDENS))
+def test_report_and_explain_match_golden(golden, overload_artifacts):
+    command, *options = GOLDENS[golden]
+    out = cli_output([command, overload_artifacts[2], *options])
+    with open(os.path.join(DATA_DIR, golden)) as handle:
+        assert out == handle.read()
+
+
+# ---------------------------------------------------------------------------
+# Golden regeneration entrypoint
+# ---------------------------------------------------------------------------
+if __name__ == "__main__":
+    import sys
+    import tempfile
+
+    if "--write-golden" not in sys.argv:
+        sys.exit("usage: python tests/test_obs_explain.py --write-golden")
+    run_dir = record_overload_run(tempfile.mkdtemp(prefix="overload_"))[2]
+    for golden, (command, *options) in sorted(GOLDENS.items()):
+        path = os.path.join(DATA_DIR, golden)
+        with open(path, "w") as handle:
+            handle.write(cli_output([command, run_dir, *options]))
+        print(f"wrote {path}")
