@@ -155,10 +155,11 @@ def _report(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     if _bad_top(args.top):
         return 2
-    from repro import obs
-    from repro.obs.export import TRACE_FILE
+    from repro.obs.export import TRACE_FILE, read_chrome_trace
+    from repro.obs.report import report
     text = _load_run_file(
-        lambda path: obs.report(path, top_n=args.top, fmt=args.format),
+        lambda path: report(read_chrome_trace(path), top_n=args.top,
+                            fmt=args.format),
         args.run_dir, TRACE_FILE, "trace-event JSON file")
     if text is None:
         return 2
@@ -265,27 +266,22 @@ def _explain(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     if _bad_top(args.top):
         return 2
-    from repro.obs.explain import (
-        explain,
-        format_explanation,
-        load_explain_data,
-        missed_workflows,
-    )
-    from repro.obs.export import TRACE_FILE
-    data = _load_run_file(load_explain_data, args.run_dir, TRACE_FILE,
-                          "trace-event JSON file")
-    if data is None:
+    from repro.obs.explain import explain, format_explanation, missed_workflows
+    from repro.obs.export import TRACE_FILE, read_chrome_trace
+    tracer = _load_run_file(read_chrome_trace, args.run_dir, TRACE_FILE,
+                            "trace-event JSON file")
+    if tracer is None:
         return 2
     uid, run = args.workflow, args.run
     if uid is None:
-        missed = missed_workflows(data, run=run)
+        missed = missed_workflows(tracer, run=run)
         if not missed:
             print("no missed-SLO workflow in this trace;"
                   " nothing to explain")
             return 1
         uid, run = missed[0].uid, missed[0].run
     try:
-        result = explain(data, uid, run=run)
+        result = explain(tracer, uid, run=run)
     except KeyError as error:
         print(f"workflow not found in trace: {error}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ v2 adds, all equally opt-in and determinism-safe:
 * :class:`~repro.obs.burnrate.BurnRateMonitor` — per-benchmark SLO
   burn-rate alerting on deterministic log-bucket histograms;
 * :mod:`~repro.obs.explain` — ranked root causes for missed-SLO
-  workflows from the exported trace.
+  workflows from a run's trace, read back into the tracer's records.
 
 The reproduction's own wall time is measured from outside, by the
 end-to-end benchmark in ``bench/`` (see ``bench/README.md``).
@@ -37,12 +37,13 @@ from repro.obs.burnrate import (
     LogBucketHistogram,
 )
 from repro.obs.diff import diff_documents, format_diff
-from repro.obs.explain import explain, format_explanation, load_explain_data
+from repro.obs.explain import explain, format_explanation
 from repro.obs.export import (
     RUN_FILES,
     chrome_trace_events,
     epoch_rows,
     queueing_by_function,
+    read_chrome_trace,
     run_summary,
     write_chrome_trace,
     write_epoch_metrics,
@@ -105,8 +106,8 @@ __all__ = [
     "format_explanation",
     "install",
     "install_audit",
-    "load_explain_data",
     "queueing_by_function",
+    "read_chrome_trace",
     "report",
     "run_summary",
     "uninstall",

@@ -34,8 +34,9 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.audit import KINDS
-from repro.obs.export import TRACE_FILE
+from repro.obs.export import TRACE_FILE, read_chrome_trace
 from repro.obs.fingerprint import SUBSYSTEMS, load_document
+from repro.obs.tracer import InstantRecord
 
 #: Schema identifier of the JSON report ``repro diff --json`` writes.
 DIFF_FORMAT = "repro.obs.diff/1"
@@ -152,19 +153,18 @@ def _describe_divergence(records_a: List[dict], records_b: List[dict]
     return None
 
 
-#: Parsed trace instants by absolute trace path (None: no trace there).
-TraceCache = Dict[str, Optional[List[dict]]]
+#: Trace instants read back by absolute trace path (None: no trace there).
+TraceCache = Dict[str, Optional[List[InstantRecord]]]
 
 
 def _trace_instants(doc_path: str, traces: TraceCache
-                    ) -> Optional[List[dict]]:
+                    ) -> Optional[List[InstantRecord]]:
     """Every instant of the trace in the fingerprints document's run
     directory (None when it has none), parsed on first use only."""
     path = os.path.abspath(os.path.join(os.path.dirname(doc_path),
                                         TRACE_FILE))
     if path not in traces:
-        from repro.obs.explain import load_explain_data
-        traces[path] = (load_explain_data(path).instants
+        traces[path] = (read_chrome_trace(path).instants
                         if os.path.exists(path) else None)
     return traces[path]
 
@@ -181,14 +181,14 @@ def _epoch_instants(doc_path: str, run: int, epoch: int, epoch_s: float,
     t0, t1 = epoch * epoch_s, (epoch + 1) * epoch_s
     records = []
     for i in instants:
-        if i["run"] != run or not t0 <= i["t"] < t1:
+        if i.run != run or not t0 <= i.t < t1:
             continue
-        if i["name"] in KINDS:
-            records.append({"kind": i["name"], "actor": i["track"],
-                            "t": round(i["t"], 6), **i["args"]})
+        if i.name in KINDS:
+            records.append({"kind": i.name, "actor": i.track,
+                            "t": round(i.t, 6), **i.args})
         else:
-            records.append({"name": i["name"], "track": i["track"],
-                            "t": round(i["t"], 6), "args": i["args"]})
+            records.append({"name": i.name, "track": i.track,
+                            "t": round(i.t, 6), "args": i.args})
     return records
 
 

@@ -7,8 +7,9 @@ directory that holds them:
   file at https://ui.perfetto.dev): one process per run and node, one
   thread per core pool, async tracks for invocation/workflow spans, and
   counter tracks for pool sizes, per-node power draw, and EWT;
-  :func:`read_chrome_trace` validates it and reads it back for
-  ``repro report``, ``repro explain`` and ``repro diff``;
+  :func:`read_chrome_trace` validates it and reads it back into the
+  tracer's own records for ``repro report``, ``repro explain`` and
+  ``repro diff``;
 * :func:`epoch_rows` / :func:`write_epoch_metrics` — a per-epoch
   (``T_refresh``-granularity) metrics time series as CSV: energy,
   p50/p99, SLO violations, pool occupancy, retry counters;
@@ -31,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.registry import (EPOCH_INSTANT_COLUMNS, LEDGER_COMPONENTS,
                                 LEDGER_EPOCH_COLUMNS)
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import InstantRecord, SpanRecord, Tracer
 from repro.obs.validate import validate_events
 
 #: The file names of a run directory (``repro <experiment> --out DIR``),
@@ -184,13 +185,17 @@ def write_chrome_trace(tracer: Tracer, path: str) -> int:
     return len(events)
 
 
-def read_chrome_trace(path: str
-                      ) -> Tuple[List[dict], dict, Dict[int, str]]:
-    """Read an exported trace back: its events, its ``otherData`` and
-    each pid's process name. A bare event list (no ``otherData``) is
-    accepted too. A document that is not a valid, non-empty trace-event
-    file (see :func:`repro.obs.validate.validate_events`) raises
-    ValueError naming its first problem."""
+def read_chrome_trace(path: str) -> Tracer:
+    """Read an exported trace back into the records that were written.
+
+    Returns a :class:`Tracer` holding the spans (``kind`` is the event
+    ``cat``), the instants (``track`` is the thread name), the workflow
+    links and the run labels; counter samples are not read back. A bare
+    event list (no ``otherData``) is accepted too. A document that is
+    not a valid, non-empty trace-event file (see
+    :func:`repro.obs.validate.validate_events`) raises ValueError naming
+    its first problem.
+    """
     with open(path) as handle:
         document = json.load(handle)
     if isinstance(document, list):
@@ -208,21 +213,60 @@ def read_chrome_trace(path: str
     if problems:
         more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
         raise ValueError(f"{problems[0]}{more}")
-    pid_names = {e["pid"]: e["args"]["name"] for e in events
-                 if e.get("ph") == "M" and e.get("name") == "process_name"}
-    return events, other, pid_names
+    runs: Dict[int, Tuple[int, str]] = {}
+    threads: Dict[Tuple[int, int], str] = {}
+    for event in events:
+        if event["ph"] == "M" and event["name"] == "process_name":
+            runs[event["pid"]] = _run_of(event["args"]["name"])
+        elif event["ph"] == "M" and event["name"] == "thread_name":
+            threads[(event["pid"], event["tid"])] = event["args"]["name"]
+    tracer = Tracer()
+    tracer.wf_links = [tuple(link) for link in other.get("workflowLinks", [])]
+    ends: Dict[int, float] = {}
+    # Each 'e' closes the oldest open 'b' of its (run, cat, id, name).
+    open_spans: Dict[tuple, List[SpanRecord]] = {}
+    for event in events:
+        phase = event["ph"]
+        if phase not in ("b", "e", "i"):
+            continue
+        run = runs.get(event["pid"], (0, "run"))[0]
+        t = event["ts"] / 1e6
+        if phase == "b":
+            span = SpanRecord(run, event["cat"], event["name"], event["id"],
+                              t, args=event.get("args", {}))
+            open_spans.setdefault(
+                (run, span.kind, span.uid, span.name), []).append(span)
+            tracer.spans.append(span)
+            continue
+        if phase == "e":
+            span = open_spans[(run, event["cat"], event["id"],
+                               event["name"])].pop(0)
+            span.t1 = t
+            span.args.update(event.get("args", {}))
+        else:
+            tracer.instants.append(InstantRecord(
+                run, event["name"],
+                threads.get((event["pid"], event["tid"]), ""), t,
+                event.get("args", {})))
+        ends[run] = max(ends.get(run, 0.0), t)
+    labels = dict(enumerate(other.get("runs", [])))
+    for run, label in runs.values():
+        labels.setdefault(run, label)
+    n_runs = max([*labels, *ends], default=-1) + 1
+    tracer.run_labels = [labels.get(run, "run") for run in range(n_runs)]
+    tracer.run_end_s = [ends.get(run, 0.0) for run in range(n_runs)]
+    return tracer
 
 
-def run_of_pid(pid_names: Dict[int, str], pid: int) -> Tuple[int, str]:
+def _run_of(process_name: str) -> Tuple[int, str]:
     """Recover (run index, run label) from a process name written by
     :class:`_TrackMap`, like ``"EcoFaaS [2] invocations"``."""
-    name = pid_names.get(pid, "")
-    if "[" in name and "]" in name:
-        label = name.split("[", 1)[0].strip()
-        index = name.split("[", 1)[1].split("]", 1)[0]
+    if "[" in process_name and "]" in process_name:
+        label = process_name.split("[", 1)[0].strip()
+        index = process_name.split("[", 1)[1].split("]", 1)[0]
         if index.isdigit():
             return int(index), label
-    return 0, name or "run"
+    return 0, process_name or "run"
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.experiments import overload as overload_experiment
 from repro.experiments import partition as partition_experiment
 from repro.experiments.common import make_load_trace, run_cluster
 from repro.obs.audit import KINDS, AuditLog
-from repro.obs.explain import load_explain_data
+from repro.obs.export import read_chrome_trace
 from repro.platform.cluster import ClusterConfig
 
 
@@ -53,22 +53,22 @@ def stream_mismatches(tracer, audit, run_dir):
     if memory != records:
         problems.append(f"in memory: {len(memory)} decision instants vs"
                         f" {len(records)} audit records")
-    exported = [i for i in load_explain_data(
-        os.path.join(run_dir, "trace.json")).instants if i["name"] in KINDS]
+    exported = [i for i in read_chrome_trace(
+        os.path.join(run_dir, "trace.json")).instants if i.name in KINDS]
     lines = read_jsonl(os.path.join(run_dir, "audit.jsonl"))
     if len(exported) != len(lines):
         problems.append(f"exported: {len(exported)} decision instants vs"
                         f" {len(lines)} JSONL records")
     for inst, line in zip(exported, lines):
-        same = (inst["run"], inst["name"], inst["track"]) == (
+        same = (inst.run, inst.name, inst.track) == (
             line["run"], line["kind"], line["actor"]) \
-            and abs(inst["t"] - line["t"]) <= 1e-6 \
-            and all(inst["args"][key] == line[key] for key in PAYLOAD)
+            and abs(inst.t - line["t"]) <= 1e-6 \
+            and all(inst.args[key] == line[key] for key in PAYLOAD)
         if not same:
             problems.append(f"exported record seq {line['seq']} differs:"
                             f" {inst} vs {line}")
             break
-    kinds_traced = {i["name"] for i in exported}
+    kinds_traced = {i.name for i in exported}
     kinds_logged = {line["kind"] for line in lines}
     if kinds_traced != kinds_logged:
         problems.append(f"kinds differ: {sorted(kinds_traced)} vs"

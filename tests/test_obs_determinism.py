@@ -110,7 +110,7 @@ def test_two_traced_runs_write_byte_identical_files(tmp_path):
         assert (tmp_path / "run0" / name).read_bytes() == \
             (tmp_path / "run1" / name).read_bytes(), name
     # The one trace reader validates the file as it reads it back.
-    assert read_chrome_trace(str(tmp_path / "run0" / "trace.json"))[0]
+    assert read_chrome_trace(str(tmp_path / "run0" / "trace.json")).spans
 
 
 def test_cli_trace_and_report(tmp_path):

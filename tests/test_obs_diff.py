@@ -263,15 +263,15 @@ def test_benchmark_run_directories_diff(arena, tmp_path):
 
 def _count_trace_loads(monkeypatch):
     import importlib
-    explain = importlib.import_module("repro.obs.explain")
+    diff = importlib.import_module("repro.obs.diff")
     loads = {}
-    load = explain.load_explain_data
+    load = diff.read_chrome_trace
 
     def counted(path):
         loads[path] = loads.get(path, 0) + 1
         return load(path)
 
-    monkeypatch.setattr(explain, "load_explain_data", counted)
+    monkeypatch.setattr(diff, "read_chrome_trace", counted)
     return loads
 
 

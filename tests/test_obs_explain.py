@@ -24,12 +24,8 @@ from repro.core.config import EcoFaaSConfig
 from repro.experiments import overload as overload_experiment
 from repro.experiments import partition as partition_experiment
 from repro.experiments.common import make_load_trace, run_cluster
-from repro.obs.explain import (
-    explain,
-    format_explanation,
-    load_explain_data,
-    missed_workflows,
-)
+from repro.obs.explain import explain, format_explanation, missed_workflows
+from repro.obs.export import read_chrome_trace
 from repro.platform.cluster import ClusterConfig
 from tests.test_obs_audit import stream_mismatches
 
@@ -90,11 +86,11 @@ def trace_of(artifacts):
 
 
 def explain_worst(artifacts):
-    data = load_explain_data(trace_of(artifacts))
-    missed = missed_workflows(data)
+    tracer = read_chrome_trace(trace_of(artifacts))
+    missed = missed_workflows(tracer)
     assert missed, "expected at least one missed-SLO workflow"
     worst = missed[0]
-    return data, explain(data, worst.uid, run=worst.run)
+    return tracer, explain(tracer, worst.uid, run=worst.run)
 
 
 def test_overload_miss_has_ranked_causes(overload_artifacts):
@@ -111,32 +107,31 @@ def test_overload_miss_has_ranked_causes(overload_artifacts):
 
 
 def test_partition_miss_has_ranked_causes(partition_artifacts):
-    data, result = explain_worst(partition_artifacts)
+    tracer, result = explain_worst(partition_artifacts)
     assert result["causes"]
     assert result["missed_by_s"] is None or result["missed_by_s"] > 0 \
         or result["status"] == "failed"
     # Somewhere in the partition run, HA redispatches left decision
     # instants that explain can join by workflow uid.
-    redispatched = [i for i in data.instants
-                    if i["name"] == "ha_redispatch"]
+    redispatched = tracer.instants_named("ha_redispatch")
     assert redispatched
-    uid = redispatched[0]["args"]["workflow_uid"]
-    if any(s.cat == "workflow" and s.uid == uid for s in data.spans):
-        joined = explain(data, uid)
+    uid = redispatched[0].args["workflow_uid"]
+    if any(s.uid == uid for s in tracer.spans_of("workflow")):
+        joined = explain(tracer, uid)
         kinds = {c["kind"] for c in joined["causes"]}
         assert "ha" in kinds or "audit" in kinds
 
 
 def test_explain_links_jobs_to_workflows(overload_artifacts):
-    data, result = explain_worst(overload_artifacts)
+    tracer, result = explain_worst(overload_artifacts)
     assert result["jobs"], "workflow uid should link to its job uids"
-    assert data.links, "trace should carry workflowLinks metadata"
+    assert tracer.wf_links, "trace should carry workflowLinks metadata"
 
 
 def test_explain_unknown_workflow_raises(overload_artifacts):
-    data = load_explain_data(trace_of(overload_artifacts))
+    tracer = read_chrome_trace(trace_of(overload_artifacts))
     with pytest.raises(KeyError):
-        explain(data, 10**9)
+        explain(tracer, 10**9)
 
 
 def test_cli_explain_end_to_end(overload_artifacts, capsys):
@@ -151,8 +146,8 @@ def test_cli_explain_end_to_end(overload_artifacts, capsys):
 def test_cli_explain_specific_workflow(overload_artifacts, capsys):
     from repro.cli import main
 
-    data = load_explain_data(trace_of(overload_artifacts))
-    uid = missed_workflows(data)[0].uid
+    uid = missed_workflows(read_chrome_trace(
+        trace_of(overload_artifacts)))[0].uid
     assert main(["explain", overload_artifacts[2], str(uid)]) == 0
     out = capsys.readouterr().out
     assert f"workflow {uid} " in out
@@ -184,9 +179,9 @@ def test_chaos_miss_names_retries_of_its_functions(tmp_path):
         obs.uninstall()
     trace_path = str(tmp_path / "trace.json")
     obs.write_chrome_trace(tracer, trace_path)
-    data = load_explain_data(trace_path)
-    texts = [c["text"] for span in missed_workflows(data)
-             for c in explain(data, span.uid, run=span.run)["causes"]
+    tracer = read_chrome_trace(trace_path)
+    texts = [c["text"] for span in missed_workflows(tracer)
+             for c in explain(tracer, span.uid, run=span.run)["causes"]
              if c["kind"] == "reliability"]
     assert any("retried during this workflow" in t for t in texts)
 

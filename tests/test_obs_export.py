@@ -1,4 +1,5 @@
-"""Tests for the trace exporters, validator, and report loader."""
+"""Tests for the trace exporters, the validator, the one trace reader
+and the report."""
 
 import json
 import math
@@ -44,6 +45,61 @@ def synthetic_tracer():
     return tracer
 
 
+def two_run_tracer():
+    """:func:`synthetic_tracer` plus a second run that links a job to its
+    workflow and ends with both still open."""
+    tracer = synthetic_tracer()
+    env = Environment()
+    tracer.begin_run("Second")
+    tracer.bind(env)
+
+    def proc():
+        tracer.workflow_begin(0, "App", slo_s=1.0)
+        tracer.link(0, 1)
+        tracer.invocation_begin(1, "App.fn", benchmark="App")
+        tracer.phase(1, "queue", pool="pool2.0@0")
+        yield env.timeout(0.25)
+        tracer.instant("pool_retune", "controller",
+                       inputs={"targets": {"pool2.0@0": 3}},
+                       action={"targets": {"pool2.0@0": 2}})
+        yield env.timeout(1.0 / 3.0)
+
+    env.process(proc())
+    env.run()
+    return tracer
+
+
+class TestReadBack:
+    """The reader returns the records the writer wrote."""
+
+    def test_round_trip_restores_every_record(self, tmp_path):
+        tracer = two_run_tracer()
+        path = str(tmp_path / "trace.json")
+        obs.write_chrome_trace(tracer, path)  # closes the open spans
+        back = read_chrome_trace(path)
+        assert back.run_labels == tracer.run_labels == ["Synthetic",
+                                                        "Second"]
+        assert back.wf_links == tracer.wf_links == [(1, 0, 1)]
+        assert [s.args.get("status") for s in tracer.spans_of(
+            "invocation", 1)] == ["unfinished"]
+        assert len(back.spans) == len(tracer.spans)
+        for old, new in zip(tracer.spans, back.spans):
+            assert (new.run, new.kind, new.name, new.uid, new.args) == \
+                (old.run, old.kind, old.name, old.uid, old.args)
+            assert abs(new.t0 - old.t0) <= 1e-9
+            assert abs(new.t1 - old.t1) <= 1e-9
+        assert len(back.instants) == len(tracer.instants)
+        for old, new in zip(tracer.instants, back.instants):
+            assert (new.run, new.name, new.track, new.args) == \
+                (old.run, old.name, old.track, old.args)
+            assert abs(new.t - old.t) <= 1e-9
+
+    def test_counters_are_not_read_back(self, tmp_path):
+        path = str(tmp_path / "trace.json")
+        obs.write_chrome_trace(synthetic_tracer(), path)
+        assert read_chrome_trace(path).counters == []
+
+
 class TestProcessMapping:
     @pytest.mark.parametrize("track,process", [
         ("node0", "node0"),
@@ -86,8 +142,9 @@ class TestChromeTrace:
         tracer = synthetic_tracer()
         path = str(tmp_path / "trace.json")
         obs.write_chrome_trace(tracer, path)
-        events, _, _ = read_chrome_trace(path)  # raises when invalid
-        assert validate_events(events) == []
+        read_chrome_trace(path)  # raises when invalid
+        events = json.loads((tmp_path / "trace.json").read_text())
+        assert validate_events(events["traceEvents"]) == []
 
     def test_process_names_carry_run_labels(self, tmp_path):
         tracer = synthetic_tracer()
@@ -230,7 +287,7 @@ class TestSummaryAndReport:
     def test_report_roundtrip(self, tmp_path):
         path = str(tmp_path / "trace.json")
         obs.write_chrome_trace(synthetic_tracer(), path)
-        text = obs.report(path)
+        text = obs.report(read_chrome_trace(path))
         assert "run 0 (Synthetic): 1 completed invocations" in text
         assert "App.fn" in text
         assert "3.0J" in text
@@ -238,7 +295,8 @@ class TestSummaryAndReport:
     def test_report_json_format(self, tmp_path):
         path = str(tmp_path / "trace.json")
         obs.write_chrome_trace(synthetic_tracer(), path)
-        document = json.loads(obs.report(path, fmt="json"))
+        document = json.loads(obs.report(read_chrome_trace(path),
+                                         fmt="json"))
         run = document["runs"][0]
         assert run["label"] == "Synthetic"
         assert run["completed_invocations"] == 1

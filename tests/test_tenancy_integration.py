@@ -217,13 +217,13 @@ class TestConservation:
 
 class TestReportAndBillPipelines:
     def test_report_text_has_tenant_section(self, armed_artifacts):
-        text = obs.report(armed_artifacts["trace"])
+        text = obs.report(obs.read_chrome_trace(armed_artifacts["trace"]))
         assert "tenants (energy share / billed cost / throttles)" in text
         assert "gamma" in text
 
     def test_report_json_has_tenant_rows(self, armed_artifacts):
-        document = json.loads(obs.report(armed_artifacts["trace"],
-                                         fmt="json"))
+        document = json.loads(obs.report(
+            obs.read_chrome_trace(armed_artifacts["trace"]), fmt="json"))
         rows = document["runs"][0]["tenants"]
         assert rows, "tenant rows missing from --format json"
         by_name = {row["tenant"]: row for row in rows}
@@ -239,9 +239,10 @@ class TestReportAndBillPipelines:
             obs.uninstall()
         path = str(tmp_path / "plain.json")
         obs.write_chrome_trace(tracer, path)
-        text = obs.report(path)
+        text = obs.report(obs.read_chrome_trace(path))
         assert "tenants (energy share" not in text
-        document = json.loads(obs.report(path, fmt="json"))
+        document = json.loads(obs.report(obs.read_chrome_trace(path),
+                                         fmt="json"))
         assert document["runs"][0]["tenants"] == []
 
     def test_cli_bill_text_and_json(self, armed_artifacts, capsys):
@@ -271,15 +272,11 @@ class TestReportAndBillPipelines:
         capsys.readouterr()
 
     def test_explain_names_budget_and_cap(self, armed_artifacts):
-        from repro.obs.explain import (
-            explain,
-            load_explain_data,
-            missed_workflows,
-        )
-        data = load_explain_data(armed_artifacts["trace"])
+        from repro.obs.explain import explain, missed_workflows
+        tracer = obs.read_chrome_trace(armed_artifacts["trace"])
         kinds = set()
-        for span in missed_workflows(data)[:20]:
-            result = explain(data, span.uid, run=span.run)
+        for span in missed_workflows(tracer)[:20]:
+            result = explain(tracer, span.uid, run=span.run)
             kinds |= {c["kind"] for c in result["causes"]}
         assert "tenant_budget" in kinds or "power_cap" in kinds, (
             "no missed workflow was explained by a tenancy cause despite"
