@@ -88,8 +88,6 @@ class BreakerConfig:
     min_failures: int = 3
     failure_rate: float = 0.5
     open_for_s: float = 5.0
-    #: Count deadline misses of successful attempts as failures too.
-    count_deadline_misses: bool = False
 
     def __post_init__(self) -> None:
         for name in ("window_s", "failure_rate", "open_for_s"):

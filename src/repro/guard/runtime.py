@@ -172,19 +172,10 @@ class GuardRuntime:
                     reason="attempt failures tripped the circuit breaker;"
                            " further calls fail fast until the cooldown")
 
-    def record_attempt_success(self, function_name: str,
-                               met_deadline: bool) -> None:
+    def record_attempt_success(self, function_name: str) -> None:
         breaker = self.breaker_for(function_name)
-        if breaker is None:
-            return
-        if (self.breakers.config.count_deadline_misses and not met_deadline):
-            self.record_attempt_failure(function_name)
-            return
-        was_open = breaker.state == OPEN
-        breaker.record_success(self.env.now)
-        if was_open or breaker.state != "closed":
-            return
-        # (No instant for routine successes; only state transitions.)
+        if breaker is not None:
+            breaker.record_success(self.env.now)
 
     # ------------------------------------------------------------------
     # Safe mode (dispatcher + workflow controller)

@@ -487,9 +487,7 @@ class Cluster:
                     lost_to_crash_here += sum(1 for j in jobs if j.aborted)
                     self.metrics.crash_redispatches += lost_to_crash_here
                     if guard is not None:
-                        met = (inv.deadline_s is None
-                               or self.env.now <= inv.deadline_s + 1e-9)
-                        guard.record_attempt_success(name, met)
+                        guard.record_attempt_success(name)
                     return winner
                 if all(j.aborted for j in jobs):
                     lost_to_crash_here += len(jobs)

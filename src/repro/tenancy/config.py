@@ -36,7 +36,8 @@ class TenantSpec:
     policy follows the guard's shed ordering: a ``best_effort`` tenant's
     arrivals are shed outright (brownout-style), while an SLO-bearing
     tenant's arrivals are throttled through a token bucket at
-    ``throttle_rps``/``throttle_burst`` — slowed down, not starved.
+    :data:`~repro.tenancy.runtime.THROTTLE_RPS` — slowed down, not
+    starved.
     """
 
     name: str
@@ -50,10 +51,6 @@ class TenantSpec:
     #: Best-effort tenants are shed outright while over budget;
     #: SLO-bearing tenants are throttled through the token bucket.
     best_effort: bool = False
-    #: Over-budget admission rate for SLO-bearing tenants, workflows/s.
-    throttle_rps: float = 2.0
-    #: Over-budget token-bucket burst capacity.
-    throttle_burst: float = 2.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -72,14 +69,6 @@ class TenantSpec:
         _require_finite("window_s", self.window_s)
         if self.window_s <= 0:
             raise ValueError(f"window_s must be positive: {self.window_s}")
-        _require_finite("throttle_rps", self.throttle_rps)
-        _require_finite("throttle_burst", self.throttle_burst)
-        if self.throttle_rps <= 0:
-            raise ValueError(
-                f"throttle_rps must be positive: {self.throttle_rps}")
-        if self.throttle_burst < 1:
-            raise ValueError(
-                f"throttle_burst must be >= 1: {self.throttle_burst}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +135,8 @@ class PowerCapConfig:
     cap it lowers the cluster-wide frequency ceiling one DVFS level per
     tick, then shrinks the usable core fraction by ``core_step`` per
     tick down to ``min_core_fraction``; once the draw falls below
-    ``release_fraction`` of the cap it releases one step per tick in the
+    :data:`~repro.tenancy.governor.RELEASE_FRACTION` of the cap it
+    releases one step per tick in the
     reverse order. ``schedule`` makes the cap time-varying: a sorted
     sequence of ``(t_s, cap_w)`` steps, each active from its timestamp
     on (before the first step, ``cap_w`` applies).
@@ -158,8 +148,6 @@ class PowerCapConfig:
     period_s: float = 2.0
     #: Time-varying cap steps: ``((t_s, cap_w), ...)``, sorted by time.
     schedule: Tuple[Tuple[float, float], ...] = ()
-    #: Draw below ``release_fraction * cap`` releases one actuation step.
-    release_fraction: float = 0.85
     #: Floor on the usable-core fraction when shrinking pools.
     min_core_fraction: float = 0.25
     #: Usable-core fraction removed (or restored) per governor tick.
@@ -168,17 +156,12 @@ class PowerCapConfig:
     def __post_init__(self) -> None:
         _require_finite("cap_w", self.cap_w)
         _require_finite("period_s", self.period_s)
-        _require_finite("release_fraction", self.release_fraction)
         _require_finite("min_core_fraction", self.min_core_fraction)
         _require_finite("core_step", self.core_step)
         if self.cap_w <= 0:
             raise ValueError(f"cap_w must be positive: {self.cap_w}")
         if self.period_s <= 0:
             raise ValueError(f"period_s must be positive: {self.period_s}")
-        if not 0 < self.release_fraction < 1:
-            raise ValueError(
-                f"release_fraction must be in (0, 1):"
-                f" {self.release_fraction}")
         if not 0 < self.min_core_fraction <= 1:
             raise ValueError(
                 f"min_core_fraction must be in (0, 1]:"

@@ -13,7 +13,7 @@ active cap and moves one step along a fixed actuation ladder:
   per tick down to ``min_core_fraction`` (pool shrinking, applied by
   the elastic node controllers at their next refresh).
 
-Draw under ``release_fraction * cap`` releases one step per tick in the
+Draw under ``RELEASE_FRACTION * cap`` releases one step per tick in the
 reverse order, giving the loop hysteresis. The ceiling acts through the
 existing controllers: pools above the ceiling are retuned down through
 the kernel DVFS path, dispatch frequency choices are clamped, and pool
@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Frontend trace track for governor decisions (matches guard events).
 FRONTEND_TRACK = "frontend"
+
+#: Draw below ``RELEASE_FRACTION * cap`` releases one actuation step.
+RELEASE_FRACTION = 0.85
 
 
 class PowerCapGovernor:
@@ -123,8 +126,7 @@ class PowerCapGovernor:
         draw = self.draw_w()
         if draw > cap and self.steps < self.max_steps:
             self._actuate(self.steps + 1, draw, cap, "tighten")
-        elif (draw < self.config.release_fraction * cap
-              and self.steps > 0):
+        elif draw < RELEASE_FRACTION * cap and self.steps > 0:
             self._actuate(self.steps - 1, draw, cap, "release")
 
     def _actuate(self, new_steps: int, draw: float, cap: float,

@@ -44,6 +44,11 @@ FRONTEND_TRACK = "frontend"
 SHED_TENANT_BUDGET = "tenant_budget"      # best-effort tenant over budget
 SHED_TENANT_THROTTLE = "tenant_throttle"  # SLO tenant over budget, bucket dry
 
+#: Over-budget admission rate of an SLO-bearing tenant, workflows/s, and
+#: the burst capacity of its token bucket.
+THROTTLE_RPS = 2.0
+THROTTLE_BURST = 2.0
+
 
 class TenancyRuntime:
     """All armed tenancy machinery of one cluster."""
@@ -116,8 +121,8 @@ class TenancyRuntime:
 
     def _bucket(self, tenant: TenantSpec) -> TokenBucket:
         if tenant.name not in self._buckets:
-            self._buckets[tenant.name] = TokenBucket(tenant.throttle_rps,
-                                                     tenant.throttle_burst)
+            self._buckets[tenant.name] = TokenBucket(THROTTLE_RPS,
+                                                     THROTTLE_BURST)
         return self._buckets[tenant.name]
 
     def admit_workflow(self, benchmark: str) -> bool:
