@@ -206,6 +206,9 @@ def _bill(argv: List[str]) -> int:
             runs = json.load(handle)["runs"]
         if not isinstance(runs, list):
             raise ValueError("its runs are not a list")
+        if not all(isinstance(run, dict) and "by_benchmark_component" in run
+                   for run in runs):
+            raise ValueError("a run has no by_benchmark_component")
         return runs
 
     from repro.obs.export import LEDGER_FILE
@@ -218,24 +221,14 @@ def _bill(argv: List[str]) -> int:
         if not runs:
             print(f"no run {args.run} in {args.run_dir}", file=sys.stderr)
             return 2
-    from repro.tenancy import UNATTRIBUTED, bill_from_breakdown, format_bill
+    from repro.tenancy import bill_from_breakdown, format_bill
 
     def tenant_of(benchmark: str) -> str:
         return owners.get(benchmark, benchmark)
 
     bills = []
     for run in runs:
-        breakdown = run.get("by_benchmark_component")
-        if breakdown is None:
-            # Older ledger file: fall back to the flat benchmark rollup,
-            # billed entirely at the default component rate.
-            breakdown = {bench: {"run": joules} for bench, joules
-                         in run.get("by_benchmark", {}).items()}
-            breakdown[UNATTRIBUTED] = {
-                "static": run.get("ledger_j", 0.0)
-                - sum(j for row in breakdown.values()
-                      for j in row.values())}
-        bill = bill_from_breakdown(breakdown, tenant_of)
+        bill = bill_from_breakdown(run["by_benchmark_component"], tenant_of)
         bills.append({"run": run.get("run"), "label": run.get("label"),
                       "bill": bill})
     if args.format == "json":

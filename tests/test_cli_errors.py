@@ -120,6 +120,19 @@ def test_bill_runs_not_a_list(tmp_path, capsys):
     assert "not an energy-ledger JSON file: " in err and "ledger.json" in err
 
 
+def test_bill_ledger_without_component_breakdown(tmp_path, capsys):
+    """Every ledger a run directory holds has each run's per-benchmark
+    component breakdown; one without it is rejected, not billed."""
+    ledger = {"runs": [{"run": 0, "label": "EcoFaaS", "ledger_j": 10.0,
+                        "by_benchmark": {"WebServ": 4.0}}]}
+    rc = _bill([_artifact("bill", tmp_path / "run", json.dumps(ledger))])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert _one_line(err), f"expected one stderr line, got: {err!r}"
+    assert "not an energy-ledger JSON file: " in err
+    assert "by_benchmark_component" in err
+
+
 def test_diff_wrong_shape_json(tmp_path, capsys):
     rc = _diff([_artifact("diff", tmp_path / "run",
                           '{"format": "something-else", "runs": []}')])
