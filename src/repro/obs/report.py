@@ -10,7 +10,7 @@ answer.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.obs.export import _top_functions, queueing_by_function
 from repro.obs.tracer import SpanRecord, Tracer
@@ -23,27 +23,6 @@ def _completed(value):
             return None
         return value(span)
     return key
-
-
-def _rankings(tracer: Tracer, run: int, top_n: int
-              ) -> Dict[str, List[Tuple[str, float]]]:
-    """The three rankings of one run, positive values only."""
-    ranked = {
-        "energy": _top_functions(tracer, run, _completed(
-            lambda s: float(s.args.get("energy_j", 0.0))), top_n),
-        "queueing": sorted(queueing_by_function(tracer, run).items(),
-                           key=lambda item: (-item[1], item[0]))[:top_n],
-        "misses": _top_functions(tracer, run, _completed(
-            lambda s: 0.0 + (not s.args.get("met_deadline", True))), top_n),
-    }
-    return {title: [(fn, value) for fn, value in rows if value > 0]
-            for title, rows in ranked.items()}
-
-
-def _completed_count(tracer: Tracer, run: int) -> int:
-    return sum(1 for s in tracer.spans_of("invocation", run)
-               if s.args.get("status") == "completed"
-               and not s.args.get("prewarm"))
 
 
 def tenant_rows(tracer: Tracer, run: int) -> List[dict]:
@@ -79,30 +58,61 @@ def tenant_rows(tracer: Tracer, run: int) -> List[dict]:
                   key=lambda row: (-row["energy_j"], row["tenant"]))
 
 
-def format_report(tracer: Tracer, top_n: int = 10) -> str:
-    lines: List[str] = []
+def report_to_dict(tracer: Tracer, top_n: int = 10) -> dict:
+    """The report as a JSON-serializable document (``--format json``)."""
+    runs = []
     for run, label in enumerate(tracer.run_labels):
-        lines.append(f"== run {run} ({label}):"
-                     f" {_completed_count(tracer, run)} completed"
+        rankings = (
+            ("top_energy_j", "energy_j", float, _top_functions(
+                tracer, run, _completed(
+                    lambda s: float(s.args.get("energy_j", 0.0))), top_n)),
+            ("top_queueing_s", "queue_s", float, sorted(
+                queueing_by_function(tracer, run).items(),
+                key=lambda item: (-item[1], item[0]))[:top_n]),
+            ("top_deadline_misses", "misses", int, _top_functions(
+                tracer, run, _completed(
+                    lambda s: float(not s.args.get("met_deadline", True))),
+                top_n)))
+        entry = {
+            "run": run,
+            "label": label,
+            "completed_invocations": sum(
+                1 for s in tracer.spans_of("invocation", run)
+                if s.args.get("status") == "completed"
+                and not s.args.get("prewarm")),
+            "tenants": tenant_rows(tracer, run),
+        }
+        for key, column, cast, ranked in rankings:
+            entry[key] = [{"function": fn, column: cast(value)}
+                          for fn, value in ranked if value > 0]
+        runs.append(entry)
+    return {"source": "repro.obs.report", "runs": runs}
+
+
+def format_report(document: dict) -> str:
+    """The text form of a :func:`report_to_dict` document."""
+    lines: List[str] = []
+    for entry in document["runs"]:
+        lines.append(f"== run {entry['run']} ({entry['label']}):"
+                     f" {entry['completed_invocations']} completed"
                      f" invocations ==")
-        ranked = _rankings(tracer, run, top_n)
         sections = (
-            ("top functions by energy", ranked["energy"], "J", "{:.1f}"),
-            ("top functions by queueing delay", ranked["queueing"], "s",
-             "{:.3f}"),
-            ("top functions by deadline misses", ranked["misses"], "",
+            ("energy", "top_energy_j", "energy_j", "J", "{:.1f}"),
+            ("queueing delay", "top_queueing_s", "queue_s", "s", "{:.3f}"),
+            ("deadline misses", "top_deadline_misses", "misses", "",
              "{:.0f}"),
         )
-        for title, rows, unit, fmt in sections:
-            lines.append(f"-- {title} --")
+        for title, key, column, unit, fmt in sections:
+            lines.append(f"-- top functions by {title} --")
+            rows = entry[key]
             if not rows:
                 lines.append("   (none)")
                 continue
-            width = max(len(fn) for fn, _ in rows)
-            for function, value in rows:
-                lines.append(f"   {function.ljust(width)}"
-                             f"  {fmt.format(value)}{unit}")
-        tenants = tenant_rows(tracer, run)
+            width = max(len(row["function"]) for row in rows)
+            for row in rows:
+                lines.append(f"   {row['function'].ljust(width)}"
+                             f"  {fmt.format(row[column])}{unit}")
+        tenants = entry["tenants"]
         if tenants:  # section only exists when the run was multi-tenant
             lines.append("-- tenants (energy share / billed cost /"
                          " throttles) --")
@@ -119,29 +129,9 @@ def format_report(tracer: Tracer, top_n: int = 10) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def report_to_dict(tracer: Tracer, top_n: int = 10) -> dict:
-    """The report as a JSON-serializable document (``--format json``)."""
-    runs = []
-    for run, label in enumerate(tracer.run_labels):
-        ranked = _rankings(tracer, run, top_n)
-        runs.append({
-            "run": run,
-            "label": label,
-            "completed_invocations": _completed_count(tracer, run),
-            "top_energy_j": [{"function": fn, "energy_j": value}
-                             for fn, value in ranked["energy"]],
-            "top_queueing_s": [{"function": fn, "queue_s": value}
-                               for fn, value in ranked["queueing"]],
-            "top_deadline_misses": [{"function": fn, "misses": int(value)}
-                                    for fn, value in ranked["misses"]],
-            "tenants": tenant_rows(tracer, run),
-        })
-    return {"source": "repro.obs.report", "runs": runs}
-
-
 def report(tracer: Tracer, top_n: int = 10, fmt: str = "text") -> str:
     """Render the report of ``tracer``'s runs as text or JSON."""
+    document = report_to_dict(tracer, top_n)
     if fmt == "json":
-        return json.dumps(report_to_dict(tracer, top_n), indent=1,
-                          sort_keys=True) + "\n"
-    return format_report(tracer, top_n)
+        return json.dumps(document, indent=1, sort_keys=True) + "\n"
+    return format_report(document)
