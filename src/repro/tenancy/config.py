@@ -136,10 +136,10 @@ class PowerCapConfig:
     tick, then shrinks the usable core fraction by ``core_step`` per
     tick down to ``min_core_fraction``; once the draw falls below
     :data:`~repro.tenancy.governor.RELEASE_FRACTION` of the cap it
-    releases one step per tick in the
-    reverse order. ``schedule`` makes the cap time-varying: a sorted
-    sequence of ``(t_s, cap_w)`` steps, each active from its timestamp
-    on (before the first step, ``cap_w`` applies).
+    releases one step per tick in the reverse order. ``schedule`` makes
+    the cap time-varying: a sorted sequence of ``(t_s, cap_w)`` steps,
+    each active from its timestamp on (before the first step, ``cap_w``
+    applies).
     """
 
     #: The standing cap, watts.
