@@ -8,8 +8,8 @@ are written as run directories, and the one-stream oracle checks that
 their trace and audit JSONL carry the same decisions.
 
 The overload run directory also pins ``repro report`` (text and JSON)
-and ``repro explain`` on its worst-missed workflow against golden
-files. Regenerate them (only when that output intentionally changes)::
+and ``repro explain`` on its worst-missed workflow, and its
+``audit.jsonl`` byte for byte, against golden files. Regenerate them (only when that output intentionally changes)::
 
     PYTHONPATH=src:. python tests/test_obs_explain.py --write-golden
 """
@@ -37,6 +37,8 @@ GOLDENS = {
     "report_golden.json": ["report", "--format", "json"],
     "explain_golden.txt": ["explain"],
 }
+#: The overload run directory's decision log, pinned byte for byte.
+AUDIT_GOLDEN = "audit_golden.jsonl"
 
 
 def record_overload_run(out: str):
@@ -235,10 +237,19 @@ def test_report_and_explain_match_golden(golden, overload_artifacts):
         assert out == handle.read()
 
 
+def test_audit_jsonl_matches_golden(overload_artifacts):
+    with open(os.path.join(overload_artifacts[2], "audit.jsonl"),
+              "rb") as handle:
+        out = handle.read()
+    with open(os.path.join(DATA_DIR, AUDIT_GOLDEN), "rb") as handle:
+        assert out == handle.read()
+
+
 # ---------------------------------------------------------------------------
 # Golden regeneration entrypoint
 # ---------------------------------------------------------------------------
 if __name__ == "__main__":
+    import shutil
     import sys
     import tempfile
 
@@ -250,3 +261,6 @@ if __name__ == "__main__":
         with open(path, "w") as handle:
             handle.write(cli_output([command, run_dir, *options]))
         print(f"wrote {path}")
+    path = os.path.join(DATA_DIR, AUDIT_GOLDEN)
+    shutil.copyfile(os.path.join(run_dir, "audit.jsonl"), path)
+    print(f"wrote {path}")
