@@ -10,8 +10,8 @@ The runtime owns three concerns: deadline *doom* predicates (a job or
 workflow is doomed once it provably cannot finish by its doom line),
 the actual kill path (finding a job's pool across the cluster and
 removing it there), and the cluster-wide retry budget. Every decision
-is folded into :class:`MetricsCollector` counters and emitted as
-``repro.obs`` instants/audit records.
+is folded into :class:`MetricsCollector` counters and recorded as
+``repro.obs`` trace instants (decisions through ``Tracer.decision``).
 """
 
 from __future__ import annotations
@@ -161,20 +161,18 @@ class CancelRuntime:
             return
         self.doomed_workflow_uids.add(wf_uid)
         self.metrics.record_workflow_doomed(benchmark)
-        audit = self.env.audit
-        if audit is not None:
-            audit.record(
-                "workflow_doomed", FRONTEND_TRACK,
-                inputs={"benchmark": benchmark, "stage": stage_index,
-                        "now": round(self.env.now, 6), "cause": cause},
-                action={"doomed": True},
-                alternatives=[{"continue": True,
-                               "rejected": "the doom line already passed;"
-                                           " remaining stages cannot meet"
-                                           " the SLO"}],
-                reason="deadline propagation: the workflow's doom line"
-                       " passed before its chain finished",
-                workflow_uid=wf_uid)
+        self.env.trace.decision(
+            "workflow_doomed", FRONTEND_TRACK,
+            inputs={"benchmark": benchmark, "stage": stage_index,
+                    "now": round(self.env.now, 6), "cause": cause},
+            action={"doomed": True},
+            alternatives=[{"continue": True,
+                           "rejected": "the doom line already passed;"
+                                       " remaining stages cannot meet"
+                                       " the SLO"}],
+            reason="deadline propagation: the workflow's doom line"
+                   " passed before its chain finished",
+            workflow_uid=wf_uid)
 
     def workflow_was_doomed(self, wf_uid: int) -> bool:
         return wf_uid in self.doomed_workflow_uids
@@ -194,19 +192,17 @@ class CancelRuntime:
             return True
         self.metrics.retry_budget_denials += 1
         pool = self.budget.pool
-        audit = self.env.audit
-        if audit is not None:
-            audit.record(
-                "retry_budget_exhausted", FRONTEND_TRACK,
-                inputs={"function": function, "attempt": attempt,
-                        "capacity": pool.capacity, "spent": pool.spent,
-                        "refunded": pool.refunded},
-                action={"retry": False},
-                alternatives=[{"retry": True,
-                               "rejected": "the cluster-wide retry-token"
-                                           " window is spent"}],
-                reason="adaptive retry budget: cluster retries are capped"
-                       " at a ratio of first attempts per window")
+        self.env.trace.decision(
+            "retry_budget_exhausted", FRONTEND_TRACK,
+            inputs={"function": function, "attempt": attempt,
+                    "capacity": pool.capacity, "spent": pool.spent,
+                    "refunded": pool.refunded},
+            action={"retry": False},
+            alternatives=[{"retry": True,
+                           "rejected": "the cluster-wide retry-token"
+                                       " window is spent"}],
+            reason="adaptive retry budget: cluster retries are capped"
+                   " at a ratio of first attempts per window")
         return False
 
     def refund_retry(self, function: str) -> None:

@@ -473,7 +473,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f" try 'list'", file=sys.stderr)
         return 2
 
-    tracer = audit = None
+    tracer = None
     if args.out:
         # Artifacts are written after the run: a directory that cannot
         # be made, or an artifact name in it taken by a directory, must
@@ -493,7 +493,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         tracer = obs.install(obs.Tracer(
             ledger=obs.EnergyLedger(), burnrate=obs.BurnRateMonitor(),
             fingerprint=obs.FingerprintRecorder(epoch_s=args.epoch_s)))
-        audit = obs.install_audit(obs.AuditLog())
     verifier = None
     if args.verify:
         from repro import verify
@@ -566,7 +565,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if tracer is not None:
             obs.uninstall()
-            obs.uninstall_audit()
         if verifier is not None:
             verify.uninstall()
 
@@ -583,7 +581,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   "power_cap": args.power_cap,
                   "cancel": bool(args.cancel), "epoch_s": args.epoch_s}
         print(obs.run_summary(tracer))
-        print(obs.write_run(tracer, audit, args.out,
+        print(obs.write_run(tracer, args.out,
                             {**config, "config_digest": obs.digest(config)}))
     return status
 

@@ -402,25 +402,23 @@ class EcoFaaSNode(NodeSystem):
                     if weight > 0.01 * total}
         self._demand_ewma = dict(smoothed)
 
-        audit = self.env.audit
+        trace = self.env.trace
 
         def pool_targets() -> Dict[str, int]:
-            # Keyed by the pools' trace names, so audit records join
+            # Keyed by the pools' trace names, so decisions join
             # directly against queue-phase spans in `repro explain`.
             sid = self.server.server_id
             return {f"pool{level:.1f}@{sid}": count
                     for level, count in sorted(self._targets.items())}
 
-        prev_targets = pool_targets() if audit is not None else None
+        prev_targets = pool_targets() if trace.enabled else None
         self._apply_demand(dict(smoothed))
         self.pool_count_samples.append((self.env.now, self.pool_count()))
-        if self.env.trace.enabled:
-            self.env.trace.counter(self.track, "pool_count",
-                                   self.pool_count())
-        if audit is not None:
+        if trace.enabled:
+            trace.counter(self.track, "pool_count", self.pool_count())
             new_targets = pool_targets()
             if new_targets != prev_targets:
-                audit.record(
+                trace.decision(
                     "pool_retune", self.track,
                     inputs={"demand": {f"{level:.2f}": round(weight, 4)
                                        for level, weight

@@ -90,10 +90,6 @@ class ProfileStore:
         candidates.sort(key=lambda c: (-c[0], c[1]))
         return candidates[0][2]
 
-    def has_profile(self, function_name: str) -> bool:
-        return any(name == function_name
-                   for _, name in self._profiles)
-
     @property
     def observations(self) -> int:
         """Observations noted so far; any cache of predictions made at

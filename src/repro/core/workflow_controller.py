@@ -64,14 +64,14 @@ class WorkflowController:
     def _recompute(self, slo_s: float) -> None:
         self._split_computed_at = self.env.now
         self._last_slo = slo_s
-        audit = self.env.audit
+        trace = self.env.trace
         if not all(self.store.ready(fn.name)
                    for fn in self.workflow.functions):
             self._split = None
-            if audit is not None:
+            if trace.enabled:
                 pending = [fn.name for fn in self.workflow.functions
                            if not self.store.ready(fn.name)]
-                audit.record(
+                trace.decision(
                     "milp_split", f"controller:{self.workflow.name}",
                     inputs={"slo_s": slo_s, "profiles_pending": pending},
                     action={"split": "proportional"},
@@ -92,36 +92,32 @@ class WorkflowController:
                 # proportional split until the next T_update.
                 guard.record_milp_fallback(self.workflow.name)
                 self._split = None
-                if audit is not None:
-                    audit.record(
-                        "milp_split", f"controller:{self.workflow.name}",
-                        inputs={"slo_s": slo_s, "node_budget": budget},
-                        action={"split": "proportional"},
-                        alternatives=[{
-                            "split": "milp",
-                            "rejected": "solver budget exhausted"}],
-                        reason="MILP solver exhausted its label budget;"
-                               " safe-mode proportional split")
+                trace.decision(
+                    "milp_split", f"controller:{self.workflow.name}",
+                    inputs={"slo_s": slo_s, "node_budget": budget},
+                    action={"split": "proportional"},
+                    alternatives=[{"split": "milp",
+                                   "rejected": "solver budget exhausted"}],
+                    reason="MILP solver exhausted its label budget;"
+                           " safe-mode proportional split")
             else:
                 self._split = split
-                if audit is not None:
-                    audit.record(
-                        "milp_split", f"controller:{self.workflow.name}",
-                        inputs={"slo_s": slo_s, "node_budget": budget},
-                        action={"split": "milp",
-                                "frequencies": dict(split.frequencies),
-                                "stage_budgets": [
-                                    round(b, 6)
-                                    for b in split.stage_budgets],
-                                "energy_j": round(split.energy_j, 6),
-                                "feasible": split.feasible},
-                        alternatives=[{"split": "proportional",
-                                       "rejected": "MILP plan is cheaper"
-                                                   " and proven"}],
-                        reason="MILP deadline split chosen"
-                               if split.feasible else
-                               "no feasible plan; fastest-frequency"
-                               " fallback plan chosen")
+                trace.decision(
+                    "milp_split", f"controller:{self.workflow.name}",
+                    inputs={"slo_s": slo_s, "node_budget": budget},
+                    action={"split": "milp",
+                            "frequencies": dict(split.frequencies),
+                            "stage_budgets": [round(b, 6) for b
+                                              in split.stage_budgets],
+                            "energy_j": round(split.energy_j, 6),
+                            "feasible": split.feasible},
+                    alternatives=[{"split": "proportional",
+                                   "rejected": "MILP plan is cheaper"
+                                               " and proven"}],
+                    reason="MILP deadline split chosen"
+                           if split.feasible else
+                           "no feasible plan; fastest-frequency"
+                           " fallback plan chosen")
         else:
             self._split = None  # ablation: proportional split only
 

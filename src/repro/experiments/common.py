@@ -127,9 +127,7 @@ def run_cluster(system, trace: Trace,
     run untouched. When a tracer is installed (``repro.obs``), the run is
     recorded as a new run scope named after the system — or ``label``,
     which experiment A/B arms pass so their fingerprints/manifests stay
-    distinguishable. A traced run always binds a decision log — the
-    installed one, or else a fresh one nobody exports — because the
-    trace's decision instants are written by that log.
+    distinguishable.
     """
     env = Environment()
     if label is None:
@@ -138,12 +136,6 @@ def run_cluster(system, trace: Trace,
     if tracer is not None:
         tracer.begin_run(label)
         tracer.bind(env)
-    audit = obs.active_audit()
-    if audit is None and tracer is not None:
-        audit = obs.AuditLog()
-    if audit is not None:
-        audit.begin_run(label)
-        audit.bind(env)
     verifier = verify.active()
     if verifier is not None:
         # Invariant monitors (repro.verify): read-only checks of the

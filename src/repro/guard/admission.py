@@ -109,7 +109,11 @@ class AdmissionController:
         return reason
 
     def snapshot(self, benchmark: str, now: float) -> Dict[str, object]:
-        """Decision-state summary for audit records (read-only)."""
+        """Decision-state summary for decision records.
+
+        Peeking refills the benchmark's bucket, so only traced runs
+        call this.
+        """
         return {"brownout_level": self.level,
                 "tokens": round(self.bucket(benchmark).peek(now), 4),
                 "best_effort": self.is_best_effort(benchmark)}

@@ -92,7 +92,7 @@ class CircuitBreaker:
         self._outcomes.clear()
 
     def snapshot(self) -> Dict[str, object]:
-        """Decision-state summary for audit records (read-only)."""
+        """Decision-state summary for decision records (read-only)."""
         failures = sum(1 for _, failed in self._outcomes if failed)
         return {"state": self.state,
                 "window_attempts": len(self._outcomes),
@@ -142,6 +142,3 @@ class BreakerBoard:
     def states(self) -> Dict[str, str]:
         return {name: breaker.state
                 for name, breaker in sorted(self._breakers.items())}
-
-    def total_opens(self) -> int:
-        return sum(b.open_count for b in self._breakers.values())

@@ -50,7 +50,7 @@ class GuardRuntime:
         self.checkpoints: Optional[CheckpointStore] = (
             CheckpointStore(config.checkpoint)
             if config.checkpoint is not None else None)
-        #: Last brownout level an audit record was written for; the
+        #: Last brownout level a decision was recorded for; the
         #: admission controller itself recomputes its level on every
         #: decision, so change detection has to live out here.
         self._audit_level = 0
@@ -89,9 +89,9 @@ class GuardRuntime:
                    and tenancy.demote_to_best_effort(benchmark))
         reason = self.admission.admit(benchmark, self.env.now, ewt,
                                       force_best_effort=demoted)
-        audit = self.env.audit
-        if audit is not None and self.admission.level != self._audit_level:
-            audit.record(
+        trace = self.env.trace
+        if self.admission.level != self._audit_level:
+            trace.decision(
                 "brownout_change", FRONTEND_TRACK,
                 inputs={"ewt_per_core_s": round(ewt, 6),
                         "previous_level": self._audit_level},
@@ -104,8 +104,10 @@ class GuardRuntime:
         if reason is None:
             return True
         self.metrics.record_shed(benchmark, reason)
-        if audit is not None:
-            audit.record(
+        if trace.enabled:
+            # Not built untraced: the snapshot's token peek refills the
+            # bucket, which could move later refills' float rounding.
+            trace.decision(
                 "admission_shed", FRONTEND_TRACK,
                 inputs={"benchmark": benchmark,
                         "ewt_per_core_s": round(ewt, 6),
@@ -154,13 +156,13 @@ class GuardRuntime:
                                    function=function_name, node=node.track)
             return
         opens_before = breaker.open_count
-        audit = self.env.audit
-        snapshot = breaker.snapshot() if audit is not None else None
+        trace = self.env.trace
+        snapshot = breaker.snapshot() if trace.enabled else None
         breaker.record_failure(self.env.now)
         if breaker.open_count > opens_before:
             self.metrics.breaker_opens += 1
-            if audit is not None:
-                audit.record(
+            if trace.enabled:
+                trace.decision(
                     "breaker_trip", FRONTEND_TRACK,
                     inputs={"function": function_name, **snapshot},
                     action={"state": OPEN,

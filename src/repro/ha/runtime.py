@@ -209,21 +209,19 @@ class HARuntime:
             self.metrics.ha_failovers += 1
             self.metrics.ha_failover_times_s.append(failover_s)
             self.env.trace.counter(FRONTEND, "leader_epoch", epoch)
-            audit = self.env.audit
-            if audit is not None:
-                audit.record(
-                    "ha_failover", FRONTEND,
-                    inputs={"candidates": [r.rid for r in candidates],
-                            "old_leader": old.rid,
-                            "old_leader_down": old.down,
-                            "leader_lost_at_s": round(lost_at, 6)},
-                    action={"leader": winner.rid, "epoch": epoch,
-                            "failover_s": round(failover_s, 6)},
-                    alternatives=[{"leader": r.rid,
-                                   "rejected": "higher replica id"}
-                                  for r in candidates if r is not winner],
-                    reason="controller lease expired; lowest-id reachable"
-                           " replica elected under a fresh epoch")
+            self.env.trace.decision(
+                "ha_failover", FRONTEND,
+                inputs={"candidates": [r.rid for r in candidates],
+                        "old_leader": old.rid,
+                        "old_leader_down": old.down,
+                        "leader_lost_at_s": round(lost_at, 6)},
+                action={"leader": winner.rid, "epoch": epoch,
+                        "failover_s": round(failover_s, 6)},
+                alternatives=[{"leader": r.rid,
+                               "rejected": "higher replica id"}
+                              for r in candidates if r is not winner],
+                reason="controller lease expired; lowest-id reachable"
+                       " replica elected under a fresh epoch")
             self._notify_change()
 
     def controller_crash(self, rid: int) -> Optional[ControllerReplica]:
@@ -328,23 +326,21 @@ class HARuntime:
             return None
         self.journal.record_redispatch(key, self.env.now)
         self.metrics.ha_redispatches += 1
-        audit = self.env.audit
-        if audit is not None:
-            stranded = sorted({
-                node.track for node in
-                (getattr(j, "ha_node", None) for j in live)
-                if node is not None and self.node_suspected(node)})
-            audit.record(
-                "ha_redispatch", FRONTEND,
-                inputs={"key": str(key), "live_copies": len(live),
-                        "stranded_on": stranded},
-                action={"to": target.track},
-                alternatives=[{"to": None,
-                               "rejected": "every live copy sits on a"
-                                           " suspected node"}],
-                reason="journal authorised one duplicate of the stranded"
-                       " invocation on a non-suspected node",
-                workflow_uid=key[0])
+        stranded = sorted({
+            node.track for node in
+            (getattr(j, "ha_node", None) for j in live)
+            if node is not None and self.node_suspected(node)})
+        self.env.trace.decision(
+            "ha_redispatch", FRONTEND,
+            inputs={"key": str(key), "live_copies": len(live),
+                    "stranded_on": stranded},
+            action={"to": target.track},
+            alternatives=[{"to": None,
+                           "rejected": "every live copy sits on a"
+                                       " suspected node"}],
+            reason="journal authorised one duplicate of the stranded"
+                   " invocation on a non-suspected node",
+            workflow_uid=key[0])
         return target
 
     def record_completion(self, key: Optional[IdempotencyKey],

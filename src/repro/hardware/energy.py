@@ -62,22 +62,6 @@ class EnergyMeter:
         """A copy of the consumer → joules map."""
         return dict(self._by_consumer)
 
-    def merge(self, other: "EnergyMeter") -> None:
-        """Fold another meter (e.g. another server's) into this one."""
-        for component, joules in other._by_component.items():
-            self._by_component[component] += joules
-        for consumer, joules in other._by_consumer.items():
-            self._by_consumer[consumer] = (
-                self._by_consumer.get(consumer, 0.0) + joules)
-
-
-def combine(meters: Sequence["EnergyMeter"]) -> "EnergyMeter":
-    """A fresh meter holding the sum of ``meters`` (cluster-wide rollup)."""
-    total = EnergyMeter()
-    for meter in meters:
-        total.merge(meter)
-    return total
-
 
 @dataclass
 class FrequencyTimeline:

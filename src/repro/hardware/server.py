@@ -49,12 +49,6 @@ class Server:
         for core in self.cores:
             core.track = f"node{server_id}"
         self.timeline = FrequencyTimeline()
-        #: Advisory per-server power-cap share (repro.tenancy): the
-        #: power-cap governor stamps its active cluster cap divided over
-        #: the servers here. Purely observational — actuation happens
-        #: through the node controllers — but it makes headroom a
-        #: first-class hardware signal.
-        self.power_cap_w: Optional[float] = None
         self._created_at = env.now
         self._finalized_until = env.now
 
@@ -88,16 +82,6 @@ class Server:
         return self.power.server_power(
             self.core_frequencies(),
             [core.busy for core in self.cores])
-
-    def power_headroom_w(self) -> Optional[float]:
-        """Watts of headroom under the advertised cap share, if any.
-
-        Negative = currently drawing over the cap share. None when no
-        power-cap governor has stamped a cap on this server.
-        """
-        if self.power_cap_w is None:
-            return None
-        return self.power_cap_w - self.power_snapshot_w()
 
     def finalize(self) -> None:
         """Accrue all outstanding energy up to the current time.

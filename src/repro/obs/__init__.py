@@ -13,10 +13,10 @@ v2 adds, all equally opt-in and determinism-safe:
 * :class:`~repro.obs.ledger.EnergyLedger` — per-joule attribution into
   run / block / cold-start / idle / freq-switch / retry-waste / shed /
   static components, validated against the hardware meters;
-* :class:`~repro.obs.audit.AuditLog` — the one emission of every
-  control-plane decision: a structured "why" record written to the
-  JSONL log and, on traced runs, to the trace as a decision instant
-  (install via :func:`install_audit`; traced runs bind one anyway);
+* :mod:`~repro.obs.audit` — every control-plane decision as a
+  structured "why" record: one trace instant per decision
+  (:meth:`~repro.obs.tracer.Tracer.decision`), which a run directory
+  also renders as ``audit.jsonl``;
 * :class:`~repro.obs.burnrate.BurnRateMonitor` — per-benchmark SLO
   burn-rate alerting on deterministic log-bucket histograms;
 * :mod:`~repro.obs.explain` — ranked root causes for missed-SLO
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.audit import AuditLog, AuditRecord
+from repro.obs.audit import AuditLog
 from repro.obs.burnrate import (
     BurnRateConfig,
     BurnRateMonitor,
@@ -80,7 +80,6 @@ __all__ = [
     "NULL_TRACER",
     "RUN_FILES",
     "AuditLog",
-    "AuditRecord",
     "BurnRateConfig",
     "BurnRateMonitor",
     "CounterRecord",
@@ -92,7 +91,6 @@ __all__ = [
     "NullTracer",
     "SpanRecord",
     "Tracer",
-    "active_audit",
     "active_tracer",
     "canon",
     "canonical_json",
@@ -122,9 +120,6 @@ __all__ = [
 #: cluster it builds (None = tracing disabled).
 _active: Optional[Tracer] = None
 
-#: The process-wide audit log, same lifecycle as the tracer.
-_active_audit: Optional[AuditLog] = None
-
 
 def install(tracer: Tracer) -> Tracer:
     """Make ``tracer`` the active tracer for subsequent experiment runs."""
@@ -145,19 +140,16 @@ def active_tracer() -> Optional[Tracer]:
 
 
 def install_audit(audit: AuditLog) -> AuditLog:
-    """Make ``audit`` the active decision log for subsequent runs (the
-    one a traced run writes its decision instants through)."""
-    global _active_audit
-    _active_audit = audit
+    """Bind ``audit`` to the installed tracer, whose decisions its
+    :meth:`~repro.obs.audit.AuditLog.write` renders. The benchmark
+    harness in ``bench/`` records ``audit.jsonl`` this way; everything
+    else writes it with :func:`write_run`."""
+    if _active is None:
+        raise RuntimeError("install_audit needs an installed tracer")
+    audit.tracer = _active
     return audit
 
 
 def uninstall_audit() -> None:
-    """Disable decision auditing (does not clear recorded data)."""
-    global _active_audit
-    _active_audit = None
-
-
-def active_audit() -> Optional[AuditLog]:
-    """The installed audit log, or None when auditing is disabled."""
-    return _active_audit
+    """Kept for the benchmark harness in ``bench/``: a bound log records
+    nothing itself, so there is nothing to detach."""

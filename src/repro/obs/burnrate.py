@@ -182,12 +182,6 @@ class BurnRateMonitor:
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
-    def histogram_of(self, benchmark: str, run: Optional[int] = None
-                     ) -> Optional[LogBucketHistogram]:
-        per_run = self._runs.get(self._run if run is None else run, {})
-        state = per_run.get(benchmark)
-        return state.histogram if state is not None else None
-
     def summary(self) -> Dict[str, Any]:
         runs: List[Dict[str, Any]] = []
         for run in sorted(self._runs):

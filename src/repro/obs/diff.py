@@ -13,8 +13,8 @@ open:
   decisions included (``instants``), precede the rolled-up outcomes
   (``metrics``) and the energy attribution (``ledger``);
 * **why** — join the exported trace's instants inside that first epoch
-  and name the first diverging decision (an instant written by
-  :mod:`repro.obs.audit`): its kind, actor, uids, time, reason, and
+  and name the first diverging decision (an instant named in
+  :data:`repro.obs.audit.KINDS`): its kind, actor, uids, time, reason, and
   which input/action keys differ; when every decision agrees, name the
   first diverging instant instead;
 * **so what** — attribute the downstream deltas between the two runs:

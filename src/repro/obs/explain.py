@@ -6,8 +6,9 @@ miss its SLO?" with a ranked list of concrete causes: seconds queued per pool
 (with the retune decision that shrank it), cold-start boots, block-phase
 holds, energy burned by aborted/abandoned retry attempts, breaker
 fast-fails, HA redispatches, doom-line cancellations, and retry-budget
-denials. Control-plane decisions are the trace's decision instants,
-written by :mod:`repro.obs.audit` with the record's payload as args.
+denials. Control-plane decisions are the trace's decision instants
+(``Tracer.decision``, kinds in :data:`repro.obs.audit.KINDS`), whose
+args are the decision's payload.
 
 The records are the ones the run wrote: ``repro explain`` reads a run
 directory's trace back with :func:`repro.obs.export.read_chrome_trace`,
@@ -183,7 +184,7 @@ def explain(tracer: Tracer, workflow_uid: int,
                 f"{len(hits)} invocation{'s' if len(hits) != 1 else ''}"
                 f" {label} during this workflow"))
 
-    # Decision instants carry the audit record's payload as args.
+    # Decision instants carry the decision's payload as args.
     def inputs(inst: InstantRecord) -> Dict[str, Any]:
         return inst.args.get("inputs", {})
 

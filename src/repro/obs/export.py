@@ -16,7 +16,8 @@ directory that holds them:
 * :func:`run_summary` — a plain-text rollup per run;
 * :func:`write_run` — one recorded run as a directory of
   :data:`RUN_FILES`: the trace, the epoch metrics, the energy ledger,
-  the decision audit log and the fingerprints with their manifest.
+  the decision audit log (:mod:`repro.obs.audit`) and the fingerprints
+  with their manifest.
 
 Everything here is pure stdlib and fully deterministic: identical traces
 serialize to identical bytes.
@@ -30,6 +31,7 @@ import math
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.audit import write_jsonl
 from repro.obs.registry import (EPOCH_INSTANT_COLUMNS, LEDGER_COMPONENTS,
                                 LEDGER_EPOCH_COLUMNS)
 from repro.obs.tracer import InstantRecord, SpanRecord, Tracer
@@ -414,10 +416,28 @@ def write_epoch_metrics(tracer: Tracer, path: str,
 # ---------------------------------------------------------------------------
 # Plain-text run summary
 # ---------------------------------------------------------------------------
-def _top_functions(tracer: Tracer, run: int, key, n: int = 5
+def spans_by_run(tracer: Tracer
+                 ) -> List[Tuple[List[SpanRecord], List[SpanRecord]]]:
+    """Each run's invocation spans and closed queue-phase spans.
+
+    One pass over the spans; each list keeps record order, so sums over
+    it add up in the same order as a per-run scan would.
+    """
+    runs: List[Tuple[List[SpanRecord], List[SpanRecord]]] = [
+        ([], []) for _ in tracer.run_labels]
+    for span in tracer.spans:
+        if span.kind == "invocation":
+            runs[span.run][0].append(span)
+        elif (span.kind == "phase" and span.name == "queue"
+              and span.t1 is not None):
+            runs[span.run][1].append(span)
+    return runs
+
+
+def _top_functions(invocations: List[SpanRecord], key, n: int = 5
                    ) -> List[Tuple[str, float]]:
     totals: Dict[str, float] = {}
-    for span in tracer.spans_of("invocation", run):
+    for span in invocations:
         if span.args.get("prewarm"):
             continue
         value = key(span)
@@ -428,25 +448,39 @@ def _top_functions(tracer: Tracer, run: int, key, n: int = 5
     return ranked[:n]
 
 
-def queueing_by_function(tracer: Tracer, run: Optional[int] = None
-                         ) -> Dict[str, float]:
-    """Total queue-phase seconds per function (report helper)."""
+def _queueing(invocations: List[SpanRecord], queues: List[SpanRecord]
+              ) -> Dict[str, float]:
     totals: Dict[str, float] = {}
-    names = {s.uid: s.name for s in tracer.spans_of("invocation", run)}
-    for span in tracer.spans_of("phase", run):
-        if span.name != "queue" or span.t1 is None:
-            continue
+    names = {s.uid: s.name for s in invocations}
+    for span in queues:
         function = names.get(span.uid, "?")
         totals[function] = totals.get(function, 0.0) + span.duration_s
     return totals
+
+
+def top_queueing(invocations: List[SpanRecord], queues: List[SpanRecord],
+                 n: int) -> List[Tuple[str, float]]:
+    """The ``n`` functions with the most queue-phase seconds."""
+    return sorted(_queueing(invocations, queues).items(),
+                  key=lambda item: (-item[1], item[0]))[:n]
+
+
+def queueing_by_function(tracer: Tracer, run: Optional[int] = None
+                         ) -> Dict[str, float]:
+    """Total queue-phase seconds per function (report helper)."""
+    return _queueing(tracer.spans_of("invocation", run),
+                     [s for s in tracer.spans_of("phase", run)
+                      if s.name == "queue" and s.t1 is not None])
 
 
 def run_summary(tracer: Tracer, top_n: int = 5) -> str:
     """A human-readable rollup of every traced run."""
     tracer.finish_run()
     lines: List[str] = []
+    grouped = spans_by_run(tracer)
     for run, run_label in enumerate(tracer.run_labels):
-        invocations = [s for s in tracer.spans_of("invocation", run)
+        run_invocations, queues = grouped[run]
+        invocations = [s for s in run_invocations
                        if not s.args.get("prewarm")]
         completed = [s for s in invocations
                      if s.args.get("status") == "completed"]
@@ -480,14 +514,13 @@ def run_summary(tracer: Tracer, top_n: int = 5) -> str:
                                     for name, count in ha_counts.items()))
         for title, ranked, unit in (
                 ("energy", _top_functions(
-                    tracer, run,
+                    run_invocations,
                     lambda s: float(s.args.get("energy_j", 0.0)), top_n),
                  "J"),
-                ("queueing delay", sorted(
-                    queueing_by_function(tracer, run).items(),
-                    key=lambda item: (-item[1], item[0]))[:top_n], "s"),
+                ("queueing delay",
+                 top_queueing(run_invocations, queues, top_n), "s"),
                 ("deadline misses", _top_functions(
-                    tracer, run,
+                    run_invocations,
                     lambda s: 0.0 + (not s.args.get("met_deadline", True)),
                     top_n), "")):
             ranked = [(name, value) for name, value in ranked if value > 0]
@@ -501,14 +534,14 @@ def run_summary(tracer: Tracer, top_n: int = 5) -> str:
 # ---------------------------------------------------------------------------
 # The run directory
 # ---------------------------------------------------------------------------
-def write_run(tracer: Tracer, audit, directory: str,
+def write_run(tracer: Tracer, directory: str,
               manifest: Dict[str, Any]) -> str:
     """Write one recorded run into ``directory`` as :data:`RUN_FILES`.
 
     ``tracer`` carries an energy ledger and a fingerprint recorder, and
     the epoch metrics use the recorder's epoch length, so the CSV rows
-    and the fingerprint chains cover the same epochs. ``audit`` is the
-    run's :class:`~repro.obs.audit.AuditLog`. The fingerprints document
+    and the fingerprint chains cover the same epochs. ``audit.jsonl``
+    renders the trace's decision instants. The fingerprints document
     carries ``manifest`` with ``artifacts``, the sorted file names.
     Returns a one-line summary of what was written.
     """
@@ -519,7 +552,7 @@ def write_run(tracer: Tracer, audit, directory: str,
     rows = write_epoch_metrics(tracer, path(EPOCHS_FILE),
                                epoch_s=tracer.fingerprint.epoch_s)
     ledger = tracer.ledger.write(path(LEDGER_FILE))
-    n_records = audit.write(path(AUDIT_FILE))
+    n_records = write_jsonl(tracer, path(AUDIT_FILE))
     tracer.fingerprint.write(path(FINGERPRINTS_FILE),
                              {**manifest, "artifacts": sorted(RUN_FILES)})
     conserved = all(run["conserved"] for run in ledger["runs"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from repro.obs.export import _top_functions, queueing_by_function
+from repro.obs.export import _top_functions, spans_by_run, top_queueing
 from repro.obs.tracer import SpanRecord, Tracer
 
 
@@ -61,23 +61,24 @@ def tenant_rows(tracer: Tracer, run: int) -> List[dict]:
 def report_to_dict(tracer: Tracer, top_n: int = 10) -> dict:
     """The report as a JSON-serializable document (``--format json``)."""
     runs = []
+    grouped = spans_by_run(tracer)
     for run, label in enumerate(tracer.run_labels):
+        invocations, queues = grouped[run]
         rankings = (
             ("top_energy_j", "energy_j", float, _top_functions(
-                tracer, run, _completed(
+                invocations, _completed(
                     lambda s: float(s.args.get("energy_j", 0.0))), top_n)),
-            ("top_queueing_s", "queue_s", float, sorted(
-                queueing_by_function(tracer, run).items(),
-                key=lambda item: (-item[1], item[0]))[:top_n]),
+            ("top_queueing_s", "queue_s", float,
+             top_queueing(invocations, queues, top_n)),
             ("top_deadline_misses", "misses", int, _top_functions(
-                tracer, run, _completed(
+                invocations, _completed(
                     lambda s: float(not s.args.get("met_deadline", True))),
                 top_n)))
         entry = {
             "run": run,
             "label": label,
             "completed_invocations": sum(
-                1 for s in tracer.spans_of("invocation", run)
+                1 for s in invocations
                 if s.args.get("status") == "completed"
                 and not s.args.get("prewarm")),
             "tenants": tenant_rows(tracer, run),

@@ -6,9 +6,10 @@ simulation time read from the bound :class:`repro.sim.Environment`:
 * **spans** — durations with a begin and an end: whole invocations
   (``kind="invocation"``), their queue/cold-start/run/block phases
   (``kind="phase"``), and end-to-end workflows (``kind="workflow"``);
-* **instants** — point events: preemptions, frequency transitions, pool
-  resize/retune decisions, container boots/kills, injected faults,
-  retries and hedges;
+* **instants** — point events: preemptions, frequency transitions,
+  container boots/kills, injected faults, retries and hedges, and the
+  control-plane decisions (:meth:`Tracer.decision`), which
+  ``audit.jsonl`` is rendered from;
 * **counters** — sampled numeric time series: pool sizes, per-node power
   draw, EWT, outstanding jobs.
 
@@ -25,7 +26,7 @@ the sim kernel can depend on it without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 
 #: Span phases of an invocation, in the paper's terminology: ``queue``
@@ -119,6 +120,11 @@ class NullTracer:
         pass
 
     def instant(self, name, track, **args) -> None:
+        pass
+
+    def decision(self, kind, actor, *, inputs=None, action=None,
+                 alternatives=(), reason="", workflow_uid=None,
+                 job_uid=None) -> None:
         pass
 
     def counter(self, track, series, value) -> None:
@@ -298,6 +304,27 @@ class Tracer(NullTracer):
     def instant(self, name: str, track: str, **args) -> None:
         t = self._stamp()  # before reading _run: may open the first run
         self.instants.append(InstantRecord(self._run, name, track, t, args))
+
+    def decision(self, kind: str, actor: str, *,
+                 inputs: Optional[Dict[str, Any]] = None,
+                 action: Optional[Dict[str, Any]] = None,
+                 alternatives: Sequence[Dict[str, Any]] = (),
+                 reason: str = "",
+                 workflow_uid: Optional[int] = None,
+                 job_uid: Optional[int] = None) -> None:
+        """Record one control-plane decision (``repro.obs.audit.KINDS``).
+
+        The decision is an instant named ``kind`` on the ``actor``'s
+        track whose args are its "why" record: the inputs the decider
+        saw, the action it took, the alternatives it rejected, a reason,
+        and the workflow/job uid where one applies. The args are copies,
+        so later changes to the caller's dicts do not reach the record.
+        """
+        self.instant(kind, actor, inputs=dict(inputs or {}),
+                     action=dict(action or {}),
+                     alternatives=[dict(a) for a in alternatives],
+                     reason=reason, workflow_uid=workflow_uid,
+                     job_uid=job_uid)
 
     def counter(self, track: str, series: str, value: float) -> None:
         t = self._stamp()

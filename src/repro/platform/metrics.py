@@ -295,12 +295,6 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # High-availability rollups (repro.ha)
     # ------------------------------------------------------------------
-    def ha_false_positive_rate(self) -> float:
-        """Fraction of suspicions whose node was actually alive."""
-        if self.ha_suspicions == 0:
-            return 0.0
-        return self.ha_false_suspicions / self.ha_suspicions
-
     def ha_mean_suspicion_latency_s(self) -> float:
         """Mean first-missed-heartbeat -> suspicion delay (0.0 if none)."""
         if not self.ha_suspicion_latencies_s:

@@ -28,8 +28,9 @@ class Environment:
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: Observability hook (repro.obs). The shared null tracer makes
-        #: every instrumentation point a no-op; ``Tracer.bind(env)``
-        #: swaps in a recording tracer stamped with this clock.
+        #: every instrumentation point and control-plane decision record
+        #: a no-op; ``Tracer.bind(env)`` swaps in a recording tracer
+        #: stamped with this clock.
         self.trace = NULL_TRACER
         #: Degradation hook (repro.guard). None keeps every guard
         #: instrumentation point on the pre-guard code path; a cluster
@@ -39,10 +40,6 @@ class Environment:
         #: instrumentation point (membership-aware dispatch, lease
         #: fencing, re-dispatch) on the pre-HA code path.
         self.ha = None
-        #: Decision audit hook (repro.obs.audit). None means control-plane
-        #: decision points skip building audit records entirely;
-        #: ``AuditLog.bind(env)`` installs a recording log here.
-        self.audit = None
         #: Multi-tenancy hook (repro.tenancy). None keeps budget
         #: enforcement, the power-cap governor, and frequency/core
         #: clamps on the pre-tenancy code path; a cluster built with a

@@ -8,7 +8,7 @@ Four opt-in pieces, layered on the PR-5 energy-attribution ledger:
 - **Budget enforcement** (:mod:`repro.tenancy.runtime`): over-budget
   tenants' best-effort arrivals are shed first (brownout-style) and
   SLO-bearing ones throttled through a token bucket, with
-  ``tenant_throttle`` audit records and trace instants per decision;
+  one ``tenant_throttle`` decision instant per decision;
   with the guard armed, over-budget traffic is demoted to the guard's
   best-effort shed class too.
 - **Power-cap governor** (:mod:`repro.tenancy.governor`): a cluster

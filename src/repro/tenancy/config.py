@@ -227,6 +227,3 @@ class TenancyConfig:
                         f"benchmark {benchmark} is owned by both"
                         f" {owned[benchmark]} and {tenant.name}")
                 owned[benchmark] = tenant.name
-
-    def tenant_names(self) -> Tuple[str, ...]:
-        return tuple(tenant.name for tenant in self.tenants)

@@ -20,9 +20,9 @@ the kernel DVFS path, dispatch frequency choices are clamped, and pool
 sizing folds demand above the ceiling into the ceiling level.
 
 Every decision is a pure function of simulation time and the metered
-draw, so capped runs are deterministic; each actuation change emits a
-``power_cap_step`` trace instant and audit record stamped with the
-monotonically increasing **cap epoch**.
+draw, so capped runs are deterministic; each actuation change records
+one ``power_cap_step`` decision instant stamped with the monotonically
+increasing **cap epoch**.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class PowerCapGovernor:
         self.epoch = 0
         #: The cap the last tick enforced (schedule-change detection).
         self._active_cap_w = config.cap_at(0.0)
-        self._stamp_servers()
 
     # ------------------------------------------------------------------
     # Ladder geometry
@@ -122,7 +121,6 @@ class PowerCapGovernor:
         if cap != self._active_cap_w:
             self._active_cap_w = cap
             self.epoch += 1
-            self._stamp_servers()
         draw = self.draw_w()
         if draw > cap and self.steps < self.max_steps:
             self._actuate(self.steps + 1, draw, cap, "tighten")
@@ -145,26 +143,24 @@ class PowerCapGovernor:
             metrics.power_cap_tightens += 1
         else:
             metrics.power_cap_releases += 1
-        audit = self.env.audit
-        if audit is not None:
-            audit.record(
-                "power_cap_step", FRONTEND_TRACK,
-                inputs={"draw_w": round(draw, 6), "cap_w": round(cap, 6),
-                        "steps": prev_steps,
-                        "freq_ceiling_ghz": prev_ceiling,
-                        "core_fraction": round(prev_fraction, 6)},
-                action={"direction": direction, "steps": self.steps,
-                        "epoch": self.epoch,
-                        "freq_ceiling_ghz": ceiling,
-                        "core_fraction": round(fraction, 6)},
-                alternatives=[{"steps": prev_steps,
-                               "rejected": ("draw exceeded the cap"
-                                            if direction == "tighten"
-                                            else "draw fell below the"
-                                                 " release threshold")}],
-                reason="power-cap governor stepped the actuation ladder to"
-                       " keep the metered cluster draw under the watt"
-                       " budget")
+        self.env.trace.decision(
+            "power_cap_step", FRONTEND_TRACK,
+            inputs={"draw_w": round(draw, 6), "cap_w": round(cap, 6),
+                    "steps": prev_steps,
+                    "freq_ceiling_ghz": prev_ceiling,
+                    "core_fraction": round(prev_fraction, 6)},
+            action={"direction": direction, "steps": self.steps,
+                    "epoch": self.epoch,
+                    "freq_ceiling_ghz": ceiling,
+                    "core_fraction": round(fraction, 6)},
+            alternatives=[{"steps": prev_steps,
+                           "rejected": ("draw exceeded the cap"
+                                        if direction == "tighten"
+                                        else "draw fell below the"
+                                             " release threshold")}],
+            reason="power-cap governor stepped the actuation ladder to"
+                   " keep the metered cluster draw under the watt"
+                   " budget")
 
     def _apply_ceiling(self, ceiling: Optional[float]) -> None:
         """Push the new ceiling onto every live node's pools right away.
@@ -176,11 +172,3 @@ class PowerCapGovernor:
         for node in self.cluster.nodes:
             if not node.down:
                 node.apply_frequency_ceiling(ceiling)
-        self._stamp_servers()
-
-    def _stamp_servers(self) -> None:
-        """Advertise the per-server cap share on the hardware hook."""
-        n = len(self.cluster.servers)
-        share = self._active_cap_w / n if n else self._active_cap_w
-        for server in self.cluster.servers:
-            server.power_cap_w = share

@@ -14,8 +14,8 @@ Three loops of responsibility:
   governor ticking;
 * **enforcement** — arrivals of an over-budget tenant are shed
   (best-effort tenants, brownout-style) or throttled through a token
-  bucket (SLO-bearing tenants), each decision emitting a
-  ``tenant_throttle`` trace instant and audit record; with the guard
+  bucket (SLO-bearing tenants), each decision recording one
+  ``tenant_throttle`` decision instant in the trace; with the guard
   armed, over-budget tenants are additionally demoted to the
   best-effort shed class inside the guard's own brownout policy;
 * **settlement** — after the energy ledger closes a run,
@@ -153,22 +153,20 @@ class TenancyRuntime:
         self.metrics.tenant_throttles += 1
         if reason is not None:
             self.metrics.record_shed(benchmark, reason)
-        audit = self.env.audit
-        if audit is not None:
-            audit.record(
-                "tenant_throttle", FRONTEND_TRACK,
-                inputs={"benchmark": benchmark, "tenant": tenant.name,
-                        "used_j": round(used, 6),
-                        "budget_j": tenant.budget_j,
-                        "window_s": tenant.window_s,
-                        "best_effort": tenant.best_effort},
-                action={"decision": action},
-                alternatives=[{"admit": True,
-                               "rejected": "tenant exhausted its windowed"
-                                           " energy budget"}],
-                reason="per-tenant energy budget enforcement: the tenant's"
-                       " sliding-window consumption exceeds its joule"
-                       " allowance")
+        self.env.trace.decision(
+            "tenant_throttle", FRONTEND_TRACK,
+            inputs={"benchmark": benchmark, "tenant": tenant.name,
+                    "used_j": round(used, 6),
+                    "budget_j": tenant.budget_j,
+                    "window_s": tenant.window_s,
+                    "best_effort": tenant.best_effort},
+            action={"decision": action},
+            alternatives=[{"admit": True,
+                           "rejected": "tenant exhausted its windowed"
+                                       " energy budget"}],
+            reason="per-tenant energy budget enforcement: the tenant's"
+                   " sliding-window consumption exceeds its joule"
+                   " allowance")
         return reason is None
 
     # ------------------------------------------------------------------

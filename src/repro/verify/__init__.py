@@ -13,7 +13,7 @@ Two halves:
   each trial with every invariant armed, and delta-debugs any violating
   schedule down to a minimal replayable JSON artifact.
 
-Like the tracer and auditor in :mod:`repro.obs`, an active verifier is
+Like the tracer in :mod:`repro.obs`, an active verifier is
 installed globally so experiment modules can pick it up without
 plumbing it through every ``run()`` signature.
 

@@ -40,18 +40,6 @@ class TestEnergyMeter:
         assert meter.consumer_j("f") == 5.0
         assert meter.by_consumer() == {"f": 5.0, "g": 1.0}
 
-    def test_merge_folds_both_maps(self):
-        a, b = EnergyMeter(), EnergyMeter()
-        a.add("dram", 1.0)
-        a.attribute("f", 1.0)
-        b.add("dram", 2.0)
-        b.attribute("f", 2.0)
-        b.attribute("g", 4.0)
-        a.merge(b)
-        assert a.component_j("dram") == 3.0
-        assert a.consumer_j("f") == 3.0
-        assert a.consumer_j("g") == 4.0
-
     def test_by_component_returns_copy(self):
         meter = EnergyMeter()
         snapshot = meter.by_component()

@@ -8,8 +8,8 @@ Two guarantees:
   read state, never mutate it or draw random numbers. One matrix arms
   each observer set over layers-off, chaos, guarded and all-armed rows,
   plus a shedding overload run that no stored row covers (compared to
-  its own bare twin). The trace-only and trace + audit columns also
-  cover the decision log every traced run binds;
+  its own bare twin). The ``trace_audit`` column also checks that the
+  run's control-plane decisions reached the trace;
 * two traced runs of the same seed write **byte-identical** run
   directories (the exporters are fully deterministic).
 """
@@ -23,6 +23,7 @@ from repro.core import EcoFaaSSystem
 from repro.core.config import EcoFaaSConfig
 from repro.experiments import overload
 from repro.experiments.common import make_load_trace, run_cluster
+from repro.obs.audit import KINDS
 from repro.obs.export import read_chrome_trace
 from repro.platform.cluster import ClusterConfig
 from tests.fingerprints import (
@@ -35,16 +36,14 @@ def recorded_run(run_dir):
     """One low-load EcoFaaS run, recorded into the new ``run_dir``."""
     tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger(),
                                     fingerprint=obs.FingerprintRecorder()))
-    audit = obs.install_audit(obs.AuditLog())
     try:
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()),
                     make_load_trace("low", 2, 6.0, seed=3),
                     ClusterConfig(n_servers=2, drain_s=4.0))
     finally:
         obs.uninstall()
-        obs.uninstall_audit()
     run_dir.mkdir()
-    obs.write_run(tracer, audit, str(run_dir), {})
+    obs.write_run(tracer, str(run_dir), {})
 
 
 def overload_shed():
@@ -61,15 +60,14 @@ ROWS = {label: factory for label, factory in reference_runs()
                      "guard_chaos", "all_armed")}
 ROWS["overload_shed"] = overload_shed
 
-#: Observer sets: (tracer factory or None, audit log wanted). ``full``
-#: is a tracer with the ledger, burn-rate monitors and fingerprints.
+#: Observer sets: (tracer factory, decisions checked). ``full`` is a
+#: tracer with the ledger, burn-rate monitors and fingerprints.
 OBSERVERS = {
     "trace": (obs.Tracer, False),
     "full": (
         lambda: obs.Tracer(ledger=obs.EnergyLedger(),
                            burnrate=obs.BurnRateMonitor(),
                            fingerprint=obs.FingerprintRecorder()), False),
-    "audit": (None, True),
     "trace_audit": (obs.Tracer, True),
 }
 
@@ -88,19 +86,16 @@ def expected_fingerprint(row):
 @pytest.mark.parametrize("observers", sorted(OBSERVERS))
 def test_observed_run_matches_unobserved_fingerprint(observers, row):
     make_tracer, audited = OBSERVERS[observers]
-    tracer = obs.install(make_tracer()) if make_tracer else None
-    audit = obs.install_audit(obs.AuditLog()) if audited else None
+    tracer = obs.install(make_tracer())
     try:
         cluster = ROWS[row]()
     finally:
         obs.uninstall()
-        obs.uninstall_audit()
     assert cluster_fingerprint(cluster) == expected_fingerprint(row)
     # The observers really watched the run (the Baseline decides nothing).
-    if tracer is not None:
-        assert tracer.spans_of("invocation") and tracer.counters
-    if audit is not None and row != "baseline":
-        assert audit.records
+    assert tracer.spans_of("invocation") and tracer.counters
+    if audited and row != "baseline":
+        assert any(i.name in KINDS for i in tracer.instants)
 
 
 def test_two_traced_runs_write_byte_identical_files(tmp_path):

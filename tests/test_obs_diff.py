@@ -70,10 +70,9 @@ def test_first_mismatch_prefix_diverges_at_shorter_length():
 # The deterministic diff arena
 # ---------------------------------------------------------------------------
 def _run_arm(chaos: bool):
-    """One reference run with fingerprints + ledger + audit armed."""
+    """One reference run with fingerprints + ledger armed."""
     tracer = obs.install(obs.Tracer(ledger=EnergyLedger(),
                                     fingerprint=FingerprintRecorder()))
-    audit = obs.install_audit(obs.AuditLog())
     try:
         if chaos:
             config = ClusterConfig(
@@ -90,8 +89,7 @@ def _run_arm(chaos: bool):
                     fault_plan=plan)
     finally:
         obs.uninstall()
-        obs.uninstall_audit()
-    return tracer, audit
+    return tracer
 
 
 def _manifest(arm: str) -> dict:
@@ -103,9 +101,9 @@ def _manifest(arm: str) -> dict:
 def build_arena(dirpath: str) -> None:
     """Write run directories a/ and b/ (identical plain runs) and chaos/."""
     for name, chaos in (("a", False), ("b", False), ("chaos", True)):
-        tracer, audit = _run_arm(chaos)
+        tracer = _run_arm(chaos)
         os.mkdir(os.path.join(dirpath, name))
-        obs.write_run(tracer, audit, os.path.join(dirpath, name),
+        obs.write_run(tracer, os.path.join(dirpath, name),
                       _manifest("chaos" if chaos else "plain"))
 
 

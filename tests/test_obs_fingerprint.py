@@ -102,7 +102,6 @@ def _armed_run(fault_plan=None, config=None):
     """One EcoFaaS reference run with every observer armed."""
     tracer = obs.install(obs.Tracer(ledger=EnergyLedger(),
                                     fingerprint=FingerprintRecorder()))
-    audit = obs.install_audit(obs.AuditLog())
     verifier = verify.install(verify.Verifier())
     try:
         cluster = run_cluster(
@@ -112,9 +111,8 @@ def _armed_run(fault_plan=None, config=None):
             fault_plan=fault_plan)
     finally:
         obs.uninstall()
-        obs.uninstall_audit()
         verify.uninstall()
-    return cluster, tracer, audit, verifier
+    return cluster, tracer, verifier
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +126,7 @@ def _seed_reference():
 
 
 def test_armed_run_matches_stored_seed_fingerprint(armed):
-    cluster, tracer, _, _ = armed
+    cluster, tracer, _ = armed
     reference = _seed_reference()["ecofaas"]
     assert cluster_fingerprint(cluster) == reference
     assert tracer.fingerprint.entries[-1]["final"] == reference
@@ -139,15 +137,15 @@ def test_armed_chaos_run_matches_stored_seed_fingerprint():
         n_servers=2, drain_s=4.0,
         reliability=ReliabilityPolicy(max_retries=8, backoff_base_s=0.05))
     plan = FaultPlan.calibrated(6.0, 2, ["WebServ", "CNNServ"], seed=5)
-    cluster, _, _, verifier = _armed_run(fault_plan=plan,
-                                         config=chaos_config)
+    cluster, _, verifier = _armed_run(fault_plan=plan,
+                                      config=chaos_config)
     assert cluster_fingerprint(cluster) == \
         _seed_reference()["ecofaas_chaos"]
     assert verifier.violations == []
 
 
 def test_entry_has_all_subsystem_chains(armed):
-    _, tracer, _, _ = armed
+    _, tracer, _ = armed
     entry = tracer.fingerprint.entries[-1]
     assert set(entry["chains"]) == set(SUBSYSTEMS)
     for chain in entry["chains"].values():
@@ -157,7 +155,7 @@ def test_entry_has_all_subsystem_chains(armed):
 
 
 def test_summary_rolls_up_energy_and_workflows(armed):
-    cluster, tracer, _, _ = armed
+    cluster, tracer, _ = armed
     summary = tracer.fingerprint.entries[-1]["summary"]
     assert summary["energy_total_j"] == pytest.approx(
         cluster.total_energy_j)
@@ -168,12 +166,12 @@ def test_summary_rolls_up_energy_and_workflows(armed):
 
 
 def test_verify_selfcheck_passes_on_honest_run(armed):
-    _, _, _, verifier = armed
+    _, _, verifier = armed
     assert verifier.violations == []
 
 
 def test_verify_selfcheck_catches_tampered_chain(armed):
-    cluster, tracer, _, _ = armed
+    cluster, tracer, _ = armed
     entry = json.loads(json.dumps(tracer.fingerprint.entries[-1]))
     entry["chains"]["metrics"][1] = "0" * 64
     fresh = verify.Verifier()
@@ -183,7 +181,7 @@ def test_verify_selfcheck_catches_tampered_chain(armed):
 
 
 def test_verify_selfcheck_catches_tampered_final(armed):
-    cluster, tracer, _, _ = armed
+    cluster, tracer, _ = armed
     entry = json.loads(json.dumps(tracer.fingerprint.entries[-1]))
     entry["final"] = "f" * 64
     fresh = verify.Verifier()
@@ -192,7 +190,7 @@ def test_verify_selfcheck_catches_tampered_final(armed):
 
 
 def test_document_roundtrip(tmp_path, armed):
-    _, tracer, _, _ = armed
+    _, tracer, _ = armed
     path = tmp_path / "fp.json"
     manifest = {"seed": 3, "config_digest": digest({"seed": 3})}
     written = tracer.fingerprint.write(str(path), manifest)

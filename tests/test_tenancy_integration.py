@@ -5,8 +5,8 @@ The acceptance bars from the tenancy issue:
 * per-tenant ledger rollups sum to the cluster ledger total within 1e-6
   across plain / chaos / overload regimes (conservation property);
 * a cap sweep produces monotonically non-increasing cluster energy;
-* enforcement decisions leave audit records and trace instants, and the
-  report/bill/explain pipelines surface them;
+* enforcement decisions leave decision instants in the trace and lines
+  in ``audit.jsonl``, and the report/bill/explain pipelines surface them;
 * armed runs are bitwise repeatable (the ``tenancy_cap`` and
   ``all_armed`` rows of ``tests/fingerprints.py`` pin armed runs to
   stored hashes, and ``tests/test_guard_determinism.py`` checks them and
@@ -14,6 +14,7 @@ The acceptance bars from the tenancy issue:
 """
 
 import json
+import os
 
 import pytest
 
@@ -76,15 +77,13 @@ def armed_artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("tenancy")
     tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger(),
                                     fingerprint=obs.FingerprintRecorder()))
-    audit = obs.install_audit(obs.AuditLog())
     try:
         cluster = run_armed(tight_tenancy(
             power_cap=PowerCapConfig(cap_w=150.0, period_s=0.5)))
     finally:
         obs.uninstall()
-        obs.uninstall_audit()
-    obs.write_run(tracer, audit, str(out), {})
-    return {"cluster": cluster, "tracer": tracer, "audit": audit,
+    obs.write_run(tracer, str(out), {})
+    return {"cluster": cluster, "tracer": tracer,
             "run_dir": str(out), "trace": str(out / "trace.json"),
             "ledger": str(out / "ledger.json")}
 
@@ -103,23 +102,25 @@ class TestEnforcement:
         assert metrics.shed_count("tenant_budget") > 0
 
     def test_audit_records_every_throttle(self, armed_artifacts):
-        audit = armed_artifacts["audit"]
-        records = audit.of_kind("tenant_throttle")
+        records = armed_artifacts["tracer"].instants_named(
+            "tenant_throttle")
         assert len(records) \
             == armed_artifacts["cluster"].metrics.tenant_throttles
-        sample = records[0]
-        assert sample.inputs["tenant"]
-        assert sample.action["decision"] in ("shed", "throttled_admit",
-                                             "throttled_drop")
+        sample = records[0].args
+        assert sample["inputs"]["tenant"]
+        assert sample["action"]["decision"] in ("shed", "throttled_admit",
+                                                "throttled_drop")
 
     def test_trace_and_audit_log_carry_one_decision_stream(
             self, armed_artifacts):
-        from tests.test_obs_audit import stream_mismatches
-        a = armed_artifacts
-        assert stream_mismatches(a["tracer"], a["audit"],
-                                 a["run_dir"]) == []
-        kinds = {r.kind for r in a["audit"].records}
-        assert {"tenant_throttle", "power_cap_step"} <= kinds
+        from repro.obs.audit import KINDS
+        from tests.test_obs_audit import read_jsonl
+        kinds = [i.name for i in armed_artifacts["tracer"].instants
+                 if i.name in KINDS]
+        assert {"tenant_throttle", "power_cap_step"} <= set(kinds)
+        lines = read_jsonl(os.path.join(armed_artifacts["run_dir"],
+                                        "audit.jsonl"))
+        assert [line["kind"] for line in lines] == kinds
 
     def test_trace_instants_match_the_count(self, armed_artifacts):
         tracer = armed_artifacts["tracer"]
