@@ -48,6 +48,27 @@ DATA_PATH = os.path.join(os.path.dirname(__file__), "data",
                          "seed_fingerprint.json")
 
 
+def armed(faults=True, **layers):
+    """A factory for the ``ecofaas_chaos`` run with ``layers`` set on its
+    ClusterConfig (``faults=False`` drops the fault plan)."""
+    from repro.core import EcoFaaSSystem
+    from repro.core.config import EcoFaaSConfig
+    from repro.experiments.common import make_load_trace, run_cluster
+    from repro.faults.plan import FaultPlan
+    from repro.platform.cluster import ClusterConfig
+    from repro.platform.reliability import ReliabilityPolicy
+
+    chaos = ClusterConfig(
+        n_servers=2, drain_s=4.0,
+        reliability=ReliabilityPolicy(max_retries=8, backoff_base_s=0.05))
+    config = dataclasses.replace(chaos, **layers)
+    return lambda: run_cluster(
+        EcoFaaSSystem(EcoFaaSConfig()), make_load_trace("low", 2, 6.0, seed=3),
+        config,
+        fault_plan=(FaultPlan.calibrated(6.0, 2, ["WebServ", "CNNServ"],
+                                         seed=5) if faults else None))
+
+
 def reference_runs():
     """The reference runs, as (label, cluster-factory) pairs.
 
@@ -66,7 +87,6 @@ def reference_runs():
     from repro.experiments import partition
     from repro.experiments.common import make_load_trace, run_cluster
     from repro.experiments.tenancy import make_tenancy
-    from repro.faults.plan import FaultPlan
     from repro.guard import GuardConfig
     from repro.ha import HAConfig
     from repro.platform.cluster import ClusterConfig
@@ -76,35 +96,20 @@ def reference_runs():
         return make_load_trace("low", 2, 6.0, seed=3)
 
     plain = ClusterConfig(n_servers=2, drain_s=4.0)
-    chaos = ClusterConfig(
-        n_servers=2, drain_s=4.0,
-        reliability=ReliabilityPolicy(max_retries=8, backoff_base_s=0.05))
 
     def medium_trace():
         return make_load_trace("medium", 3, 20.0, seed=3)
 
     medium = ClusterConfig(n_servers=3, drain_s=4.0)
 
-    def chaos_plan():
-        return FaultPlan.calibrated(6.0, 2, ["WebServ", "CNNServ"], seed=5)
-
     hedged = ReliabilityPolicy(max_retries=8, backoff_base_s=0.05,
                                invocation_timeout_s=2.0, hedge_after_s=0.8)
-
-    def armed(faults=True, **layers):
-        """The ``ecofaas_chaos`` run with the given layers armed."""
-        config = dataclasses.replace(chaos, **layers)
-        return lambda: run_cluster(
-            EcoFaaSSystem(EcoFaaSConfig()), trace(), config,
-            fault_plan=chaos_plan() if faults else None)
 
     return [
         ("baseline", lambda: run_cluster(BaselineSystem(), trace(), plain)),
         ("ecofaas", lambda: run_cluster(EcoFaaSSystem(EcoFaaSConfig()),
                                         trace(), plain)),
-        ("ecofaas_chaos", lambda: run_cluster(
-            EcoFaaSSystem(EcoFaaSConfig()), trace(), chaos,
-            fault_plan=chaos_plan())),
+        ("ecofaas_chaos", armed()),
         ("baseline_medium", lambda: run_cluster(
             BaselineSystem(), medium_trace(), medium)),
         ("powerctrl_medium", lambda: run_cluster(

@@ -17,6 +17,7 @@ Two halves:
 import pytest
 
 from tests.fingerprints import (
+    armed,
     cluster_fingerprint,
     load_reference,
     reference_labels,
@@ -51,3 +52,22 @@ class TestGuardedRunsAreDeterministic:
         assert cluster.metrics.breaker_fast_fails > 0
         assert (cluster_fingerprint(cluster)
                 != load_reference()["ecofaas_chaos"])
+
+
+class TestEmptyLayerConfigIsUnset:
+    """An empty guard, cancel or tenancy config arms nothing: each, alone
+    or all three together, reproduces the layers-off ``ecofaas_chaos``
+    row. A cluster built without a layer runs that layer's runtime
+    inert, and this equality is what that rests on."""
+
+    @pytest.mark.parametrize("layers", ["guard", "cancel", "tenancy",
+                                        "guard+cancel+tenancy"])
+    def test_empty_config_reproduces_ecofaas_chaos(self, layers):
+        from repro.cancel import CancelConfig
+        from repro.guard import GuardConfig
+        from repro.tenancy import TenancyConfig
+        empty = {"guard": GuardConfig(), "cancel": CancelConfig(),
+                 "tenancy": TenancyConfig()}
+        chosen = {name: empty[name] for name in layers.split("+")}
+        assert (cluster_fingerprint(armed(**chosen)())
+                == load_reference()["ecofaas_chaos"])
