@@ -12,6 +12,7 @@ from typing import Dict, Optional
 
 from repro.baselines.partitioned import PartitionedNode
 from repro.hardware.server import Server
+from repro.platform.layers import Layers
 from repro.platform.metrics import MetricsCollector
 from repro.platform.system import ClusterSystem, NodeSystem
 from repro.sim.engine import Environment
@@ -32,8 +33,9 @@ class BaselineSystem(ClusterSystem):
     name = "Baseline"
 
     def make_node(self, env: Environment, server: Server,
-                  metrics: MetricsCollector, rng: RngRegistry) -> NodeSystem:
-        return BaselineNode(env, server, metrics, rng)
+                  metrics: MetricsCollector, rng: RngRegistry,
+                  layers: Layers) -> NodeSystem:
+        return BaselineNode(env, server, metrics, rng, layers)
 
     def function_deadlines(self, workflow: Workflow, arrival_s: float,
                            slo_s: float) -> Optional[Dict[str, float]]:

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 from repro.hardware.core import Core
 from repro.hardware.server import Server
 from repro.platform.job import Job
+from repro.platform.layers import Layers
 from repro.platform.metrics import MetricsCollector
 from repro.platform.scheduler import CorePoolScheduler
 from repro.platform.system import NodeSystem
@@ -42,8 +43,9 @@ class PartitionedNode(NodeSystem):
 
     def __init__(self, env: Environment, server: Server,
                  metrics: MetricsCollector, rng: RngRegistry,
+                 layers: Layers,
                  repartition_interval_s: float = REPARTITION_INTERVAL_S):
-        super().__init__(env, server, metrics, rng)
+        super().__init__(env, server, metrics, rng, layers)
         if repartition_interval_s <= 0:
             raise ValueError("repartition interval must be positive")
         self._free_cores: List[Core] = list(server.cores)
@@ -114,7 +116,9 @@ class PartitionedNode(NodeSystem):
                 on_complete=self._on_job_complete,
                 on_core_released=self._free_cores.append,
                 cost_scale=self.dvfs_cost_scale,
-                block_latency=self.rpc_latency_scale)
+                block_latency=self.rpc_latency_scale,
+                clamp_freq=self.layers.tenancy.clamp_freq,
+                drop_doomed=self.layers.cancel.drop_if_doomed)
             self._rebalance()
         return self._pools[function_name]
 

@@ -22,6 +22,7 @@ from repro.baselines.partitioned import PartitionedNode
 from repro.hardware.frequency import DvfsCostModel
 from repro.hardware.server import Server
 from repro.platform.job import Job
+from repro.platform.layers import Layers
 from repro.platform.metrics import MetricsCollector
 from repro.platform.scheduler import CorePoolScheduler
 from repro.platform.system import ClusterSystem, NodeSystem
@@ -58,8 +59,9 @@ class PowerCtrlNode(PartitionedNode):
     per_job_frequency = True
 
     def __init__(self, env: Environment, server: Server,
-                 metrics: MetricsCollector, rng: RngRegistry):
-        super().__init__(env, server, metrics, rng)
+                 metrics: MetricsCollector, rng: RngRegistry,
+                 layers: Layers):
+        super().__init__(env, server, metrics, rng, layers)
         self._dvfs_cost = DvfsCostModel(rng=rng.stream("powerctrl/dvfs"))
 
     def switch_cost(self) -> float:
@@ -101,8 +103,9 @@ class PowerCtrlSystem(ClusterSystem):
     name = "Baseline+PowerCtrl"
 
     def make_node(self, env: Environment, server: Server,
-                  metrics: MetricsCollector, rng: RngRegistry) -> NodeSystem:
-        return PowerCtrlNode(env, server, metrics, rng)
+                  metrics: MetricsCollector, rng: RngRegistry,
+                  layers: Layers) -> NodeSystem:
+        return PowerCtrlNode(env, server, metrics, rng, layers)
 
     def function_deadlines(self, workflow: Workflow, arrival_s: float,
                            slo_s: float) -> Optional[Dict[str, float]]:

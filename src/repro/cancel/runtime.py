@@ -1,10 +1,8 @@
 """The per-cluster cancellation runtime: doom checks, kills, budgets.
 
-One :class:`CancelRuntime` is created by a :class:`Cluster` whose config
-carries a :class:`CancelConfig`, and installed as ``env.cancel`` (the
-same pattern as ``env.guard``). Every instrumentation point in the
-platform checks ``cancel is None`` first, so unarmed runs execute the
-pre-cancel code byte-for-byte.
+Every :class:`Cluster` builds one (:mod:`repro.platform.layers`). An
+unset ``ClusterConfig.cancel`` builds it from an empty
+:class:`CancelConfig`: no doom line, no retry budget, nothing recorded.
 
 The runtime owns three concerns: deadline *doom* predicates (a job or
 workflow is doomed once it provably cannot finish by its doom line),
@@ -16,14 +14,17 @@ is folded into :class:`MetricsCollector` counters and recorded as
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Set
+from typing import TYPE_CHECKING, Iterable, Optional, Set
 
 from repro.cancel.budget import RetryBudget
 from repro.cancel.config import CancelConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.platform.cluster import Cluster
+    from repro.platform.cluster import Cluster, ClusterConfig
     from repro.platform.job import Job
+    from repro.platform.metrics import MetricsCollector
+    from repro.platform.scheduler import CorePoolScheduler
+    from repro.sim.engine import Environment
 
 #: Frontend trace track for cancel decisions (matches reliability events).
 FRONTEND_TRACK = "frontend"
@@ -34,17 +35,17 @@ EPS = 1e-9
 
 
 class CancelRuntime:
-    """All armed cancellation mechanisms of one cluster."""
+    """The cancellation mechanisms of one cluster."""
 
-    def __init__(self, cluster: "Cluster", config: CancelConfig):
-        self.cluster = cluster
-        self.config = config
-        self.env = cluster.env
-        self.metrics = cluster.metrics
-        self.deadline = config.deadline
+    def __init__(self, env: "Environment", metrics: "MetricsCollector",
+                 config: "ClusterConfig"):
+        self.config = layer = config.cancel or CancelConfig()
+        self.env = env
+        self.metrics = metrics
+        self.deadline = layer.deadline
         self.budget: Optional[RetryBudget] = (
-            RetryBudget(config.retry_budget, now=cluster.env.now)
-            if config.retry_budget is not None else None)
+            RetryBudget(layer.retry_budget, now=env.now)
+            if layer.retry_budget is not None else None)
         #: Workflow uids declared doomed (stage skipped or every attempt
         #: of an invocation cancelled) — read by the workflow engine to
         #: trace ``doomed`` instead of ``failed``, and by the ledger to
@@ -52,10 +53,12 @@ class CancelRuntime:
         self.doomed_workflow_uids: Set[int] = set()
         #: Top of the frequency scale: the optimistic estimate used when
         #: reporting how many run-seconds a kill reclaimed.
-        self._top_freq = cluster.config.scale.max
+        self._top_freq = config.scale.max
+        self.cluster: Optional["Cluster"] = None
 
-    def arm(self) -> None:
-        """Nothing periodic to start; kept for runtime-pattern symmetry."""
+    def arm(self, cluster: "Cluster") -> None:
+        """Nothing periodic to start: remember the cluster to kill in."""
+        self.cluster = cluster
 
     # ------------------------------------------------------------------
     # Doom lines (deadline propagation)
@@ -105,6 +108,21 @@ class CancelRuntime:
             return False
         remaining = job.remaining_run_seconds(freq_ghz)
         return self.env.now + remaining > token + EPS
+
+    def drop_if_doomed(self, pool: "CorePoolScheduler", job: "Job") -> bool:
+        """The pool's dequeue hook: drop ``job`` (True) when its remaining
+        work cannot fit before its doom line, so running it would only
+        burn joules."""
+        if (self.dequeue_doomed(job, pool.frequency_ghz)
+                and pool.cancel_job(job)):
+            self.note_doomed_drop(job, pool.name)
+            return True
+        return False
+
+    def any_cancelled(self, jobs: Iterable[Optional["Job"]]) -> bool:
+        """True when one of ``jobs`` was killed (only a doom line kills)."""
+        return (self.deadline is not None
+                and any(getattr(job, "cancelled", False) for job in jobs))
 
     # ------------------------------------------------------------------
     # The kill path

@@ -20,7 +20,7 @@ the paper prescribes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.predictor import FrequencyProfile
 from repro.platform.job import Job
@@ -47,6 +47,8 @@ class EnergyAwareDispatcher:
         #: ``(job_id, store observation count, {freq: seconds})``. Every
         #: observation bumps the count, so a stale entry is never read.
         self._t_run_memo = (None, -1, {})
+        #: The guard's per-level labels (``kind@freq``), built once each.
+        self._labels: Dict[Tuple[str, float], str] = {}
 
     # ------------------------------------------------------------------
     # Prediction wrappers
@@ -56,17 +58,15 @@ class EnergyAwareDispatcher:
 
     def _sanitize(self, kind: str, value: float,
                   freq: Optional[float] = None) -> float:
-        """Safe mode (repro.guard): screen one prediction if armed.
-
-        The guard's per-level label (``kind@freq``) is only built when
-        the guard is armed.
-        """
-        guard = self.node.env.guard
-        if guard is None:
-            return value
-        label = kind if freq is None else f"{kind}@{freq:.2f}"
-        return guard.sanitize_prediction(self.fn_model.name, label, value,
-                                         self.node.track)
+        """Safe mode (repro.guard): screen one prediction under its
+        per-level label."""
+        label = kind
+        if freq is not None:
+            label = self._labels.get((kind, freq))
+            if label is None:
+                label = self._labels[kind, freq] = f"{kind}@{freq:.2f}"
+        return self.node.layers.guard.sanitize_prediction(
+            self.fn_model.name, label, value, self.node.track)
 
     def _predict_t_run(self, freq: float, job: Job) -> float:
         # Placing one job asks for the same levels several times. The
@@ -106,8 +106,8 @@ class EnergyAwareDispatcher:
             # VI-B / VI-E1).
             self._submit_at_max(job)
             return
-        guard = self.node.env.guard
-        if guard is not None and guard.dpt_stale(self.fn_model.name):
+        guard = self.node.layers.guard
+        if guard.dpt_stale(self.fn_model.name):
             # Safe mode: the profile has gone stale — pin to the top
             # frequency (always deadline-safe) until fresh data arrives.
             guard.record_freq_pin(self.fn_model.name, self.node.track)
@@ -132,11 +132,10 @@ class EnergyAwareDispatcher:
         """Register with the pool, accounting demand where the job was
         actually placed (the node controller sizes pools from placement,
         then shifts levels using the boost / wanted-lower signals)."""
-        tenancy = self.node.env.tenancy
-        if tenancy is not None:
-            # Power-cap ceiling (repro.tenancy): demand accounting and
-            # EWT must reflect the speed the job will actually get.
-            job.chosen_freq_ghz = tenancy.clamp_freq(job.chosen_freq_ghz)
+        # Power-cap ceiling (repro.tenancy): demand accounting and EWT
+        # must reflect the speed the job will actually get.
+        job.chosen_freq_ghz = self.node.layers.tenancy.clamp_freq(
+            job.chosen_freq_ghz)
         self.node.note_demand(job.chosen_freq_ghz,
                               job.registered_run_seconds or 0.0)
         pool.submit(job)
@@ -279,6 +278,4 @@ class EnergyAwareDispatcher:
         self.profile.observe(dominant, job.t_run, job.t_block,
                              job.energy_j, job.spec.features)
         self.node.store.note_observation()
-        guard = self.node.env.guard
-        if guard is not None:
-            guard.note_observation(self.fn_model.name)
+        self.node.layers.guard.note_observation(self.fn_model.name)

@@ -20,6 +20,7 @@ from repro.hardware.core import Core
 from repro.hardware.server import Server
 from repro.hardware.work import WorkUnit
 from repro.platform.job import Job
+from repro.platform.layers import Layers
 from repro.platform.metrics import MetricsCollector
 from repro.platform.scheduler import CorePoolScheduler
 from repro.platform.system import NodeSystem
@@ -34,8 +35,9 @@ class EcoFaaSNode(NodeSystem):
 
     def __init__(self, env: Environment, server: Server,
                  metrics: MetricsCollector, rng: RngRegistry,
-                 config: EcoFaaSConfig, store: ProfileStore):
-        super().__init__(env, server, metrics, rng)
+                 config: EcoFaaSConfig, store: ProfileStore,
+                 layers: Layers):
+        super().__init__(env, server, metrics, rng, layers)
         self.config = config
         self.store = store
         self.scale = server.scale
@@ -80,7 +82,9 @@ class EcoFaaSNode(NodeSystem):
             on_complete=self._on_job_complete,
             on_core_released=self._core_released,
             cost_scale=self.dvfs_cost_scale,
-            block_latency=self.rpc_latency_scale)
+            block_latency=self.rpc_latency_scale,
+            clamp_freq=self.layers.tenancy.clamp_freq,
+            drop_doomed=self.layers.cancel.drop_if_doomed)
 
     def iter_pools(self) -> List[CorePoolScheduler]:
         """Every live pool, retiring ones included (observability)."""
@@ -105,9 +109,7 @@ class EcoFaaSNode(NodeSystem):
     def raise_pool_frequency(self, pool: CorePoolScheduler,
                              freq_ghz: float) -> None:
         """Boost a whole pool (dispatcher escalation strategy 2/3)."""
-        tenancy = self.env.tenancy
-        if tenancy is not None:
-            freq_ghz = tenancy.clamp_freq(freq_ghz)
+        freq_ghz = self.layers.tenancy.clamp_freq(freq_ghz)
         if freq_ghz > pool.frequency_ghz:
             pool.set_frequency(freq_ghz,
                                cost_s=self.config.kernel_switch_cost_s)
@@ -257,8 +259,7 @@ class EcoFaaSNode(NodeSystem):
             yield self.env.timeout(self.config.t_refresh_s)
             if self.down:
                 continue
-            ha = self.env.ha
-            if ha is not None and not ha.authorize_resize(self):
+            if not self.layers.ha.authorize_resize(self):
                 # Epoch fencing (repro.ha): no reachable leader holds a
                 # fresh enough lease — freeze the pool set rather than
                 # apply a resize a partitioned stale controller computed.
@@ -331,8 +332,7 @@ class EcoFaaSNode(NodeSystem):
             return False
         if self.env.now - self.last_refresh_s <= stale_after:
             return False
-        ha = self.env.ha
-        if ha is not None and not ha.authorize_resize(self):
+        if not self.layers.ha.authorize_resize(self):
             # A deliberately fenced/frozen control loop is not stuck; the
             # watchdog must not force a resize past the epoch fence.
             return False
@@ -431,20 +431,19 @@ class EcoFaaSNode(NodeSystem):
                            " to the smoothed window demand")
 
     def _apply_demand(self, demand: Dict[float, float]) -> None:
-        tenancy = self.env.tenancy
-        if tenancy is not None:
-            # Power cap (repro.tenancy): demand above the frequency
-            # ceiling folds into the ceiling level (no pool may target a
-            # capped-out frequency), and pool sizing only staffs the
-            # usable core fraction — the rest sit idle, which is the
-            # governor's pool-shrinking actuator.
-            ceiling = tenancy.freq_ceiling_ghz()
-            if ceiling is not None:
-                folded: Dict[float, float] = {}
-                for level, weight in demand.items():
-                    capped = min(level, ceiling)
-                    folded[capped] = folded.get(capped, 0.0) + weight
-                demand = folded
+        # Power cap (repro.tenancy): demand above the frequency ceiling
+        # folds into the ceiling level (no pool may target a capped-out
+        # frequency), and pool sizing only staffs the usable core
+        # fraction — the rest sit idle, which is the governor's
+        # pool-shrinking actuator.
+        tenancy = self.layers.tenancy
+        ceiling = tenancy.freq_ceiling_ghz()
+        if ceiling is not None:
+            folded: Dict[float, float] = {}
+            for level, weight in demand.items():
+                capped = min(level, ceiling)
+                folded[capped] = folded.get(capped, 0.0) + weight
+            demand = folded
         # Cap the number of levels by folding the smallest demand into the
         # next higher level (running faster is always deadline-safe).
         levels = sorted(demand)
@@ -455,9 +454,7 @@ class EcoFaaSNode(NodeSystem):
             demand[target] = demand.get(target, 0.0) + demand.pop(smallest)
             levels.remove(smallest)
 
-        n_cores = self.server.n_cores
-        if tenancy is not None:
-            n_cores = tenancy.capped_cores(n_cores)
+        n_cores = tenancy.capped_cores(self.server.n_cores)
         # Square-root staffing: allocate each level its offered load plus
         # sqrt-headroom (normalised to the server size). Pure proportional
         # sizing equalises utilisation, which leaves every pool's queue

@@ -10,6 +10,7 @@ from repro.core.profiles import ProfileStore
 from repro.core.workflow_controller import WorkflowController
 from repro.hardware.server import Server
 from repro.platform.cluster import Cluster
+from repro.platform.layers import Layers
 from repro.platform.metrics import MetricsCollector
 from repro.platform.system import ClusterSystem
 from repro.sim.engine import Environment
@@ -26,6 +27,7 @@ class EcoFaaSSystem(ClusterSystem):
         self.config = config or EcoFaaSConfig()
         self._store: Optional[ProfileStore] = None
         self._env: Optional[Environment] = None
+        self._layers: Optional[Layers] = None
         self._controllers: Dict[str, WorkflowController] = {}
 
     @property
@@ -35,13 +37,15 @@ class EcoFaaSSystem(ClusterSystem):
         return self._store
 
     def make_node(self, env: Environment, server: Server,
-                  metrics: MetricsCollector, rng: RngRegistry) -> EcoFaaSNode:
+                  metrics: MetricsCollector, rng: RngRegistry,
+                  layers: Layers) -> EcoFaaSNode:
         if self._store is None:
             self._store = ProfileStore(server.scale, server.power,
                                        self.config, seed=rng.seed)
             self._env = env
+            self._layers = layers
         return EcoFaaSNode(env, server, metrics, rng, self.config,
-                           self._store)
+                           self._store, layers)
 
     def controller(self, workflow: Workflow) -> WorkflowController:
         """The per-application Workflow Controller (created lazily)."""
@@ -49,7 +53,7 @@ class EcoFaaSSystem(ClusterSystem):
             raise RuntimeError("create nodes before requesting controllers")
         if workflow.name not in self._controllers:
             self._controllers[workflow.name] = WorkflowController(
-                self._env, workflow, self._store, self.config)
+                self._env, workflow, self._store, self.config, self._layers)
         return self._controllers[workflow.name]
 
     def function_deadlines(self, workflow: Workflow, arrival_s: float,

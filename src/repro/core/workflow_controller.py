@@ -15,6 +15,7 @@ from repro.baselines.powerctrl import proportional_deadlines
 from repro.core.config import EcoFaaSConfig
 from repro.core.dpt import DeadlineSplit, DelayPowerTable, split_deadlines
 from repro.core.profiles import ProfileStore
+from repro.platform.layers import Layers
 from repro.sim.engine import Environment
 from repro.workloads.applications import Workflow
 
@@ -26,8 +27,10 @@ class WorkflowController:
     """Per-application SLO splitting and prewarming."""
 
     def __init__(self, env: Environment, workflow: Workflow,
-                 store: ProfileStore, config: EcoFaaSConfig):
+                 store: ProfileStore, config: EcoFaaSConfig,
+                 layers: Layers):
         self.env = env
+        self.layers = layers
         self.workflow = workflow
         self.store = store
         self.config = config
@@ -44,8 +47,7 @@ class WorkflowController:
     def deadlines(self, arrival_s: float, slo_s: float) -> Dict[str, float]:
         """Absolute per-function deadlines for one admission."""
         if self._stale(slo_s):
-            ha = self.env.ha
-            if ha is None or ha.authorize_split(self.workflow.name):
+            if self.layers.ha.authorize_split(self.workflow.name):
                 self._recompute(slo_s)
             # Epoch fencing (repro.ha): with no authorized leader the
             # previous split stays in force; the next admission retries.
@@ -82,12 +84,12 @@ class WorkflowController:
             return
         self._populate_dpt()
         if self.config.use_milp:
-            guard = self.env.guard
-            budget = guard.milp_node_budget if guard is not None else None
+            guard = self.layers.guard
+            budget = guard.milp_node_budget
             split = split_deadlines(self.workflow, slo_s, self.dpt,
                                     max_nodes=budget)
             self.milp_runs += 1
-            if guard is not None and split.solver_exhausted:
+            if split.solver_exhausted:
                 # Safe mode: an unproven plan is not trusted — use the
                 # proportional split until the next T_update.
                 guard.record_milp_fallback(self.workflow.name)

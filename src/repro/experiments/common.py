@@ -166,9 +166,8 @@ def run_cluster(system, trace: Trace,
         # Closing the run classifies this run's raw entries and checks
         # conservation against the hardware meters (raises on mismatch).
         tracer.ledger.close_run(cluster)
-        if cluster.tenancy is not None:
-            # Price the closed run into a per-tenant bill (repro.tenancy).
-            cluster.tenancy.settle(tracer.ledger)
+        # Price the closed run into a per-tenant bill (repro.tenancy).
+        cluster.tenancy.settle(tracer.ledger)
     if tracer is not None and tracer.fingerprint is not None:
         # Fold the run into per-epoch chain digests (repro.obs.fingerprint).
         # After the ledger close, so the energy chains see classified

@@ -13,8 +13,9 @@ Four opt-in guard families for the EcoFaaS control plane:
   refresh watchdog.
 
 Everything is opt-in: a cluster whose config carries no
-:class:`GuardConfig` runs the exact pre-guard code path and produces
-bit-identical results (regression-tested against a stored fingerprint).
+:class:`GuardConfig` runs its guard runtime with every family off and
+produces bit-identical results (regression-tested against a stored
+fingerprint).
 """
 
 from repro.guard.admission import (

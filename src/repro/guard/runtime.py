@@ -1,10 +1,8 @@
 """The per-cluster guard runtime: wiring, accounting, trace emission.
 
-One :class:`GuardRuntime` is created by a :class:`Cluster` whose config
-carries a :class:`GuardConfig`, and installed as ``env.guard`` (the same
-pattern as ``env.trace``). Every instrumentation point in the platform
-checks ``guard is None`` first, so unguarded runs execute the pre-guard
-code byte-for-byte.
+Every :class:`Cluster` builds one (:mod:`repro.platform.layers`). An
+unset ``ClusterConfig.guard`` builds it from an empty
+:class:`GuardConfig`, with every guard off.
 
 The runtime centralises three concerns so the mechanism classes stay
 pure: reading cluster-wide signals (the EWT-per-core brownout input),
@@ -23,40 +21,44 @@ from repro.guard.config import GuardConfig
 from repro.guard.safemode import PredictionGuard
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.platform.cluster import Cluster
+    from repro.platform.cluster import Cluster, ClusterConfig
+    from repro.platform.metrics import MetricsCollector
     from repro.platform.system import NodeSystem
+    from repro.sim.engine import Environment
 
 #: Frontend trace track for guard decisions (matches reliability events).
 FRONTEND_TRACK = "frontend"
 
 
 class GuardRuntime:
-    """All armed guards of one cluster."""
+    """The guards of one cluster."""
 
-    def __init__(self, cluster: "Cluster", config: GuardConfig):
-        self.cluster = cluster
-        self.config = config
-        self.env = cluster.env
-        self.metrics = cluster.metrics
+    def __init__(self, env: "Environment", metrics: "MetricsCollector",
+                 config: "ClusterConfig"):
+        self.config = layer = config.guard or GuardConfig()
+        self.env = env
+        self.metrics = metrics
+        self.cluster: Optional["Cluster"] = None
         self.admission: Optional[AdmissionController] = (
-            AdmissionController(config.admission)
-            if config.admission is not None else None)
+            AdmissionController(layer.admission)
+            if layer.admission is not None else None)
         self.breakers: Optional[BreakerBoard] = (
-            BreakerBoard(config.breaker)
-            if config.breaker is not None else None)
+            BreakerBoard(layer.breaker)
+            if layer.breaker is not None else None)
         self.predictions: Optional[PredictionGuard] = (
-            PredictionGuard(config.safe_mode)
-            if config.safe_mode is not None else None)
+            PredictionGuard(layer.safe_mode)
+            if layer.safe_mode is not None else None)
         self.checkpoints: Optional[CheckpointStore] = (
-            CheckpointStore(config.checkpoint)
-            if config.checkpoint is not None else None)
+            CheckpointStore(layer.checkpoint)
+            if layer.checkpoint is not None else None)
         #: Last brownout level a decision was recorded for; the
         #: admission controller itself recomputes its level on every
         #: decision, so change detection has to live out here.
         self._audit_level = 0
 
-    def arm(self) -> None:
+    def arm(self, cluster: "Cluster") -> None:
         """Start the periodic guard processes (checkpointer + watchdog)."""
+        self.cluster = cluster
         if self.checkpoints is not None:
             self.env.process(self._checkpoint_loop(), name="guard-checkpoint")
 
@@ -84,9 +86,7 @@ class GuardRuntime:
         if self.admission is None:
             return True
         ewt = self.ewt_per_core_s()
-        tenancy = self.env.tenancy
-        demoted = (tenancy is not None
-                   and tenancy.demote_to_best_effort(benchmark))
+        demoted = self.cluster.tenancy.demote_to_best_effort(benchmark)
         reason = self.admission.admit(benchmark, self.env.now, ewt,
                                       force_best_effort=demoted)
         trace = self.env.trace
@@ -146,8 +146,7 @@ class GuardRuntime:
         breaker = self.breaker_for(function_name)
         if breaker is None:
             return
-        ha = self.env.ha
-        if ha is not None and node is not None and ha.node_suspected(node):
+        if node is not None and self.cluster.ha.node_suspected(node):
             # The membership table blames the node, not the function:
             # charging the breaker would fail the function cluster-wide
             # for one machine's partition or crash.

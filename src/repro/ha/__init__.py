@@ -1,10 +1,10 @@
 """repro.ha — failure detection, partition tolerance, controller failover.
 
 The high-availability layer of the reproduced platform. Everything here
-is opt-in: a :class:`Cluster` built without an :class:`HAConfig` runs the
-pre-HA code paths byte-for-byte (the determinism suite pins this to the
-stored seed fingerprints). With a config, the cluster installs an
-:class:`HARuntime` as ``cluster.ha`` and ``env.ha``. It provides:
+is opt-in: a :class:`Cluster` built without an :class:`HAConfig` runs its
+:class:`HARuntime` inert and matches a run without the layer
+byte-for-byte (the determinism suite pins this to the stored seed
+fingerprints). The runtime is ``cluster.ha``; armed, it provides:
 
 * a :class:`LinkTable` as ``cluster.ha.links`` — the directed
   network-partition model that ``repro.faults`` cuts and heals;

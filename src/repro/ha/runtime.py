@@ -1,11 +1,8 @@
 """The per-cluster HA runtime: heartbeats, membership, leases, fencing.
 
-One :class:`HARuntime` is created by a :class:`Cluster` whose config
-carries an :class:`HAConfig`, and installed as ``env.ha``; it owns the
-cluster's :class:`LinkTable` as ``links`` (the same opt-in pattern as
-``env.trace`` / ``env.guard``). Every HA instrumentation point in the
-platform checks for ``None`` first, so HA-off runs execute the pre-HA
-code byte-for-byte.
+Every :class:`Cluster` builds one (:mod:`repro.platform.layers`); it
+owns the cluster's :class:`LinkTable` as ``links``. Without a
+``ClusterConfig.ha`` it is inert.
 
 Four periodic processes run while armed:
 
@@ -43,9 +40,11 @@ from repro.ha.journal import IdempotencyKey, RedispatchJournal
 from repro.ha.links import LinkTable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.platform.cluster import Cluster
+    from repro.platform.cluster import Cluster, ClusterConfig
     from repro.platform.job import Job
+    from repro.platform.metrics import MetricsCollector
     from repro.platform.system import NodeSystem
+    from repro.sim.engine import Environment
 
 #: Link-table endpoint of the dispatcher/frontend (the membership and
 #: lease registries live there), matching the frontend trace track.
@@ -53,25 +52,28 @@ FRONTEND = "frontend"
 
 
 class HARuntime:
-    """The armed high-availability layer of one cluster."""
+    """The high-availability layer of one cluster."""
 
-    def __init__(self, cluster: "Cluster", config: HAConfig):
-        self.cluster = cluster
-        self.config = config
-        self.env = cluster.env
-        self.metrics = cluster.metrics
+    def __init__(self, env: "Environment", metrics: "MetricsCollector",
+                 config: "ClusterConfig"):
+        #: False without a ``ClusterConfig.ha``: the runtime is inert.
+        self.armed = config.ha is not None
+        self.config = layer = config.ha or HAConfig()
+        self.env = env
+        self.metrics = metrics
+        self.cluster: Optional["Cluster"] = None
         self.links = LinkTable()
         self.links.on_heal(self._link_healed)
         self.detector = PhiAccrualDetector(
-            expected_interval_s=(config.heartbeat_period_s
-                                 + config.heartbeat_latency_s),
-            window=config.detector_window,
-            min_std_s=config.min_interval_std_s)
+            expected_interval_s=(layer.heartbeat_period_s
+                                 + layer.heartbeat_latency_s),
+            window=layer.detector_window,
+            min_std_s=layer.min_interval_std_s)
         self.membership = MembershipTable(self.detector,
-                                          config.phi_threshold,
-                                          config.dead_after_s)
-        self.controllers = ControllerGroup(n=config.n_controllers,
-                                           lease_s=config.lease_s)
+                                          layer.phi_threshold,
+                                          layer.dead_after_s)
+        self.controllers = ControllerGroup(n=layer.n_controllers,
+                                           lease_s=layer.lease_s)
         self.journal = RedispatchJournal()
         #: Highest decision epoch each consumer endpoint has accepted.
         self._seen_epochs = {}
@@ -80,9 +82,11 @@ class HARuntime:
     # ------------------------------------------------------------------
     # Arming
     # ------------------------------------------------------------------
-    def arm(self) -> None:
-        """Install the env hooks and start the periodic HA processes."""
-        self.env.ha = self
+    def arm(self, cluster: "Cluster") -> None:
+        """Start the periodic HA processes."""
+        self.cluster = cluster
+        if not self.armed:
+            return
         self.controllers.lease_expires_s = self.env.now + self.config.lease_s
         for node in self.cluster.nodes:
             self.detector.register(node.track, self.env.now)
@@ -248,6 +252,8 @@ class HARuntime:
         that can reach no believed leader at all freezes rather than act
         on stale authority.
         """
+        if not self.armed:
+            return True
         believed = [r for r in self.controllers.replicas
                     if not r.down and r.believes_leader
                     and self.links.reachable(r.endpoint, endpoint)]
@@ -290,6 +296,41 @@ class HARuntime:
         """Should the frontend route new work to this node?"""
         return (self.membership.state(node.track) == ALIVE
                 and self.links.delivers(FRONTEND, node.track))
+
+    def prefer_dispatchable(self, nodes: List["NodeSystem"]
+                            ) -> List["NodeSystem"]:
+        """The dispatchable ones of the up ``nodes``: hedges and retries
+        must not land on a machine the detector is about to declare
+        dead. All of them if none is — sending work to a suspect node
+        beats stalling the cluster on a false alarm."""
+        if not self.armed:
+            return nodes
+        return [node for node in nodes if self.dispatchable(node)] or nodes
+
+    def idempotency_key(self, wf_uid: int, stage_index: int,
+                        fn_index: int) -> Optional[IdempotencyKey]:
+        """The journal key of one invocation; None while inert."""
+        return (wf_uid, stage_index, fn_index) if self.armed else None
+
+    def tag_job(self, job: "Job", node: "NodeSystem") -> None:
+        """Remember the node an attempt runs on (result visibility)."""
+        if self.armed:
+            job.ha_node = node
+
+    def attempt_waits(self, jobs: List["Job"]) -> list:
+        """The events a shepherd loop waits on for one attempt's ``jobs``.
+
+        Armed, a processed ``done`` is left out (it would make ``any_of``
+        fire at once forever while a cut link hides the result) and the
+        loop also wakes on membership and link transitions. Inert, every
+        ``done`` stays: an attempt aborted in the step a hedge fired
+        costs one more event then, so the two lists cannot be one.
+        """
+        if not self.armed:
+            return [job.done for job in jobs]
+        waits = [job.done for job in jobs if not job.done.processed]
+        waits.append(self.change_event())
+        return waits
 
     def result_visible(self, job: "Job") -> bool:
         """Can the frontend observe this job's completion right now?"""

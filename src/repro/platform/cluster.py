@@ -13,21 +13,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cancel.config import CancelConfig
-from repro.cancel.runtime import CancelRuntime
 from repro.guard.config import GuardConfig
-from repro.guard.runtime import GuardRuntime
 from repro.ha.config import HAConfig
-from repro.ha.runtime import HARuntime
 from repro.hardware.frequency import FrequencyScale
 from repro.hardware.power import PowerModel
 from repro.hardware.server import Server
+from repro.platform.layers import Layers
 from repro.platform.metrics import MetricsCollector
 from repro.platform.reliability import ALL_DOWN_POLL_S, ReliabilityPolicy
 from repro.platform.system import ClusterSystem, NodeSystem
 from repro.sim.engine import Environment
 from repro.sim.rng import RngRegistry
 from repro.tenancy.config import TenancyConfig
-from repro.tenancy.runtime import TenancyRuntime
 from repro.traces.trace import Trace
 from repro.workloads.applications import Workflow
 from repro.workloads.registry import workflow_for
@@ -54,20 +51,13 @@ class ClusterConfig:
     #: Frontend reliability policy (repro.faults). None = the original
     #: fire-and-wait dispatch path, byte-for-byte.
     reliability: Optional[ReliabilityPolicy] = None
-    #: Graceful-degradation guards (repro.guard). None = the original
-    #: unguarded code paths, byte-for-byte.
+    #: The opt-in layers (repro.platform.layers): degradation guards,
+    #: high availability, energy multi-tenancy, cancellation and retry
+    #: budgets. None runs the layer's runtime inert, byte-identical to a
+    #: run without the layer.
     guard: Optional[GuardConfig] = None
-    #: High-availability layer (repro.ha): failure detection, controller
-    #: failover, partition tolerance. None = the original code paths,
-    #: byte-for-byte.
     ha: Optional[HAConfig] = None
-    #: Energy multi-tenancy (repro.tenancy): per-tenant budgets, the
-    #: power-cap governor, billing. None = the original code paths,
-    #: byte-for-byte.
     tenancy: Optional[TenancyConfig] = None
-    #: Cancellation & retry budgets (repro.cancel): deadline-propagating
-    #: doom checks, cooperative kills, cluster-wide retry tokens. None =
-    #: the original code paths, byte-for-byte.
     cancel: Optional[CancelConfig] = None
 
     def __post_init__(self) -> None:
@@ -94,9 +84,9 @@ class _Invocation:
     benchmark: str
     arrival_s: float
     wf_uid: int
-    #: The HA journal's idempotency key; None when HA is off.
+    #: The HA journal's idempotency key; None while HA is inert.
     idem_key: Optional[tuple]
-    #: The cancel layer's doom line; None when cancel is off.
+    #: The cancel layer's doom line; None without a deadline config.
     doom_deadline_s: Optional[float]
 
 
@@ -119,40 +109,21 @@ class Cluster:
                    ipc_factor=mix[i % len(mix)][1])
             for i in range(self.config.n_servers)
         ]
+        if self.config.ha is not None and self.config.reliability is None:
+            raise ValueError(
+                "the HA layer recovers stranded invocations through the"
+                " frontend's retry machinery; configure"
+                " ClusterConfig.reliability alongside ClusterConfig.ha")
+        #: The layer runtimes (repro.platform.layers), built before the
+        #: nodes that reach them and armed once the nodes exist.
+        self.layers = Layers.build(env, self.metrics, self.config)
+        self.guard, self.tenancy, self.ha, self.cancel = self.layers
         self.nodes: List[NodeSystem] = [
-            system.make_node(env, server, self.metrics, self.rng)
+            system.make_node(env, server, self.metrics, self.rng,
+                             self.layers)
             for server in self.servers
         ]
-        #: Armed guard runtime (repro.guard), when a GuardConfig was given.
-        self.guard: Optional[GuardRuntime] = None
-        if self.config.guard is not None:
-            self.guard = GuardRuntime(self, self.config.guard)
-            env.guard = self.guard
-            self.guard.arm()
-        #: Armed tenancy runtime (repro.tenancy), when a TenancyConfig
-        #: was given.
-        self.tenancy: Optional[TenancyRuntime] = None
-        if self.config.tenancy is not None:
-            self.tenancy = TenancyRuntime(self, self.config.tenancy)
-            env.tenancy = self.tenancy
-            self.tenancy.arm()
-        #: Armed HA runtime (repro.ha), when an HAConfig was given.
-        self.ha: Optional[HARuntime] = None
-        if self.config.ha is not None:
-            if self.config.reliability is None:
-                raise ValueError(
-                    "the HA layer recovers stranded invocations through the"
-                    " frontend's retry machinery; configure"
-                    " ClusterConfig.reliability alongside ClusterConfig.ha")
-            self.ha = HARuntime(self, self.config.ha)
-            self.ha.arm()
-        #: Armed cancellation runtime (repro.cancel), when a CancelConfig
-        #: was given.
-        self.cancel: Optional[CancelRuntime] = None
-        if self.config.cancel is not None:
-            self.cancel = CancelRuntime(self, self.config.cancel)
-            env.cancel = self.cancel
-            self.cancel.arm()
+        self.layers.arm(self)
         self._rr_index = 0
         #: Workflows in flight (for drain diagnostics).
         self.inflight = 0
@@ -172,7 +143,7 @@ class Cluster:
                     " re-dispatches them")
             if ((fault_plan.has_partitions
                  or fault_plan.has_controller_crashes)
-                    and self.ha is None):
+                    and self.config.ha is None):
                 raise ValueError(
                     "partition and controller-crash faults act on the"
                     " repro.ha link table and controller group; configure"
@@ -192,28 +163,21 @@ class Cluster:
         machine) unless it is the only one standing. Returns None when
         every node is down.
 
-        With the HA layer armed, nodes the membership table marks
-        *suspected* (or dead, or unreachable over the dispatch link) are
-        skipped too — hedges and retries must not land on a machine the
-        detector is about to declare dead. If that filter would empty
-        the candidate set, the plain up-set is used: sending work to a
-        suspect node beats stalling the cluster on a false alarm.
+        With the HA layer armed, nodes its membership table distrusts
+        are skipped too (:meth:`HARuntime.prefer_dispatchable`).
         """
-        up = [i for i, node in enumerate(self.nodes) if not node.down]
+        up = [node for node in self.nodes if not node.down]
         if not up:
             return None
-        if self.ha is not None:
-            preferred = [i for i in up if self.ha.dispatchable(self.nodes[i])]
-            if preferred:
-                up = preferred
+        up = self.ha.prefer_dispatchable(up)
         if exclude is not None and len(up) > 1:
-            up = [i for i in up if self.nodes[i] is not exclude] or up
-        loads = [self.nodes[i].outstanding for i in up]
+            up = [node for node in up if node is not exclude] or up
+        loads = [node.outstanding for node in up]
         best = min(loads)
-        candidates = [i for i, load in zip(up, loads) if load == best]
+        candidates = [node for node, load in zip(up, loads) if load == best]
         choice = candidates[self._rr_index % len(candidates)]
         self._rr_index += 1
-        return self.nodes[choice]
+        return choice
 
     # ------------------------------------------------------------------
     # Workflow engine
@@ -221,11 +185,9 @@ class Cluster:
     def submit_workflow(self, workflow: Workflow) -> None:
         """Start one end-to-end application invocation now."""
         self.submitted_workflows += 1
-        if self.guard is not None and not self.guard.admit_workflow(
-                workflow.name):
+        if not self.guard.admit_workflow(workflow.name):
             return
-        if self.tenancy is not None and not self.tenancy.admit_workflow(
-                workflow.name):
+        if not self.tenancy.admit_workflow(workflow.name):
             return
         self.env.process(self._run_workflow(workflow, self.env.now),
                          name=f"wf-{workflow.name}")
@@ -236,16 +198,14 @@ class Cluster:
         self.system.on_workflow_arrival(self, workflow, arrival_s, deadlines)
         policy = self.config.reliability
         cancel = self.cancel
-        doom_deadline = (cancel.doom_deadline(arrival_s, slo_s)
-                         if cancel is not None else None)
+        doom_deadline = cancel.doom_deadline(arrival_s, slo_s)
         self.inflight += 1
         wf_uid = next(self._wf_ids)
         self.env.trace.workflow_begin(wf_uid, workflow.name, slo_s=slo_s)
         failed = False
         try:
             for stage_index, stage in enumerate(workflow.stages):
-                if (cancel is not None and stage_index > 0
-                        and cancel.stage_doomed(doom_deadline)):
+                if stage_index > 0 and cancel.stage_doomed(doom_deadline):
                     # Deadline propagation: the doom line passed while an
                     # earlier stage ran, so the rest of the chain cannot
                     # help the SLO — stop here instead of burning joules.
@@ -261,11 +221,9 @@ class Cluster:
                         dispersion=self.config.input_dispersion)
                     deadline = (deadlines.get(fn_model.name)
                                 if deadlines is not None else None)
-                    idem_key = ((wf_uid, stage_index, fn_index)
-                                if self.ha is not None else None)
+                    key = self.ha.idempotency_key(wf_uid, stage_index, fn_index)
                     inv = _Invocation(fn_model, spec, deadline, workflow.name,
-                                      arrival_s, wf_uid, idem_key,
-                                      doom_deadline)
+                                      arrival_s, wf_uid, key, doom_deadline)
                     if policy is None:
                         # Fire and wait: no process per invocation.
                         waits.append(
@@ -280,8 +238,7 @@ class Cluster:
                     # produce its result, so later stages never run.
                     failed = True
                     break
-                if cancel is not None and any(
-                        getattr(w.value, "cancelled", False) for w in waits):
+                if cancel.any_cancelled(w.value for w in waits):
                     # A direct-dispatch invocation was doomed-dropped at
                     # dequeue: the chain has no result to continue with.
                     cancel.note_workflow_doomed(
@@ -290,8 +247,7 @@ class Cluster:
                     failed = True
                     break
             if failed:
-                if (cancel is not None
-                        and cancel.workflow_was_doomed(wf_uid)):
+                if cancel.workflow_was_doomed(wf_uid):
                     # Doomed is a sub-case of failed (the lifecycle
                     # equation still balances); the distinct trace status
                     # routes its completed work to the ledger's ``doomed``
@@ -323,11 +279,9 @@ class Cluster:
         job = node.submit(inv.fn_model, spec, inv.deadline_s, inv.benchmark,
                           seniority_time_s=inv.arrival_s)
         job.attempt = attempt
-        if self.cancel is not None:
-            self.cancel.tag_job(job, inv.doom_deadline_s)
+        self.cancel.tag_job(job, inv.doom_deadline_s)
         self.env.trace.link(inv.wf_uid, job.job_id)
-        if self.ha is not None:
-            job.ha_node = node
+        self.ha.tag_job(job, node)
         return job
 
     def _release(self, jobs, kill: bool, reason: str, winner=None) -> None:
@@ -400,25 +354,21 @@ class Cluster:
         ha = self.ha
         cancel = self.cancel
         name = inv.fn_model.name
-        if ha is not None:
-            ha.register_dispatch(inv.idem_key)
-        if cancel is not None:
-            cancel.note_first_attempt()
+        ha.register_dispatch(inv.idem_key)
+        cancel.note_first_attempt()
         attempt = 0
         lost_to_crash_here = 0
         while True:
-            if guard is not None and not guard.breaker_allows(name):
+            if not guard.breaker_allows(name):
                 # The function's breaker is open: fail fast instead of
                 # feeding the retry loop while the function is known-bad.
                 return self._lose(inv, attempt, fast_fail=True)
             if attempt > 0:
-                if cancel is not None and cancel.retry_doomed(
-                        inv.doom_deadline_s):
+                if cancel.retry_doomed(inv.doom_deadline_s):
                     # Retrying cannot beat the doom line anymore: write
                     # the invocation off before it burns another attempt.
                     return self._lose(inv, attempt, doomed_by="retry_doomed")
-                if cancel is not None and not cancel.allow_retry(
-                        name, attempt):
+                if not cancel.allow_retry(name, attempt):
                     # The cluster-wide retry budget is spent: dropping
                     # this retry is what keeps per-invocation policies
                     # from compounding into a retry storm.
@@ -433,8 +383,7 @@ class Cluster:
                 backoff = policy.backoff_s(attempt, draw)
                 if backoff > 0:
                     yield self.env.timeout(backoff)
-                if cancel is not None and cancel.retry_doomed(
-                        inv.doom_deadline_s):
+                if cancel.retry_doomed(inv.doom_deadline_s):
                     # The doom line passed during backoff: the granted
                     # token never dispatched, so retire it and give up.
                     cancel.refund_retry(name)
@@ -446,7 +395,7 @@ class Cluster:
                 # Full-cluster outage outlived the deadline: no node came
                 # back while the invocation could still succeed, so stop
                 # polling instead of spinning on work that cannot win.
-                if cancel is not None and attempt > 0:
+                if attempt > 0:
                     cancel.refund_retry(name)
                 return self._lose(inv, attempt, deadline_passed=True)
             jobs = [self._submit(inv, node, inv.spec.clone(), attempt)]
@@ -458,42 +407,29 @@ class Cluster:
             hedges_fired = 0
             attempt_failed = False
             while not attempt_failed:
-                if ha is None:
-                    waits = [j.done for j in jobs]
-                else:
-                    # An already-processed done event would make any_of
-                    # fire instantly forever (the invisible-result case);
-                    # wait on membership/link transitions instead.
-                    waits = [j.done for j in jobs if not j.done.processed]
-                    waits.append(ha.change_event())
+                waits = ha.attempt_waits(jobs)
                 if timeout_ev is not None:
                     waits.append(timeout_ev)
                 if hedge_ev is not None:
                     waits.append(hedge_ev)
                 yield self.env.any_of(waits)
-                if ha is None:
-                    winner = next((j for j in jobs if j.finished), None)
-                else:
-                    winner = next((j for j in jobs if j.finished
-                                   and ha.result_visible(j)), None)
+                winner = next((j for j in jobs if j.finished
+                               and ha.result_visible(j)), None)
                 if winner is not None:
                     # The race is decided: kill the losers (reclaiming
                     # their remaining energy) or let them run to waste.
-                    self._release(jobs, cancel is not None
-                                  and cancel.cancels_hedges,
-                                  "hedge_loser", winner)
-                    if ha is not None:
-                        ha.record_completion(inv.idem_key, jobs, winner)
+                    self._release(jobs, cancel.cancels_hedges, "hedge_loser",
+                                  winner)
+                    ha.record_completion(inv.idem_key, jobs, winner)
                     lost_to_crash_here += sum(1 for j in jobs if j.aborted)
                     self.metrics.crash_redispatches += lost_to_crash_here
-                    if guard is not None:
-                        guard.record_attempt_success(name)
+                    guard.record_attempt_success(name)
                     return winner
                 if all(j.aborted for j in jobs):
                     lost_to_crash_here += len(jobs)
                     attempt_failed = True
                     break
-                if cancel is not None and any(j.cancelled for j in jobs):
+                if cancel.any_cancelled(jobs):
                     # The platform declared this work doomed (a dequeue
                     # drop): no sibling or retry can beat the doom line
                     # either, so kill the survivors and give up for good.
@@ -503,8 +439,7 @@ class Cluster:
                 if timeout_ev is not None and timeout_ev.processed:
                     # Written off: with the cancel layer armed the
                     # survivors are killed; otherwise they keep running.
-                    self._release(jobs, cancel is not None
-                                  and cancel.cancels_timeouts, "timeout")
+                    self._release(jobs, cancel.cancels_timeouts, "timeout")
                     lost_to_crash_here += sum(1 for j in jobs if j.aborted)
                     self.metrics.record_timeout()
                     self.env.trace.instant("invocation_timeout", "frontend",
@@ -525,18 +460,15 @@ class Cluster:
                                                function=name,
                                                job=duplicate.job_id)
                     continue
-                if ha is not None:
-                    target = ha.redispatch_target(inv.idem_key, jobs,
-                                                  exclude=node)
-                    if target is not None:
-                        jobs.append(self._submit(inv, target,
-                                                 inv.spec.clone(), attempt))
-                        continue
+                target = ha.redispatch_target(inv.idem_key, jobs, exclude=node)
+                if target is not None:
+                    jobs.append(self._submit(inv, target, inv.spec.clone(),
+                                             attempt))
+                    continue
                 # Some (not all) attempts crashed: drop them, keep waiting.
                 lost_to_crash_here += sum(1 for j in jobs if j.aborted)
                 jobs = [j for j in jobs if not j.aborted]
-            if guard is not None:
-                guard.record_attempt_failure(name, node=node)
+            guard.record_attempt_failure(name, node=node)
             attempt += 1
             if attempt > policy.max_retries:
                 return self._lose(inv, attempt)

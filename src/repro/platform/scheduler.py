@@ -68,8 +68,10 @@ class CorePoolScheduler:
                  freq_change_cost_s: float = 0.0,
                  on_complete: Optional[Callable[[Job], None]] = None,
                  on_core_released: Optional[Callable[[Core], None]] = None,
-                 cost_scale: Optional[Callable[[], float]] = None,
-                 block_latency: Optional[Callable[[], float]] = None):
+                 cost_scale: Callable[[], float] = lambda: 1.0,
+                 block_latency: Callable[[], float] = lambda: 1.0,
+                 clamp_freq: Callable[[float], float] = lambda f: f,
+                 drop_doomed: Callable[..., bool] = lambda pool, job: False):
         if context_switch_s < 0:
             raise ValueError(f"negative context switch cost {context_switch_s}")
         if freq_change_cost_s < 0:
@@ -85,12 +87,16 @@ class CorePoolScheduler:
         self.freq_change_cost_s = freq_change_cost_s
         self.on_complete = on_complete
         self.on_core_released = on_core_released
-        #: Fault hooks (repro.faults). ``cost_scale`` multiplies every
-        #: frequency-transition cost (a stalled DVFS driver lengthens
-        #: switches); ``block_latency`` multiplies block-segment durations
-        #: (storage/RPC latency spikes). None = no scaling at all.
+        #: Node hooks, neutral by default. Faults (repro.faults):
+        #: ``cost_scale`` multiplies every frequency-transition cost (a
+        #: stalled DVFS driver) and ``block_latency`` every block segment
+        #: (an RPC latency spike). Layers (repro.platform.layers):
+        #: ``clamp_freq`` caps every dispatch frequency (the power cap)
+        #: and ``drop_doomed`` drops a queued head past its doom line.
         self.cost_scale = cost_scale
         self.block_latency = block_latency
+        self.clamp_freq = clamp_freq
+        self.drop_doomed = drop_doomed
         self.stats = SchedulerStats()
 
         self._cores: List[Core] = []
@@ -156,12 +162,6 @@ class CorePoolScheduler:
     # ------------------------------------------------------------------
     # Elasticity (node controller interface)
     # ------------------------------------------------------------------
-    def _transition_cost(self, base_s: float) -> float:
-        """A frequency-transition cost, under any active DVFS-stall fault."""
-        if self.cost_scale is None:
-            return base_s
-        return base_s * self.cost_scale()
-
     def add_core(self, core: Core, set_frequency: bool = True) -> None:
         """Adopt a core into the pool, retuning it to the pool frequency."""
         if any(c.core_id == core.core_id for c in self._cores):
@@ -178,7 +178,7 @@ class CorePoolScheduler:
                     reason="adopt")
             core.set_frequency(
                 self.frequency_ghz,
-                cost_s=self._transition_cost(self.freq_change_cost_s))
+                cost_s=self.freq_change_cost_s * self.cost_scale())
             self.stats.frequency_switches += 1
         if core.busy:
             raise ValueError(f"core {core.core_id} joined pool while busy")
@@ -220,8 +220,8 @@ class CorePoolScheduler:
             raise ValueError(f"frequency must be positive: {freq_ghz}")
         if abs(freq_ghz - self.frequency_ghz) < 1e-12:
             return
-        actual_cost = self.freq_change_cost_s if cost_s is None else cost_s
-        actual_cost = self._transition_cost(actual_cost)
+        actual_cost = (self.freq_change_cost_s if cost_s is None
+                       else cost_s) * self.cost_scale()
         if self.env.trace.enabled:
             self.env.trace.instant(
                 "freq_transition", self.name, from_ghz=self.frequency_ghz,
@@ -363,14 +363,7 @@ class CorePoolScheduler:
     def _dispatch(self) -> None:
         while self._ready:
             head = self._ready[0][1]
-            cancel = self.env.cancel
-            if (cancel is not None and not head.cancelled
-                    and cancel.dequeue_doomed(head, self.frequency_ghz)
-                    and self.cancel_job(head)):
-                # Doomed at dequeue (repro.cancel): its remaining work
-                # cannot fit before the doom line, so dispatching it
-                # would only burn joules.
-                cancel.note_doomed_drop(head, self.name)
+            if self.drop_doomed(self, head):
                 continue
             core = self._pick_core(head)
             if core is None:
@@ -411,14 +404,10 @@ class CorePoolScheduler:
         target_freq = self._job_frequency(job)
         if self.per_job_frequency and job.dispatch_correction is not None:
             target_freq = job.dispatch_correction(target_freq)
-        tenancy = self.env.tenancy
-        if tenancy is not None:
-            # Power-cap ceiling (repro.tenancy): every path that decides
-            # a core's speed — dispatch choice, boost, correction — runs
-            # through here, so this one clamp enforces the cap.
-            clamped = tenancy.clamp_freq(target_freq)
-            if clamped is not None:
-                target_freq = clamped
+        # Every path that decides a core's speed — dispatch choice,
+        # boost, correction — runs through here, so this one clamp
+        # enforces the power cap.
+        target_freq = self.clamp_freq(target_freq)
         pre_overhead = self.context_switch_s if context_switch else 0.0
         if abs(core.frequency - target_freq) > 1e-12:
             # The frequency change occupies the core before work starts
@@ -428,7 +417,7 @@ class CorePoolScheduler:
                     "freq_transition", self.name, core=core.core_id,
                     from_ghz=core.frequency, to_ghz=target_freq,
                     job=job.job_id, reason="dispatch")
-            pre_overhead += self._transition_cost(self.switch_cost())
+            pre_overhead += self.switch_cost() * self.cost_scale()
             core.set_frequency(target_freq, cost_s=0.0)
             self.stats.frequency_switches += 1
         self._running[core.core_id] = job
@@ -457,9 +446,7 @@ class CorePoolScheduler:
         self._consume_ewt(job)
         block = job.advance()
         if block is not None:
-            block_s = block.seconds
-            if self.block_latency is not None:
-                block_s *= self.block_latency()
+            block_s = block.seconds * self.block_latency()
             job.note_block(block_s)
             self._blocked_jobs[job.job_id] = job
             if self.switch_on_idle:

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 from repro.hardware.server import Server
 from repro.platform.containers import ContainerManager
 from repro.platform.job import Job
+from repro.platform.layers import Layers
 from repro.platform.metrics import MetricsCollector
 from repro.sim.engine import Environment
 from repro.sim.rng import RngRegistry
@@ -32,11 +33,14 @@ class NodeSystem(abc.ABC):
     """Per-server controller: owns the server's cores and containers."""
 
     def __init__(self, env: Environment, server: Server,
-                 metrics: MetricsCollector, rng: RngRegistry):
+                 metrics: MetricsCollector, rng: RngRegistry,
+                 layers: Layers):
         self.env = env
         self.server = server
         self.metrics = metrics
         self.rng = rng
+        #: The cluster's layer runtimes (guard, tenancy, HA, cancel).
+        self.layers = layers
         #: Trace track for node-level events/counters (repro.obs).
         self.track = f"node{server.server_id}"
         self.containers = ContainerManager(env, owner=self.track)
@@ -171,14 +175,10 @@ class NodeSystem(abc.ABC):
                 f"node {self.server.server_id} is not down; cannot reboot")
         self._rebuild()
         self.down = False
-        guard = self.env.guard
-        if guard is not None:
-            guard.maybe_restore(self)
-        tenancy = self.env.tenancy
-        if tenancy is not None:
-            # A rebooted controller starts at the top frequency; the
-            # active power cap must not be forgotten with it.
-            tenancy.on_node_reboot(self)
+        self.layers.guard.maybe_restore(self)
+        # A rebooted controller starts at the top frequency; the active
+        # power cap must not be forgotten with it.
+        self.layers.tenancy.on_node_reboot(self)
         self.env.trace.instant("node_reboot", self.track)
 
     def kill_container(self, function_name: str) -> str:
@@ -302,7 +302,8 @@ class ClusterSystem(abc.ABC):
 
     @abc.abstractmethod
     def make_node(self, env: Environment, server: Server,
-                  metrics: MetricsCollector, rng: RngRegistry) -> NodeSystem:
+                  metrics: MetricsCollector, rng: RngRegistry,
+                  layers: Layers) -> NodeSystem:
         """Build this system's per-server controller."""
 
     @abc.abstractmethod

@@ -32,24 +32,6 @@ class Environment:
         #: a no-op; ``Tracer.bind(env)`` swaps in a recording tracer
         #: stamped with this clock.
         self.trace = NULL_TRACER
-        #: Degradation hook (repro.guard). None keeps every guard
-        #: instrumentation point on the pre-guard code path; a cluster
-        #: built with a GuardConfig installs its GuardRuntime here.
-        self.guard = None
-        #: High-availability hook (repro.ha). None keeps every HA
-        #: instrumentation point (membership-aware dispatch, lease
-        #: fencing, re-dispatch) on the pre-HA code path.
-        self.ha = None
-        #: Multi-tenancy hook (repro.tenancy). None keeps budget
-        #: enforcement, the power-cap governor, and frequency/core
-        #: clamps on the pre-tenancy code path; a cluster built with a
-        #: TenancyConfig installs its TenancyRuntime here.
-        self.tenancy = None
-        #: Cancellation hook (repro.cancel). None keeps doom checks,
-        #: cooperative cancellation, and the retry budget on the
-        #: pre-cancel code path; a cluster built with a CancelConfig
-        #: installs its CancelRuntime here.
-        self.cancel = None
         #: Invariant-monitor hook (repro.verify). The shared null
         #: verifier makes every check point a no-op;
         #: ``Verifier.bind(env)`` swaps in a recording verifier. A bound

@@ -20,9 +20,9 @@ Four opt-in pieces, layered on the PR-5 energy-attribution ledger:
   instead of GB-seconds, summing to the ledger total by construction.
 
 Everything is opt-in: a cluster whose config carries no
-:class:`TenancyConfig` runs the exact pre-tenancy code path and
-produces bit-identical results (regression-tested against the stored
-seed fingerprints).
+:class:`TenancyConfig` runs its tenancy runtime inert and produces
+bit-identical results (regression-tested against the stored seed
+fingerprints).
 """
 
 from repro.tenancy.billing import (

@@ -1,10 +1,8 @@
 """The per-cluster tenancy runtime: metering, enforcement, settlement.
 
-One :class:`TenancyRuntime` is created by a :class:`Cluster` whose
-config carries a :class:`TenancyConfig`, and installed as
-``env.tenancy`` (the same pattern as ``env.guard``). Every
-instrumentation point in the platform checks ``tenancy is None`` first,
-so tenancy-off runs execute the pre-tenancy code byte-for-byte.
+Every :class:`Cluster` builds one (:mod:`repro.platform.layers`).
+Without a ``ClusterConfig.tenancy`` it is inert: no tenants, governor,
+meter loop or bills.
 
 Three loops of responsibility:
 
@@ -34,8 +32,10 @@ from repro.tenancy.governor import PowerCapGovernor
 from repro.tenancy.registry import TenantRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.platform.cluster import Cluster
+    from repro.platform.cluster import Cluster, ClusterConfig
+    from repro.platform.metrics import MetricsCollector
     from repro.platform.system import NodeSystem
+    from repro.sim.engine import Environment
 
 #: Frontend trace track for tenancy decisions (matches guard events).
 FRONTEND_TRACK = "frontend"
@@ -51,28 +51,34 @@ THROTTLE_BURST = 2.0
 
 
 class TenancyRuntime:
-    """All armed tenancy machinery of one cluster."""
+    """The tenancy machinery of one cluster."""
 
-    def __init__(self, cluster: "Cluster", config: TenancyConfig):
-        self.cluster = cluster
-        self.config = config
-        self.env = cluster.env
-        self.metrics = cluster.metrics
-        self.registry = TenantRegistry(config)
-        self.governor: Optional[PowerCapGovernor] = (
-            PowerCapGovernor(cluster, config.power_cap)
-            if config.power_cap is not None else None)
+    def __init__(self, env: "Environment", metrics: "MetricsCollector",
+                 config: "ClusterConfig"):
+        #: False without a ``ClusterConfig.tenancy``: the runtime is inert.
+        self.armed = config.tenancy is not None
+        self.config = config.tenancy or TenancyConfig()
+        self.env = env
+        self.metrics = metrics
+        self.registry = TenantRegistry(self.config)
+        #: The power-cap governor, built by :meth:`arm` when configured.
+        self.governor: Optional[PowerCapGovernor] = None
         #: Over-budget token buckets for SLO-bearing tenants.
         self._buckets: Dict[str, TokenBucket] = {}
         #: Last meter-loop reading per benchmark (delta charging).
         self._last_attributed: Dict[str, float] = {}
         #: Settled bills, one document per closed ledger run.
         self.bills: List[Dict[str, object]] = []
+        self.cluster: Optional["Cluster"] = None
 
-    def arm(self) -> None:
+    def arm(self, cluster: "Cluster") -> None:
         """Start the periodic tenancy processes (meter + governor)."""
+        self.cluster = cluster
+        if not self.armed:
+            return
         self.env.process(self._meter_loop(), name="tenancy-meter")
-        if self.governor is not None:
+        if self.config.power_cap is not None:
+            self.governor = PowerCapGovernor(cluster, self.config.power_cap)
             self.env.process(self._governor_loop(), name="tenancy-governor")
 
     # ------------------------------------------------------------------
@@ -189,15 +195,15 @@ class TenancyRuntime:
 
     def on_node_reboot(self, node: "NodeSystem") -> None:
         """Re-impose the active ceiling on a freshly rebooted node."""
-        ceiling = self.freq_ceiling_ghz()
-        if ceiling is not None:
-            node.apply_frequency_ceiling(ceiling)
+        node.apply_frequency_ceiling(self.freq_ceiling_ghz())
 
     # ------------------------------------------------------------------
     # Settlement (after EnergyLedger.close_run)
     # ------------------------------------------------------------------
-    def settle(self, ledger) -> Dict[str, object]:
-        """Price the just-closed ledger run into a per-tenant bill."""
+    def settle(self, ledger) -> Optional[Dict[str, object]]:
+        """Bill the just-closed ledger run per tenant (None while inert)."""
+        if not self.armed:
+            return None
         run = ledger.reports[-1].run if ledger.reports else None
         document = bill_ledger_run(ledger, self.registry.tenant_name_of,
                                    self.config.pricing, run=run)

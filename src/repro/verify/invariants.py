@@ -177,9 +177,8 @@ class Verifier:
         self.runs += 1
         state = _RunState()
         self._states[id(cluster)] = state
-        guard = cluster.guard
-        if guard is not None and guard.breakers is not None:
-            board = guard.breakers
+        board = cluster.guard.breakers
+        if board is not None:
             board.observer = self.on_breaker_transition
             for breaker in board._breakers.values():
                 breaker.observer = self.on_breaker_transition
@@ -337,10 +336,10 @@ class Verifier:
                             attributed_j=attributed, metered_j=total)
 
     def _check_breaker_states(self, cluster) -> None:
-        guard = cluster.guard
-        if guard is None or guard.breakers is None:
+        board = cluster.guard.breakers
+        if board is None:
             return
-        for function, breaker_state in guard.breakers.states().items():
+        for function, breaker_state in board.states().items():
             if breaker_state not in BREAKER_STATES:
                 self.record("breaker-transition",
                             f"breaker[{function}] sits in unknown state"
@@ -349,8 +348,6 @@ class Verifier:
 
     def _check_ha(self, cluster, state: _RunState) -> None:
         ha = cluster.ha
-        if ha is None:
-            return
         metrics = cluster.metrics
         journal_redispatches = ha.journal.redispatch_count()
         if metrics.ha_redispatches != journal_redispatches:
@@ -403,8 +400,6 @@ class Verifier:
 
     def _check_tenancy(self, cluster, state: _RunState) -> None:
         tenancy = cluster.tenancy
-        if tenancy is None:
-            return
         now = cluster.env.now
         governor = tenancy.governor
         if governor is not None:
@@ -446,11 +441,8 @@ class Verifier:
                             lifetime_j=lifetime)
 
     def _check_cancel(self, cluster) -> None:
-        cancel = cluster.cancel
-        if cancel is None:
-            return
         metrics = cluster.metrics
-        budget = cancel.budget
+        budget = cluster.cancel.budget
         if budget is not None:
             pool = budget.pool
             total = pool.available + pool.spent + pool.refunded
@@ -502,20 +494,18 @@ class Verifier:
                 submitted=submitted, completed=completed,
                 failed=metrics.failed_workflows, shed=shed,
                 inflight=cluster.inflight)
-        ha = cluster.ha
-        if ha is not None:
-            if metrics.ha_duplicate_completions != 0:
-                self.record("ha-exactly-once",
-                            f"{metrics.ha_duplicate_completions}"
-                            f" duplicate workflow completion(s) reached"
-                            f" the frontend",
-                            duplicates=metrics.ha_duplicate_completions)
-            epochs = [epoch for _, _, epoch in ha.controllers.elections]
-            if any(b <= a for a, b in zip(epochs, epochs[1:])):
-                self.record("ha-epoch-monotone",
-                            f"election log epochs are not strictly"
-                            f" increasing: {epochs}",
-                            epochs=tuple(epochs))
+        if metrics.ha_duplicate_completions != 0:
+            self.record("ha-exactly-once",
+                        f"{metrics.ha_duplicate_completions}"
+                        f" duplicate workflow completion(s) reached"
+                        f" the frontend",
+                        duplicates=metrics.ha_duplicate_completions)
+        epochs = [epoch for _, _, epoch in cluster.ha.controllers.elections]
+        if any(b <= a for a, b in zip(epochs, epochs[1:])):
+            self.record("ha-epoch-monotone",
+                        f"election log epochs are not strictly"
+                        f" increasing: {epochs}",
+                        epochs=tuple(epochs))
 
     def check_fingerprints(self, recorder, entry, cluster) -> None:
         """Recompute the run's progressive chain digests as a self-check.

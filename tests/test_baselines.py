@@ -7,6 +7,7 @@ from repro.baselines.powerctrl import proportional_deadlines
 from repro.hardware.server import Server
 from repro.hardware.work import WorkUnit
 from repro.platform.cluster import Cluster, ClusterConfig
+from repro.platform.layers import Layers
 from repro.platform.metrics import MetricsCollector
 from repro.sim import Environment
 from repro.sim.rng import RngRegistry
@@ -117,8 +118,10 @@ class TestBaselineSystem:
         into a pool with no cores and no owner.
         """
         env = Environment()
-        node = BaselineSystem().make_node(env, Server(env),
-                                          MetricsCollector(), RngRegistry(0))
+        metrics = MetricsCollector()
+        node = BaselineSystem().make_node(
+            env, Server(env), metrics, RngRegistry(0),
+            Layers.build(env, metrics, ClusterConfig()))
         fn_model = workflow_for("eBank").functions[0]
         spec = InvocationSpec(fn_model.name, [
             RunSegment(WorkUnit(gcycles=0.03)), BlockSegment(30.0),

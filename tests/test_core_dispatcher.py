@@ -7,6 +7,8 @@ from repro.core.config import EcoFaaSConfig
 from repro.core.node import EcoFaaSNode
 from repro.core.profiles import ProfileStore
 from repro.hardware.server import Server
+from repro.platform.cluster import ClusterConfig
+from repro.platform.layers import Layers
 from repro.platform.metrics import MetricsCollector
 from repro.sim import Environment
 from repro.sim.rng import RngRegistry
@@ -20,8 +22,9 @@ def make_node(config=None, n_cores=4):
     server = Server(env, n_cores=n_cores)
     config = config or EcoFaaSConfig(prewarm=False, elastic=False)
     store = ProfileStore(server.scale, server.power, config)
-    node = EcoFaaSNode(env, server, MetricsCollector(), RngRegistry(0),
-                       config, store)
+    metrics = MetricsCollector()
+    node = EcoFaaSNode(env, server, metrics, RngRegistry(0), config, store,
+                       Layers.build(env, metrics, ClusterConfig()))
     return env, node, store
 
 
@@ -167,11 +170,12 @@ class TestDispatcherProfiledPath:
         warm_profile(store, WEB_SERV)
         job = submit(env, node, WEB_SERV, deadline_offset=10.0)
         dispatcher = node._dispatcher(WEB_SERV)
-        env.guard = RecordingGuard()
+        node.layers = node.layers._replace(guard=RecordingGuard())
         dispatcher._predict_t_run(1.2, job)
         dispatcher._predict_t_block(job)
         dispatcher._predict_energy(2.4, job)
-        assert env.guard.kinds == ["t_run@1.20", "t_block", "energy@2.40"]
+        assert node.layers.guard.kinds == ["t_run@1.20", "t_block",
+                                           "energy@2.40"]
 
     def test_t_run_memo_follows_new_observations(self):
         env, node, store = make_node()
@@ -201,10 +205,10 @@ class TestDispatcherProfiledPath:
         warm_profile(store, WEB_SERV)
         job = submit(env, node, WEB_SERV, deadline_offset=10.0)
         dispatcher = node._dispatcher(WEB_SERV)
-        env.guard = CountingGuard()
+        node.layers = node.layers._replace(guard=CountingGuard())
         values = {dispatcher._predict_t_run(2.4, job) for _ in range(3)}
         assert len(values) == 1
-        assert env.guard.calls == 3
+        assert node.layers.guard.calls == 3
 
 
 class TestNodeMechanics:

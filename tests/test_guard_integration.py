@@ -262,7 +262,7 @@ class TestSafeMode:
         cluster = build_cluster(None)
         cluster.run_trace(Trace(steady("WebServ", 10.0, 2.0), 2.0))
         metrics = cluster.metrics
-        assert cluster.guard is None
+        assert cluster.guard.config == GuardConfig()  # every guard off
         assert metrics.shed_count() == 0
         assert metrics.breaker_opens == metrics.breaker_fast_fails == 0
         assert metrics.mispredictions == metrics.milp_fallbacks == 0

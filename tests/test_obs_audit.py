@@ -136,18 +136,12 @@ def test_breaker_trip_is_recorded():
     class StubEnv:
         now = 1.0
         trace = StubTrace()
-        ha = None
 
-    class StubCluster:
-        env = StubEnv()
-        metrics = type("M", (), {"breaker_opens": 0,
-                                 "breaker_fast_fails": 0})()
-        nodes = ()
-
+    metrics = type("M", (), {"breaker_opens": 0, "breaker_fast_fails": 0})()
     config = GuardConfig(breaker=BreakerConfig(min_failures=2,
                                                failure_rate=0.5,
                                                window_s=10.0))
-    runtime = GuardRuntime(StubCluster(), config)
+    runtime = GuardRuntime(StubEnv(), metrics, ClusterConfig(guard=config))
     runtime.record_attempt_failure("f")
     runtime.record_attempt_failure("f")
     # The trip reaches the tracer once, as its own decision.

@@ -8,6 +8,9 @@ from repro.core.profiles import ProfileStore
 from repro.core.workflow_controller import WorkflowController
 from repro.hardware.frequency import FrequencyScale
 from repro.hardware.power import PowerModel
+from repro.platform.cluster import ClusterConfig
+from repro.platform.layers import Layers
+from repro.platform.metrics import MetricsCollector
 from repro.sim import Environment
 from repro.workloads.registry import workflow_for
 
@@ -17,7 +20,9 @@ def make_controller(workflow_name="eBank", config=None):
     config = config or EcoFaaSConfig()
     store = ProfileStore(FrequencyScale(), PowerModel(), config)
     workflow = workflow_for(workflow_name)
-    controller = WorkflowController(env, workflow, store, config)
+    controller = WorkflowController(
+        env, workflow, store, config,
+        Layers.build(env, MetricsCollector(), ClusterConfig()))
     return env, store, workflow, controller
 
 
