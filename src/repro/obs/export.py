@@ -29,6 +29,7 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.audit import write_jsonl
@@ -478,34 +479,34 @@ def run_summary(tracer: Tracer, top_n: int = 5) -> str:
     tracer.finish_run()
     lines: List[str] = []
     grouped = spans_by_run(tracer)
+    # One pass each; every ``fault_*`` instant counts under "fault_".
+    counts = Counter((i.run, "fault_" if i.name.startswith("fault_")
+                      else i.name) for i in tracer.instants)
+    workflows = Counter(s.run for s in tracer.spans if s.kind == "workflow"
+                        and s.args.get("status") == "completed")
     for run, run_label in enumerate(tracer.run_labels):
         run_invocations, queues = grouped[run]
         invocations = [s for s in run_invocations
                        if not s.args.get("prewarm")]
         completed = [s for s in invocations
                      if s.args.get("status") == "completed"]
-        workflows = [s for s in tracer.spans_of("workflow", run)
-                     if s.args.get("status") == "completed"]
         energy = sum(float(s.args.get("energy_j", 0.0)) for s in completed)
         lines.append(f"== trace summary: run {run} ({run_label}) ==")
         lines.append(
             f"  {len(completed)}/{len(invocations)} invocations completed,"
-            f" {len(workflows)} workflows,"
+            f" {workflows[run]} workflows,"
             f" {tracer.run_end_s[run]:.2f}s simulated")
         lines.append(
             f"  invocation energy {energy:.1f} J,"
             f" {sum(1 for s in completed if s.args.get('cold_start'))}"
             f" cold starts,"
-            f" {len(tracer.instants_named('preemption', run))} preemptions,"
-            f" {len(tracer.instants_named('freq_transition', run))}"
-            f" freq transitions")
-        reliability = [f"{name}={len(tracer.instants_named(name, run))}"
+            f" {counts[run, 'preemption']} preemptions,"
+            f" {counts[run, 'freq_transition']} freq transitions")
+        reliability = [f"{name}={counts[run, name]}"
                        for name in ("retry", "hedge", "invocation_timeout")]
-        faults = sum(1 for i in tracer.instants
-                     if i.run == run and i.name.startswith("fault_"))
         lines.append(f"  reliability: {' '.join(reliability)}"
-                     f" faults={faults}")
-        ha_counts = {name: len(tracer.instants_named(name, run))
+                     f" faults={counts[run, 'fault_']}")
+        ha_counts = {name: counts[run, name]
                      for name in ("ha_suspect", "ha_failover",
                                   "ha_redispatch", "ha_fenced", "ha_frozen")}
         if any(ha_counts.values()):

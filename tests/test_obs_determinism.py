@@ -8,8 +8,8 @@ Two guarantees:
   read state, never mutate it or draw random numbers. One matrix arms
   each observer set over layers-off, chaos, guarded and all-armed rows,
   plus a shedding overload run that no stored row covers (compared to
-  its own bare twin). The ``trace_audit`` column also checks that the
-  run's control-plane decisions reached the trace;
+  its own bare twin). Each arm also checks that the run's control-plane
+  decisions reached the trace;
 * two traced runs of the same seed write **byte-identical** run
   directories (the exporters are fully deterministic).
 """
@@ -60,15 +60,13 @@ ROWS = {label: factory for label, factory in reference_runs()
                      "guard_chaos", "all_armed")}
 ROWS["overload_shed"] = overload_shed
 
-#: Observer sets: (tracer factory, decisions checked). ``full`` is a
-#: tracer with the ledger, burn-rate monitors and fingerprints.
+#: Observer sets: a bare tracer, and ``full``: a tracer with the ledger,
+#: burn-rate monitors and fingerprints.
 OBSERVERS = {
-    "trace": (obs.Tracer, False),
-    "full": (
-        lambda: obs.Tracer(ledger=obs.EnergyLedger(),
-                           burnrate=obs.BurnRateMonitor(),
-                           fingerprint=obs.FingerprintRecorder()), False),
-    "trace_audit": (obs.Tracer, True),
+    "trace": obs.Tracer,
+    "full": lambda: obs.Tracer(ledger=obs.EnergyLedger(),
+                               burnrate=obs.BurnRateMonitor(),
+                               fingerprint=obs.FingerprintRecorder()),
 }
 
 
@@ -85,16 +83,16 @@ def expected_fingerprint(row):
 @pytest.mark.parametrize("row", sorted(ROWS))
 @pytest.mark.parametrize("observers", sorted(OBSERVERS))
 def test_observed_run_matches_unobserved_fingerprint(observers, row):
-    make_tracer, audited = OBSERVERS[observers]
-    tracer = obs.install(make_tracer())
+    tracer = obs.install(OBSERVERS[observers]())
     try:
         cluster = ROWS[row]()
     finally:
         obs.uninstall()
     assert cluster_fingerprint(cluster) == expected_fingerprint(row)
-    # The observers really watched the run (the Baseline decides nothing).
+    # The observers really watched the run and recorded its decisions
+    # (the Baseline decides nothing).
     assert tracer.spans_of("invocation") and tracer.counters
-    if audited and row != "baseline":
+    if row != "baseline":
         assert any(i.name in KINDS for i in tracer.instants)
 
 
