@@ -3,8 +3,8 @@
 A :class:`GuardConfig` switches on the graceful-degradation machinery of
 ``repro.guard``. Every sub-policy is independently optional: any of the
 four sections may be ``None``, and a :class:`Cluster` built without a
-``GuardConfig`` at all runs the exact pre-guard code paths (the
-regression suite pins this down to the byte).
+``GuardConfig`` at all runs its guard runtime inert, byte-identical to
+the pre-guard code (the regression suite pins this down to the byte).
 
 All guard decisions are pure functions of simulation time and observed
 counters — no random draws — so guarded runs are exactly as deterministic
@@ -191,7 +191,7 @@ class GuardConfig:
     """The full graceful-degradation policy of one cluster.
 
     Any section left ``None`` disables that guard; a cluster with no
-    ``GuardConfig`` at all runs the pre-guard code byte-for-byte.
+    ``GuardConfig`` at all matches the pre-guard code byte-for-byte.
     """
 
     admission: Optional[AdmissionConfig] = None

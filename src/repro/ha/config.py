@@ -2,7 +2,8 @@
 
 An :class:`HAConfig` switches on the high-availability layer of
 ``repro.ha``. Like the guard layer it is fully opt-in — a
-:class:`Cluster` built without one runs the exact pre-HA code paths —
+:class:`Cluster` built without one runs its HA runtime inert, matching
+the pre-HA code byte-for-byte —
 and every HA decision is a pure function of simulation time and observed
 state (no random draws), so HA-armed runs are exactly as deterministic
 as plain ones.

@@ -4,8 +4,8 @@ A :class:`TenancyConfig` switches on the energy-multi-tenancy machinery
 of ``repro.tenancy``: per-tenant energy budgets over sliding windows,
 the cluster power-cap control loop, and joule-denominated billing. Like
 every other opt-in layer, a :class:`Cluster` built without a
-``TenancyConfig`` runs the exact pre-tenancy code paths (the regression
-suite pins this down to the byte).
+``TenancyConfig`` runs its tenancy runtime inert, byte-identical to the
+pre-tenancy code (the regression suite pins this down to the byte).
 
 All tenancy decisions are pure functions of simulation time and metered
 counters — no random draws — so tenancy-armed runs are exactly as
@@ -202,7 +202,7 @@ class TenancyConfig:
     """The full energy-multi-tenancy policy of one cluster.
 
     ``power_cap`` left ``None`` disables the governor; a cluster with no
-    ``TenancyConfig`` at all runs the pre-tenancy code byte-for-byte.
+    ``TenancyConfig`` at all matches the pre-tenancy code byte-for-byte.
     """
 
     tenants: Tuple[TenantSpec, ...] = ()
