@@ -24,23 +24,16 @@ class DeadlineConfig:
 
     The doom line of a workflow is ``arrival + SLO + slack_s``: once the
     platform can prove an attempt cannot finish by then, running it any
-    longer only burns joules. Each knob arms one cancel point.
+    longer only burns joules. A deadline arms every cancel point of
+    :class:`repro.cancel.runtime.CancelRuntime`: queued jobs are dropped
+    at dequeue when their remaining work cannot fit before the doom
+    line, hedged losers and timed-out attempts are killed instead of
+    running on as abandoned work, and a chain whose doom line passed
+    stops at the next stage boundary.
     """
 
     #: Grace beyond the workflow SLO before work is declared doomed.
     slack_s: float = 0.0
-    #: Drop queued jobs at dequeue when their remaining work cannot fit
-    #: before the doom line.
-    cancel_queued: bool = True
-    #: Cancel hedged losers when the winner completes (instead of letting
-    #: them run to completion as abandoned work).
-    cancel_hedges: bool = True
-    #: Cancel timed-out attempts when the frontend writes them off
-    #: (instead of letting them run to completion as abandoned work).
-    cancel_timeouts: bool = True
-    #: Check the doom line at workflow stage boundaries and skip the
-    #: remaining chain when it has already passed.
-    check_stage_boundary: bool = True
 
     def __post_init__(self) -> None:
         _require_finite("slack_s", self.slack_s)

@@ -80,40 +80,30 @@ class CancelRuntime:
         if doom_deadline_s is not None and not job.is_prewarm:
             job.doom_deadline_s = doom_deadline_s
 
-    def stage_doomed(self, doom_deadline_s: Optional[float]) -> bool:
-        """True when the chain's doom line passed at a stage boundary."""
-        return (self.deadline is not None
-                and self.deadline.check_stage_boundary
-                and doom_deadline_s is not None
-                and self.env.now > doom_deadline_s + EPS)
-
-    def retry_doomed(self, doom_deadline_s: Optional[float]) -> bool:
-        """True when retrying past the doom line cannot help anymore."""
+    def doom_passed(self, doom_deadline_s: Optional[float]) -> bool:
+        """True when the doom line has passed: neither the chain's next
+        stage nor a retry can help anymore."""
         return (self.deadline is not None
                 and doom_deadline_s is not None
                 and self.env.now > doom_deadline_s + EPS)
 
-    def dequeue_doomed(self, job: "Job", freq_ghz: float) -> bool:
-        """Queued-job doom check at dispatch: can it still make its line?
+    def drop_if_doomed(self, pool: "CorePoolScheduler", job: "Job") -> bool:
+        """The pool's dequeue hook: drop ``job`` (True) when its remaining
+        work cannot fit before its doom line, so running it would only
+        burn joules.
 
         Uses the oracle remaining-run-seconds view at the pool frequency
         (block time is not counted, so the check is conservative — a job
         is only doomed when even uninterrupted execution cannot finish in
         time). Prewarm pseudo-jobs and jobs without a token never doom.
         """
-        if self.deadline is None or not self.deadline.cancel_queued:
+        if self.deadline is None:
             return False
         token = getattr(job, "doom_deadline_s", None)
         if token is None or job.is_prewarm or job.cancelled:
             return False
-        remaining = job.remaining_run_seconds(freq_ghz)
-        return self.env.now + remaining > token + EPS
-
-    def drop_if_doomed(self, pool: "CorePoolScheduler", job: "Job") -> bool:
-        """The pool's dequeue hook: drop ``job`` (True) when its remaining
-        work cannot fit before its doom line, so running it would only
-        burn joules."""
-        if (self.dequeue_doomed(job, pool.frequency_ghz)
+        remaining = job.remaining_run_seconds(pool.frequency_ghz)
+        if (self.env.now + remaining > token + EPS
                 and pool.cancel_job(job)):
             self.note_doomed_drop(job, pool.name)
             return True
@@ -128,12 +118,10 @@ class CancelRuntime:
     # The kill path
     # ------------------------------------------------------------------
     @property
-    def cancels_hedges(self) -> bool:
-        return self.deadline is not None and self.deadline.cancel_hedges
-
-    @property
-    def cancels_timeouts(self) -> bool:
-        return self.deadline is not None and self.deadline.cancel_timeouts
+    def cancels_attempts(self) -> bool:
+        """Kill hedged losers and timed-out attempts (else they run on as
+        abandoned work)."""
+        return self.deadline is not None
 
     def cancel_attempt(self, job: "Job", reason: str) -> bool:
         """Kill one in-flight attempt wherever it currently lives.

@@ -59,22 +59,15 @@ def _chart(key: str, result) -> None:
     print()
 
 
-def _run_one(key: str, quick: bool, seed: int, chart: bool = False,
-             ha: bool = False, tenancy: bool = False,
-             power_cap: Optional[float] = None,
-             cancel: bool = False) -> float:
+def _run_one(key: str, args: argparse.Namespace) -> float:
+    """Run one experiment with the layer flags its ``run`` accepts."""
     module = importlib.import_module(EXPERIMENTS[key])
     parameters = inspect.signature(module.run).parameters
     kwargs = {}
-    if ha:
-        if "ha" in parameters:
-            kwargs["ha"] = True
-        else:
-            print(f"[{key} does not support --ha; running without it]",
-                  file=sys.stderr)
-    for flag, name, value in (("--tenancy", "tenancy", tenancy or None),
-                              ("--power-cap", "power_cap", power_cap),
-                              ("--cancel", "cancel", cancel or None)):
+    for flag, name, value in (("--ha", "ha", args.ha or None),
+                              ("--tenancy", "tenancy", args.tenancy or None),
+                              ("--power-cap", "power_cap", args.power_cap),
+                              ("--cancel", "cancel", args.cancel or None)):
         if value is None:
             continue
         if name in parameters:
@@ -83,10 +76,10 @@ def _run_one(key: str, quick: bool, seed: int, chart: bool = False,
             print(f"[{key} does not support {flag};"
                   f" running without it]", file=sys.stderr)
     start = time.perf_counter()
-    result = module.run(quick=quick, seed=seed, **kwargs)
+    result = module.run(quick=not args.full, seed=args.seed, **kwargs)
     elapsed = time.perf_counter() - start
     print(result.format_table())
-    if chart:
+    if args.chart:
         _chart(key, result)
     print(f"[{key} completed in {elapsed:.1f}s]")
     print()
@@ -520,11 +513,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for key in EXPERIMENTS:
                 seen = len(verifier.violations) if verifier else 0
                 try:
-                    elapsed = _run_one(key, quick=not args.full,
-                                       seed=args.seed, chart=args.chart,
-                                       ha=args.ha, tenancy=args.tenancy,
-                                       power_cap=args.power_cap,
-                                       cancel=args.cancel)
+                    elapsed = _run_one(key, args)
                     violated = _new_violations(seen) if verifier else ""
                     if violated:
                         outcomes.append(
@@ -544,10 +533,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             status = 0 if all(passed for _, passed, _ in outcomes) else 1
         else:
             try:
-                _run_one(args.experiment, quick=not args.full,
-                         seed=args.seed, chart=args.chart, ha=args.ha,
-                         tenancy=args.tenancy, power_cap=args.power_cap,
-                         cancel=args.cancel)
+                _run_one(args.experiment, args)
                 status = 0
                 if verifier is not None and verifier.violations:
                     print(f"[{args.experiment} FAILED invariants:"

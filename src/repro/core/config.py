@@ -9,30 +9,28 @@ from dataclasses import dataclass
 class EcoFaaSConfig:
     """Configuration of the EcoFaaS framework.
 
-    Defaults follow Section VII: History Tables keep the last 100
-    invocations, the Delay-Power Table refreshes every 5 s, Core Pools
-    every 2 s; node-controller frequency changes go through MSRs in a few
-    tens of µs.
+    Defaults follow Section VII: the Delay-Power Table refreshes every
+    5 s, Core Pools every 2 s. The operating points the paper fixes are
+    module constants where they are read:
+    :data:`repro.core.profiles.HISTORY_CAPACITY` (History Tables keep
+    the last 100 invocations) and
+    :data:`~repro.core.profiles.MIN_PROFILE_OBSERVATIONS`;
+    :data:`repro.core.node.KERNEL_SWITCH_COST_S` (MSR frequency changes
+    cost a few tens of µs), :data:`~repro.core.node.MAX_POOLS` and
+    :data:`~repro.core.node.BOOST_PROMOTE_FRACTION`;
+    :data:`repro.core.dispatcher.DEADLINE_MARGIN`.
     """
 
     #: Workflow Controller deadline-recomputation period (Fig. 20 knob).
     t_update_s: float = 5.0
     #: Core-pool resize/retune period (Fig. 20 knob).
     t_refresh_s: float = 2.0
-    #: History Table capacity.
-    history_capacity: int = 100
-    #: Cost of a root/MSR frequency change (Section VIII-D).
-    kernel_switch_cost_s: float = 50e-6
     #: Process context-switch cost inside a pool.
     context_switch_s: float = 5e-6
     #: Use the input-aware MLP predictor (else EWMA only).
     use_input_model: bool = True
     #: Prewarm cold containers off the critical path (Section VI-E1).
     prewarm: bool = True
-    #: Maximum concurrent core pools (Fig. 21 guardrail).
-    max_pools: int = 8
-    #: Observations before a function's predictions are trusted.
-    min_profile_observations: int = 3
     #: Bounded execution-time overprediction injected into the predictor
     #: (the Fig. 19 sensitivity knob); 0.2 means +20 %.
     overprediction_error: float = 0.0
@@ -43,29 +41,11 @@ class EcoFaaSConfig:
     run_to_completion: bool = False
     #: Ablation: disable the MILP split (fall back to proportional).
     use_milp: bool = True
-    #: Pool demand fraction below which a pool is boosted one level when
-    #: its jobs frequently needed temporary boosts.
-    boost_promote_fraction: float = 0.10
-    #: Fraction of the remaining deadline the dispatcher plans against
-    #: (headroom for queueing mispredictions; corrective actions use the
-    #: rest). 0.7 is the measured sweet spot: tail latency drops sharply
-    #: with no energy cost.
-    deadline_margin: float = 0.7
 
     def __post_init__(self) -> None:
-        if not 0 < self.deadline_margin <= 1:
-            raise ValueError("deadline_margin must be in (0, 1]")
         if self.t_update_s <= 0 or self.t_refresh_s <= 0:
             raise ValueError("update/refresh periods must be positive")
-        if self.history_capacity < 1:
-            raise ValueError("history capacity must be >= 1")
-        if self.kernel_switch_cost_s < 0 or self.context_switch_s < 0:
-            raise ValueError("switch costs must be non-negative")
-        if self.max_pools < 1:
-            raise ValueError("need at least one pool")
-        if self.min_profile_observations < 1:
-            raise ValueError("min_profile_observations must be >= 1")
+        if self.context_switch_s < 0:
+            raise ValueError("context switch cost must be non-negative")
         if self.overprediction_error < 0:
             raise ValueError("overprediction error must be non-negative")
-        if not 0 <= self.boost_promote_fraction <= 1:
-            raise ValueError("boost_promote_fraction must be in [0, 1]")

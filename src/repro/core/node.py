@@ -29,6 +29,16 @@ from repro.sim.rng import RngRegistry
 from repro.workloads.model import FunctionModel
 from repro.workloads.spec import InvocationSpec, RunSegment
 
+#: Cost of a root/MSR frequency change (Section VIII-D).
+KERNEL_SWITCH_COST_S = 50e-6
+
+#: Maximum concurrent core pools (Fig. 21 guardrail).
+MAX_POOLS = 8
+
+#: Pool demand fraction below which a pool is boosted one level when
+#: its jobs frequently needed temporary boosts.
+BOOST_PROMOTE_FRACTION = 0.10
+
 
 class EcoFaaSNode(NodeSystem):
     """One EcoFaaS server: elastic Core Pools + per-function dispatchers."""
@@ -77,8 +87,8 @@ class EcoFaaSNode(NodeSystem):
             switch_on_idle=not self.config.run_to_completion,
             preemptive=True,
             per_job_frequency=True,
-            switch_cost=lambda: self.config.kernel_switch_cost_s,
-            freq_change_cost_s=self.config.kernel_switch_cost_s,
+            switch_cost=lambda: KERNEL_SWITCH_COST_S,
+            freq_change_cost_s=KERNEL_SWITCH_COST_S,
             on_complete=self._on_job_complete,
             on_core_released=self._core_released,
             cost_scale=self.dvfs_cost_scale,
@@ -112,7 +122,7 @@ class EcoFaaSNode(NodeSystem):
         freq_ghz = self.layers.tenancy.clamp_freq(freq_ghz)
         if freq_ghz > pool.frequency_ghz:
             pool.set_frequency(freq_ghz,
-                               cost_s=self.config.kernel_switch_cost_s)
+                               cost_s=KERNEL_SWITCH_COST_S)
 
     def apply_frequency_ceiling(self, ceiling_ghz) -> None:
         """Power-cap hook: retune every pool above the ceiling down to it.
@@ -127,7 +137,7 @@ class EcoFaaSNode(NodeSystem):
         for pool in self._pools + self._retiring:
             if pool.frequency_ghz > ceiling_ghz + 1e-12:
                 pool.set_frequency(ceiling_ghz,
-                                   cost_s=self.config.kernel_switch_cost_s)
+                                   cost_s=KERNEL_SWITCH_COST_S)
 
     # ------------------------------------------------------------------
     # NodeSystem interface
@@ -360,7 +370,7 @@ class EcoFaaSNode(NodeSystem):
             # directions — that split is precisely how a single hot pool
             # differentiates into several.
             if (pool_stats.boosted
-                    > self.config.boost_promote_fraction * pool_stats.served):
+                    > BOOST_PROMOTE_FRACTION * pool_stats.served):
                 higher = self.scale.next_higher(level)
                 if higher is not None:
                     moved = 0.5 * demand[level]
@@ -447,7 +457,7 @@ class EcoFaaSNode(NodeSystem):
         # Cap the number of levels by folding the smallest demand into the
         # next higher level (running faster is always deadline-safe).
         levels = sorted(demand)
-        while len(levels) > self.config.max_pools:
+        while len(levels) > MAX_POOLS:
             smallest = min(levels, key=lambda level: demand[level])
             higher = [level for level in levels if level > smallest]
             target = min(higher) if higher else levels[-2]

@@ -31,6 +31,12 @@ from repro.workloads.model import FunctionModel
 #: Default machine type of a homogeneous cluster.
 DEFAULT_TYPE = "haswell"
 
+#: History Table capacity (Section VII: the last 100 invocations).
+HISTORY_CAPACITY = 100
+
+#: Observations before a function's predictions are trusted.
+MIN_PROFILE_OBSERVATIONS = 3
+
 
 class ProfileStore:
     """Lazily-created per-(machine type, function) profiles."""
@@ -66,7 +72,7 @@ class ProfileStore:
                 use_mlp = True
             self._profiles[key] = FrequencyProfile(
                 scale=self.scale, power=self.power,
-                history=HistoryTable(self.config.history_capacity),
+                history=HistoryTable(HISTORY_CAPACITY),
                 use_mlp=use_mlp, feature_names=feature_names,
                 seed=self.seed)
         return self._profiles[key]
@@ -111,7 +117,7 @@ class ProfileStore:
         profile = self._profiles.get((machine_type, function_name))
         return (profile is not None
                 and profile.observations
-                >= self.config.min_profile_observations)
+                >= MIN_PROFILE_OBSERVATIONS)
 
     def _types_with(self, function_name: str) -> List[str]:
         return [mtype for (mtype, name) in self._profiles

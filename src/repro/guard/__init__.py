@@ -33,13 +33,7 @@ from repro.guard.breaker import (
     CircuitBreaker,
 )
 from repro.guard.checkpoint import CheckpointStore, ControllerCheckpoint
-from repro.guard.config import (
-    AdmissionConfig,
-    BreakerConfig,
-    CheckpointConfig,
-    GuardConfig,
-    SafeModeConfig,
-)
+from repro.guard.config import AdmissionConfig, BreakerConfig, GuardConfig
 from repro.guard.runtime import GuardRuntime
 from repro.guard.safemode import PredictionGuard
 
@@ -48,14 +42,12 @@ __all__ = [
     "AdmissionController",
     "BreakerBoard",
     "BreakerConfig",
-    "CheckpointConfig",
     "CheckpointStore",
     "CircuitBreaker",
     "ControllerCheckpoint",
     "GuardConfig",
     "GuardRuntime",
     "PredictionGuard",
-    "SafeModeConfig",
     "TokenBucket",
     "CLOSED",
     "OPEN",

@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.guard.config import CheckpointConfig
+#: A snapshot older than this at reboot is discarded, seconds: cold
+#: state is safer than stale state.
+MAX_STALENESS_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,7 @@ class ControllerCheckpoint:
 class CheckpointStore:
     """Latest checkpoint per node, with staleness-bounded lookup."""
 
-    def __init__(self, config: CheckpointConfig):
-        self.config = config
+    def __init__(self) -> None:
         self._latest: Dict[int, ControllerCheckpoint] = {}
         #: Snapshots taken (all nodes, all periods).
         self.taken = 0
@@ -53,7 +54,7 @@ class CheckpointStore:
         checkpoint = self._latest.get(node_id)
         if checkpoint is None:
             return None
-        if now - checkpoint.taken_at_s > self.config.max_staleness_s:
+        if now - checkpoint.taken_at_s > MAX_STALENESS_S:
             return None
         return checkpoint
 

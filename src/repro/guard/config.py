@@ -1,10 +1,11 @@
 """Guard tunables: admission, breakers, safe mode, checkpoints.
 
 A :class:`GuardConfig` switches on the graceful-degradation machinery of
-``repro.guard``. Every sub-policy is independently optional: any of the
-four sections may be ``None``, and a :class:`Cluster` built without a
-``GuardConfig`` at all runs its guard runtime inert, byte-identical to
-the pre-guard code (the regression suite pins this down to the byte).
+``repro.guard``. Every sub-policy is independently optional: admission
+and breakers are ``None`` or a policy, safe mode and checkpoints are on
+or off, and a :class:`Cluster` built without a ``GuardConfig`` at all
+runs its guard runtime inert, byte-identical to the pre-guard code (the
+regression suite pins this down to the byte).
 
 All guard decisions are pure functions of simulation time and observed
 counters — no random draws — so guarded runs are exactly as deterministic
@@ -106,98 +107,44 @@ class BreakerConfig:
 
 
 @dataclass(frozen=True)
-class SafeModeConfig:
-    """Control-plane fallbacks: solver budget, predictor sanity, pinning.
-
-    * ``milp_node_budget`` caps the labels (partial plans) one
-      ``solve_milp`` call may build; a solve that exhausts the budget
-      makes the Workflow Controller fall back to the proportional split
-      (the same policy Baseline+PowerCtrl uses) until the next
-      ``T_update``.
-    * Predictions (``T_Run`` / ``T_Block`` / ``Energy``) are screened:
-      NaN, negative, non-finite, or values more than ``prediction_rel_max``
-      times the last known-good prediction (or above
-      ``prediction_abs_max_s`` seconds / joules outright) are replaced by
-      the last known-good value and counted as mispredictions.
-    * A function whose profile has not absorbed a new observation for
-      ``dpt_staleness_s`` seconds has an untrustworthy Delay-Power Table
-      row; its dispatches are pinned to the top frequency (the paper's
-      always-safe level) until fresh data arrives.
-    """
-
-    #: Label budget per deadline-split solve (None = unbudgeted).
-    milp_node_budget: Optional[int] = 2_000
-    #: Relative sanity bound against the last known-good prediction.
-    prediction_rel_max: float = 20.0
-    #: Absolute sanity bound (seconds or joules, matching the quantity).
-    prediction_abs_max_s: float = 600.0
-    #: Profile staleness bound before frequency pinning (None = no pinning).
-    dpt_staleness_s: Optional[float] = 30.0
-
-    def __post_init__(self) -> None:
-        if self.milp_node_budget is not None and self.milp_node_budget < 1:
-            raise ValueError(
-                f"milp_node_budget must be >= 1: {self.milp_node_budget}")
-        _require_finite("prediction_rel_max", self.prediction_rel_max)
-        _require_finite("prediction_abs_max_s", self.prediction_abs_max_s)
-        if self.prediction_rel_max <= 1:
-            raise ValueError(
-                f"prediction_rel_max must be > 1: {self.prediction_rel_max}")
-        if self.prediction_abs_max_s <= 0:
-            raise ValueError(
-                f"prediction_abs_max_s must be positive:"
-                f" {self.prediction_abs_max_s}")
-        if self.dpt_staleness_s is not None:
-            _require_finite("dpt_staleness_s", self.dpt_staleness_s)
-            if self.dpt_staleness_s <= 0:
-                raise ValueError(
-                    f"dpt_staleness_s must be positive:"
-                    f" {self.dpt_staleness_s}")
-
-
-@dataclass(frozen=True)
-class CheckpointConfig:
-    """Node-controller checkpoints and the refresh watchdog.
-
-    Every ``period_s`` each node controller snapshots its transient
-    control state (pool levels and core targets, smoothed demand). A
-    crash-recovered controller (the ``repro.faults`` reboot hook) restores
-    the latest snapshot instead of rebooting to cold state — unless the
-    snapshot is older than ``max_staleness_s``, in which case cold state
-    is safer than stale state. The watchdog forces a pool refresh on any
-    controller that has not refreshed for ``watchdog_factor`` times its
-    configured period (a stuck control loop under overload).
-    """
-
-    period_s: float = 1.0
-    max_staleness_s: float = 10.0
-    watchdog_factor: float = 3.0
-
-    def __post_init__(self) -> None:
-        for name in ("period_s", "max_staleness_s", "watchdog_factor"):
-            _require_finite(name, getattr(self, name))
-        if self.period_s <= 0:
-            raise ValueError(f"period_s must be positive: {self.period_s}")
-        if self.max_staleness_s <= 0:
-            raise ValueError(
-                f"max_staleness_s must be positive: {self.max_staleness_s}")
-        if self.watchdog_factor < 1:
-            raise ValueError(
-                f"watchdog_factor must be >= 1: {self.watchdog_factor}")
-
-
-@dataclass(frozen=True)
 class GuardConfig:
     """The full graceful-degradation policy of one cluster.
 
-    Any section left ``None`` disables that guard; a cluster with no
-    ``GuardConfig`` at all matches the pre-guard code byte-for-byte.
+    A section left ``None`` or ``False`` disables that guard; a cluster
+    with no ``GuardConfig`` at all matches the pre-guard code
+    byte-for-byte.
+
+    * ``safe_mode`` caps the labels (partial plans) one ``solve_milp``
+      call may build at :data:`repro.guard.runtime.MILP_NODE_BUDGET`; a
+      solve that exhausts the budget makes the Workflow Controller fall
+      back to the proportional split (the same policy Baseline+PowerCtrl
+      uses) until the next ``T_update``. Predictions (``T_Run`` /
+      ``T_Block`` / ``Energy``) are screened: NaN, negative, non-finite,
+      or values more than :data:`repro.guard.safemode.PREDICTION_REL_MAX`
+      times the last known-good prediction (or above
+      :data:`~repro.guard.safemode.PREDICTION_ABS_MAX_S` seconds / joules
+      outright) are replaced by the last known-good value and counted as
+      mispredictions. A function whose profile has not absorbed a new
+      observation for :data:`~repro.guard.safemode.DPT_STALENESS_S`
+      seconds has an untrustworthy Delay-Power Table row; its dispatches
+      are pinned to the top frequency (the paper's always-safe level)
+      until fresh data arrives.
+    * ``checkpoint``: every :data:`repro.guard.runtime.CHECKPOINT_PERIOD_S`
+      each node controller snapshots its transient control state (pool
+      levels and core targets, smoothed demand). A crash-recovered
+      controller (the ``repro.faults`` reboot hook) restores the latest
+      snapshot instead of rebooting to cold state — unless the snapshot
+      is older than :data:`repro.guard.checkpoint.MAX_STALENESS_S`, in
+      which case cold state is safer than stale state. The watchdog
+      forces a pool refresh on any controller that has not refreshed for
+      :data:`repro.guard.runtime.WATCHDOG_FACTOR` times its configured
+      period (a stuck control loop under overload).
     """
 
     admission: Optional[AdmissionConfig] = None
     breaker: Optional[BreakerConfig] = None
-    safe_mode: Optional[SafeModeConfig] = None
-    checkpoint: Optional[CheckpointConfig] = None
+    safe_mode: bool = False
+    checkpoint: bool = False
 
     @classmethod
     def full(cls, **overrides) -> "GuardConfig":
@@ -205,8 +152,8 @@ class GuardConfig:
         values = {
             "admission": AdmissionConfig(),
             "breaker": BreakerConfig(),
-            "safe_mode": SafeModeConfig(),
-            "checkpoint": CheckpointConfig(),
+            "safe_mode": True,
+            "checkpoint": True,
         }
         values.update(overrides)
         return cls(**values)

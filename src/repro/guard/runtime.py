@@ -29,6 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Frontend trace track for guard decisions (matches reliability events).
 FRONTEND_TRACK = "frontend"
 
+#: Safe mode's label budget per deadline-split solve.
+MILP_NODE_BUDGET = 2_000
+
+#: Checkpoint and watchdog period, seconds.
+CHECKPOINT_PERIOD_S = 1.0
+#: The watchdog kicks a controller that has not refreshed for this many
+#: of its configured periods.
+WATCHDOG_FACTOR = 3.0
+
 
 class GuardRuntime:
     """The guards of one cluster."""
@@ -46,11 +55,9 @@ class GuardRuntime:
             BreakerBoard(layer.breaker)
             if layer.breaker is not None else None)
         self.predictions: Optional[PredictionGuard] = (
-            PredictionGuard(layer.safe_mode)
-            if layer.safe_mode is not None else None)
+            PredictionGuard() if layer.safe_mode else None)
         self.checkpoints: Optional[CheckpointStore] = (
-            CheckpointStore(layer.checkpoint)
-            if layer.checkpoint is not None else None)
+            CheckpointStore() if layer.checkpoint else None)
         #: Last brownout level a decision was recorded for; the
         #: admission controller itself recomputes its level on every
         #: decision, so change detection has to live out here.
@@ -183,9 +190,7 @@ class GuardRuntime:
     # ------------------------------------------------------------------
     @property
     def milp_node_budget(self) -> Optional[int]:
-        if self.config.safe_mode is None:
-            return None
-        return self.config.safe_mode.milp_node_budget
+        return MILP_NODE_BUDGET if self.config.safe_mode else None
 
     def record_milp_fallback(self, workflow_name: str) -> None:
         self.metrics.milp_fallbacks += 1
@@ -222,13 +227,12 @@ class GuardRuntime:
     # Checkpoints + watchdog
     # ------------------------------------------------------------------
     def _checkpoint_loop(self):
-        config = self.config.checkpoint
         while True:
-            yield self.env.timeout(config.period_s)
+            yield self.env.timeout(CHECKPOINT_PERIOD_S)
             for node in self.cluster.nodes:
                 if node.down:
                     continue
-                if node.watchdog_check(config.watchdog_factor):
+                if node.watchdog_check(WATCHDOG_FACTOR):
                     self.metrics.watchdog_kicks += 1
                     self.env.trace.instant("watchdog_refresh", node.track)
                 if self.checkpoints.take(node.server.server_id,

@@ -15,14 +15,18 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Tuple
 
-from repro.guard.config import SafeModeConfig
+#: Relative sanity bound against the last known-good prediction.
+PREDICTION_REL_MAX = 20.0
+#: Absolute sanity bound (seconds or joules, matching the quantity).
+PREDICTION_ABS_MAX_S = 600.0
+#: Profile staleness bound before frequency pinning, seconds.
+DPT_STALENESS_S = 30.0
 
 
 class PredictionGuard:
     """Screens predictions; tracks profile staleness per function."""
 
-    def __init__(self, config: SafeModeConfig):
-        self.config = config
+    def __init__(self) -> None:
         #: Last known-good prediction per (function, kind).
         self._known_good: Dict[Tuple[str, str], float] = {}
         #: Last observation time per function (profile freshness).
@@ -41,10 +45,10 @@ class PredictionGuard:
             return "inf"
         if value < 0:
             return "negative"
-        if value > self.config.prediction_abs_max_s:
+        if value > PREDICTION_ABS_MAX_S:
             return "abs_bound"
         if (last_good is not None and last_good > 0
-                and value > self.config.prediction_rel_max * last_good):
+                and value > PREDICTION_REL_MAX * last_good):
             return "rel_bound"
         return None
 
@@ -86,8 +90,5 @@ class PredictionGuard:
         already runs unprofiled functions at the top frequency, so
         pinning would be redundant there.
         """
-        bound = self.config.dpt_staleness_s
-        if bound is None:
-            return False
         seen = self._last_observation_s.get(function_name)
-        return seen is not None and now - seen > bound
+        return seen is not None and now - seen > DPT_STALENESS_S

@@ -15,6 +15,10 @@ import math
 from dataclasses import dataclass
 
 
+#: How often standbys check the lease for expiry, seconds.
+ELECTION_PERIOD_S = 0.25
+
+
 def _require_finite(name: str, value: float) -> None:
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"{name} must be finite: {value}")
@@ -31,26 +35,29 @@ class HAConfig:
     """The high-availability policy of one cluster.
 
     **Failure detection.** Every node controller sends the frontend a
-    heartbeat each ``heartbeat_period_s``; each heartbeat travels over
-    the simulated RPC layer with ``heartbeat_latency_s`` of flight time,
-    scaled by the node's current RPC slowdown factor (so RPC-spike
-    faults visibly jitter arrival times). The frontend feeds arrival
-    intervals into a phi-accrual detector (Hayashibara et al.): the
-    suspicion level ``phi = -log10 P(next heartbeat still arrives)``
-    under a normal model of the trailing ``detector_window`` intervals,
-    with the interval standard deviation floored at
-    ``min_interval_std_s`` so perfectly regular simulated heartbeats do
-    not make the detector hair-triggered. A node is *suspected* when
-    ``phi > phi_threshold`` and declared *dead* after a further
-    ``dead_after_s`` without a heartbeat; a fresh heartbeat revives
-    either state.
+    heartbeat each :data:`~repro.ha.runtime.HEARTBEAT_PERIOD_S`; each
+    heartbeat travels over the simulated RPC layer with
+    :data:`~repro.ha.runtime.HEARTBEAT_LATENCY_S` of flight time, scaled
+    by the node's current RPC slowdown factor (so RPC-spike faults
+    visibly jitter arrival times). The frontend feeds arrival intervals
+    into a phi-accrual detector (Hayashibara et al.): the suspicion
+    level ``phi = -log10 P(next heartbeat still arrives)`` under a
+    normal model of the trailing
+    :data:`~repro.ha.runtime.DETECTOR_WINDOW` intervals, with the
+    interval standard deviation floored at
+    :data:`~repro.ha.runtime.MIN_INTERVAL_STD_S` so perfectly regular
+    simulated heartbeats do not make the detector hair-triggered. A
+    node is *suspected* when ``phi > phi_threshold`` and declared *dead*
+    after a further ``dead_after_s`` without a heartbeat; a fresh
+    heartbeat revives either state.
 
     **Controller failover.** ``n_controllers`` global-controller
     replicas (``ctl0`` the initial leader) share an epoch-numbered
     lease of ``lease_s`` seconds, renewed at half-lease cadence while
-    leader and frontend can exchange messages. When the lease expires,
-    the election rule is deterministic: the lowest-id replica that is up
-    and reachable from the frontend becomes leader with ``epoch + 1``.
+    leader and frontend can exchange messages. Standbys check the lease
+    every :data:`ELECTION_PERIOD_S`; when it has expired, the election
+    rule is deterministic: the lowest-id replica that is up and
+    reachable from the frontend becomes leader with ``epoch + 1``.
     Pool-resize and MILP-split decisions carry the deciding replica's
     epoch; consumers remember the highest epoch they have seen and
     reject (fence) decisions from any lower epoch, so a partitioned
@@ -62,47 +69,26 @@ class HAConfig:
     duplicate completions caused by false suspicion are fenced.
     """
 
-    #: Node-controller heartbeat cadence, seconds.
-    heartbeat_period_s: float = 0.25
-    #: One-way heartbeat flight time (scaled by the node's RPC factor).
-    heartbeat_latency_s: float = 0.005
     #: Suspicion threshold on the phi scale (8 ~ 1e-8 false-alarm odds).
     phi_threshold: float = 8.0
-    #: Trailing heartbeat intervals kept per node.
-    detector_window: int = 32
-    #: Floor on the interval standard deviation, seconds.
-    min_interval_std_s: float = 0.02
     #: Suspected -> dead after this long without a heartbeat, seconds.
     dead_after_s: float = 5.0
     #: Global-controller replicas (leader + standbys).
     n_controllers: int = 3
     #: Leader lease length, seconds (renewed at half-lease cadence).
     lease_s: float = 2.0
-    #: How often standbys check the lease for expiry, seconds.
-    election_period_s: float = 0.25
     #: Re-dispatch invocations stranded on suspected nodes.
     redispatch: bool = True
 
     def __post_init__(self) -> None:
-        _require_positive("heartbeat_period_s", self.heartbeat_period_s)
-        _require_finite("heartbeat_latency_s", self.heartbeat_latency_s)
-        if self.heartbeat_latency_s < 0:
-            raise ValueError(
-                f"heartbeat_latency_s must be >= 0:"
-                f" {self.heartbeat_latency_s}")
         _require_positive("phi_threshold", self.phi_threshold)
-        if self.detector_window < 2:
-            raise ValueError(
-                f"detector_window must be >= 2: {self.detector_window}")
-        _require_positive("min_interval_std_s", self.min_interval_std_s)
         _require_positive("dead_after_s", self.dead_after_s)
         if self.n_controllers < 1:
             raise ValueError(
                 f"n_controllers must be >= 1: {self.n_controllers}")
         _require_positive("lease_s", self.lease_s)
-        _require_positive("election_period_s", self.election_period_s)
-        if self.lease_s <= self.election_period_s:
+        if self.lease_s <= ELECTION_PERIOD_S:
             raise ValueError(
-                f"lease_s ({self.lease_s}) must exceed election_period_s"
-                f" ({self.election_period_s}) or the lease can expire"
+                f"lease_s ({self.lease_s}) must exceed the election period"
+                f" ({ELECTION_PERIOD_S}) or the lease can expire"
                 f" between checks of the replica that holds it")

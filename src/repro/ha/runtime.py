@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.ha import config as ha_config
 from repro.ha.config import HAConfig
 from repro.ha.controller import ControllerGroup, ControllerReplica
 from repro.ha.detector import (
@@ -50,6 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: lease registries live there), matching the frontend trace track.
 FRONTEND = "frontend"
 
+#: Node-controller heartbeat cadence, seconds.
+HEARTBEAT_PERIOD_S = 0.25
+#: One-way heartbeat flight time (scaled by the node's RPC factor).
+HEARTBEAT_LATENCY_S = 0.005
+#: Trailing heartbeat intervals kept per node.
+DETECTOR_WINDOW = 32
+#: Floor on the interval standard deviation, seconds.
+MIN_INTERVAL_STD_S = 0.02
+
 
 class HARuntime:
     """The high-availability layer of one cluster."""
@@ -65,10 +75,8 @@ class HARuntime:
         self.links = LinkTable()
         self.links.on_heal(self._link_healed)
         self.detector = PhiAccrualDetector(
-            expected_interval_s=(layer.heartbeat_period_s
-                                 + layer.heartbeat_latency_s),
-            window=layer.detector_window,
-            min_std_s=layer.min_interval_std_s)
+            expected_interval_s=HEARTBEAT_PERIOD_S + HEARTBEAT_LATENCY_S,
+            window=DETECTOR_WINDOW, min_std_s=MIN_INTERVAL_STD_S)
         self.membership = MembershipTable(self.detector,
                                           layer.phi_threshold,
                                           layer.dead_after_s)
@@ -117,19 +125,19 @@ class HARuntime:
     # Heartbeats + failure detection
     # ------------------------------------------------------------------
     def _heartbeat_loop(self, node: "NodeSystem"):
-        period = self.config.heartbeat_period_s
+        period = HEARTBEAT_PERIOD_S
         while True:
             yield self.env.timeout(period)
             if node.down or not self.links.delivers(node.track, FRONTEND):
                 self.metrics.ha_heartbeats_lost += 1
                 continue
-            flight = self.config.heartbeat_latency_s * node.rpc_latency_scale()
+            flight = HEARTBEAT_LATENCY_S * node.rpc_latency_scale()
             if flight > 0:
                 yield self.env.timeout(flight)
             self.detector.heartbeat(node.track, self.env.now)
 
     def _detector_loop(self):
-        period = self.config.heartbeat_period_s
+        period = HEARTBEAT_PERIOD_S
         while True:
             yield self.env.timeout(period)
             now = self.env.now
@@ -196,7 +204,7 @@ class HARuntime:
     def _election_loop(self):
         group = self.controllers
         while True:
-            yield self.env.timeout(self.config.election_period_s)
+            yield self.env.timeout(ha_config.ELECTION_PERIOD_S)
             now = self.env.now
             if not group.lease_expired(now):
                 continue

@@ -31,11 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.audit import AuditLog
-from repro.obs.burnrate import (
-    BurnRateConfig,
-    BurnRateMonitor,
-    LogBucketHistogram,
-)
+from repro.obs.burnrate import BurnRateMonitor, LogBucketHistogram
 from repro.obs.diff import diff_documents, format_diff
 from repro.obs.explain import explain, format_explanation
 from repro.obs.export import (
@@ -80,7 +76,6 @@ __all__ = [
     "NULL_TRACER",
     "RUN_FILES",
     "AuditLog",
-    "BurnRateConfig",
     "BurnRateMonitor",
     "CounterRecord",
     "EnergyConservationError",

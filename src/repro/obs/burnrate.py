@@ -6,10 +6,11 @@ Per benchmark, the monitor keeps
   ``[1ms * 2^(i/4), 1ms * 2^((i+1)/4))``, i.e. four buckets per doubling
   starting at 1 ms. Bucketing is pure integer math on the latency value,
   so same-seed runs build byte-identical histograms; and
-* **windowed burn rates** — the SLO-miss rate over a fast (default 5 s)
-  and a slow (default 30 s) trailing window, divided by the target miss
-  rate (the error budget). Burn > 1 means the budget is being consumed
-  faster than provisioned.
+* **windowed burn rates** — the SLO-miss rate over a fast
+  (:data:`FAST_WINDOW_S`) and a slow (:data:`SLOW_WINDOW_S`) trailing
+  window, divided by :data:`TARGET_MISS_RATE` (the error budget). A
+  burn above 1 means the budget is being consumed faster than
+  provisioned.
 
 Crossing a burn threshold emits a ``slo_burn_fast`` / ``slo_burn_slow``
 trace instant on the frontend track (rising edge only — alerts don't
@@ -26,12 +27,23 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 #: Lowest histogram bucket boundary (seconds) and buckets per doubling.
 _BASE_S = 1e-3
 _BUCKETS_PER_DOUBLING = 4
+
+#: Multi-window multi-burn-rate alerting policy (SRE-style).
+#: Error budget: the provisioned SLO-miss rate per benchmark.
+TARGET_MISS_RATE = 0.1
+FAST_WINDOW_S = 5.0
+SLOW_WINDOW_S = 30.0
+#: Burn thresholds: fast window trips on sharp budget consumption,
+#: slow window on sustained consumption at (or above) budget rate.
+FAST_BURN = 4.0
+SLOW_BURN = 1.0
+#: Minimum observations in a window before it may alert.
+MIN_SAMPLES = 5
 
 
 def bucket_index(latency_s: float) -> int:
@@ -84,22 +96,6 @@ class LogBucketHistogram:
         }
 
 
-@dataclass(frozen=True)
-class BurnRateConfig:
-    """Multi-window multi-burn-rate alerting policy (SRE-style)."""
-
-    #: Error budget: the provisioned SLO-miss rate per benchmark.
-    target_miss_rate: float = 0.1
-    fast_window_s: float = 5.0
-    slow_window_s: float = 30.0
-    #: Burn thresholds: fast window trips on sharp budget consumption,
-    #: slow window on sustained consumption at (or above) budget rate.
-    fast_burn: float = 4.0
-    slow_burn: float = 1.0
-    #: Minimum observations in a window before it may alert.
-    min_samples: int = 5
-
-
 class _BenchmarkWindow:
     """Per-benchmark state: trailing events, histogram, alert edges."""
 
@@ -116,8 +112,7 @@ class _BenchmarkWindow:
 class BurnRateMonitor:
     """Tracks per-benchmark SLO burn and emits threshold-crossing alerts."""
 
-    def __init__(self, config: Optional[BurnRateConfig] = None) -> None:
-        self.config = config or BurnRateConfig()
+    def __init__(self) -> None:
         #: run → benchmark → window state.
         self._runs: Dict[int, Dict[str, _BenchmarkWindow]] = {}
         self._run = 0
@@ -147,35 +142,34 @@ class BurnRateMonitor:
                 missed += 1
         if total == 0:
             return 0.0, 0
-        return (missed / total) / self.config.target_miss_rate, total
+        return (missed / total) / TARGET_MISS_RATE, total
 
     def observe(self, tracer, benchmark: str, t: float, met: bool,
                 latency_s: float = 0.0) -> None:
         """One workflow completion; called from ``Tracer.workflow_end``."""
-        cfg = self.config
         state = self._window(benchmark)
         state.events.append((t, met))
         state.histogram.observe(latency_s)
         # Prune anything older than the slow window.
-        cutoff = t - cfg.slow_window_s
+        cutoff = t - SLOW_WINDOW_S
         while state.events and state.events[0][0] < cutoff:
             state.events.popleft()
 
-        fast, n_fast = self._burn(state, t, cfg.fast_window_s)
-        slow, n_slow = self._burn(state, t, cfg.slow_window_s)
-        fast_hot = n_fast >= cfg.min_samples and fast >= cfg.fast_burn
-        slow_hot = n_slow >= cfg.min_samples and slow >= cfg.slow_burn
+        fast, n_fast = self._burn(state, t, FAST_WINDOW_S)
+        slow, n_slow = self._burn(state, t, SLOW_WINDOW_S)
+        fast_hot = n_fast >= MIN_SAMPLES and fast >= FAST_BURN
+        slow_hot = n_slow >= MIN_SAMPLES and slow >= SLOW_BURN
         # Rising-edge alerts only: one instant per excursion.
         if fast_hot and not state.fast_alerting:
             state.fast_alerts += 1
             tracer.instant("slo_burn_fast", "frontend",
                            benchmark=benchmark, burn=round(fast, 4),
-                           window_s=cfg.fast_window_s, samples=n_fast)
+                           window_s=FAST_WINDOW_S, samples=n_fast)
         if slow_hot and not state.slow_alerting:
             state.slow_alerts += 1
             tracer.instant("slo_burn_slow", "frontend",
                            benchmark=benchmark, burn=round(slow, 4),
-                           window_s=cfg.slow_window_s, samples=n_slow)
+                           window_s=SLOW_WINDOW_S, samples=n_slow)
         state.fast_alerting = fast_hot
         state.slow_alerting = slow_hot
 
@@ -196,12 +190,12 @@ class BurnRateMonitor:
             runs.append({"run": run, "benchmarks": benchmarks})
         return {
             "config": {
-                "target_miss_rate": self.config.target_miss_rate,
-                "fast_window_s": self.config.fast_window_s,
-                "slow_window_s": self.config.slow_window_s,
-                "fast_burn": self.config.fast_burn,
-                "slow_burn": self.config.slow_burn,
-                "min_samples": self.config.min_samples,
+                "target_miss_rate": TARGET_MISS_RATE,
+                "fast_window_s": FAST_WINDOW_S,
+                "slow_window_s": SLOW_WINDOW_S,
+                "fast_burn": FAST_BURN,
+                "slow_burn": SLOW_BURN,
+                "min_samples": MIN_SAMPLES,
             },
             "runs": runs,
         }

@@ -42,8 +42,6 @@ class ClusterConfig:
     power: PowerModel = field(default_factory=PowerModel)
     #: Extra simulated seconds after the trace ends to drain in-flight work.
     drain_s: float = 5.0
-    #: Input-feature dispersion passed to invocation sampling (Fig. 22).
-    input_dispersion: float = 1.0
     #: Heterogeneous machine mix (Section VI-E3): a sequence of
     #: ``(machine_type, ipc_factor)`` pairs cycled over the servers.
     #: None = all servers are identical ("haswell", 1.0).
@@ -205,7 +203,7 @@ class Cluster:
         failed = False
         try:
             for stage_index, stage in enumerate(workflow.stages):
-                if stage_index > 0 and cancel.stage_doomed(doom_deadline):
+                if stage_index > 0 and cancel.doom_passed(doom_deadline):
                     # Deadline propagation: the doom line passed while an
                     # earlier stage ran, so the rest of the chain cannot
                     # help the SLO — stop here instead of burning joules.
@@ -217,8 +215,7 @@ class Cluster:
                 waits = []
                 for fn_index, fn_model in enumerate(stage.functions):
                     spec = fn_model.sample_invocation(
-                        self.rng.stream(f"inputs/{fn_model.name}"),
-                        dispersion=self.config.input_dispersion)
+                        self.rng.stream(f"inputs/{fn_model.name}"))
                     deadline = (deadlines.get(fn_model.name)
                                 if deadlines is not None else None)
                     key = self.ha.idempotency_key(wf_uid, stage_index, fn_index)
@@ -364,7 +361,7 @@ class Cluster:
                 # feeding the retry loop while the function is known-bad.
                 return self._lose(inv, attempt, fast_fail=True)
             if attempt > 0:
-                if cancel.retry_doomed(inv.doom_deadline_s):
+                if cancel.doom_passed(inv.doom_deadline_s):
                     # Retrying cannot beat the doom line anymore: write
                     # the invocation off before it burns another attempt.
                     return self._lose(inv, attempt, doomed_by="retry_doomed")
@@ -383,7 +380,7 @@ class Cluster:
                 backoff = policy.backoff_s(attempt, draw)
                 if backoff > 0:
                     yield self.env.timeout(backoff)
-                if cancel.retry_doomed(inv.doom_deadline_s):
+                if cancel.doom_passed(inv.doom_deadline_s):
                     # The doom line passed during backoff: the granted
                     # token never dispatched, so retire it and give up.
                     cancel.refund_retry(name)
@@ -402,9 +399,7 @@ class Cluster:
             timeout_ev = (self.env.timeout(policy.invocation_timeout_s)
                           if policy.invocation_timeout_s is not None else None)
             hedge_ev = (self.env.timeout(policy.hedge_after_s)
-                        if policy.hedge_after_s is not None
-                        and policy.max_hedges > 0 else None)
-            hedges_fired = 0
+                        if policy.hedge_after_s is not None else None)
             attempt_failed = False
             while not attempt_failed:
                 waits = ha.attempt_waits(jobs)
@@ -418,7 +413,7 @@ class Cluster:
                 if winner is not None:
                     # The race is decided: kill the losers (reclaiming
                     # their remaining energy) or let them run to waste.
-                    self._release(jobs, cancel.cancels_hedges, "hedge_loser",
+                    self._release(jobs, cancel.cancels_attempts, "hedge_loser",
                                   winner)
                     ha.record_completion(inv.idem_key, jobs, winner)
                     lost_to_crash_here += sum(1 for j in jobs if j.aborted)
@@ -439,7 +434,7 @@ class Cluster:
                 if timeout_ev is not None and timeout_ev.processed:
                     # Written off: with the cancel layer armed the
                     # survivors are killed; otherwise they keep running.
-                    self._release(jobs, cancel.cancels_timeouts, "timeout")
+                    self._release(jobs, cancel.cancels_attempts, "timeout")
                     lost_to_crash_here += sum(1 for j in jobs if j.aborted)
                     self.metrics.record_timeout()
                     self.env.trace.instant("invocation_timeout", "frontend",
@@ -447,9 +442,8 @@ class Cluster:
                     attempt_failed = True
                     break
                 if hedge_ev is not None and hedge_ev.processed:
-                    hedges_fired += 1
-                    hedge_ev = (self.env.timeout(policy.hedge_after_s)
-                                if hedges_fired < policy.max_hedges else None)
+                    # One hedge per attempt.
+                    hedge_ev = None
                     other = self.pick_node(exclude=node)
                     if other is not None and other is not node:
                         duplicate = self._submit(inv, other,

@@ -39,13 +39,9 @@ class ReliabilityPolicy:
     #: Give up on an attempt after this many seconds (None = wait forever;
     #: crashed attempts are detected immediately either way).
     invocation_timeout_s: Optional[float] = None
-    #: Launch a duplicate attempt on another node once the primary has run
-    #: this long (None = no hedging).
+    #: Launch one duplicate attempt on another node once the primary has
+    #: run this long (None = no hedging).
     hedge_after_s: Optional[float] = None
-    #: Duplicates allowed per attempt when hedging is on: after each
-    #: ``hedge_after_s`` without a result another duplicate is launched,
-    #: up to this many (1 = the original single-hedge behavior).
-    max_hedges: int = 1
 
     def __post_init__(self) -> None:
         for name in ("backoff_base_s", "backoff_multiplier",
@@ -75,8 +71,6 @@ class ReliabilityPolicy:
         if self.hedge_after_s is not None and self.hedge_after_s <= 0:
             raise ValueError(
                 f"hedge delay must be positive: {self.hedge_after_s}")
-        if self.max_hedges < 0:
-            raise ValueError(f"negative max_hedges {self.max_hedges}")
 
     def backoff_s(self, attempt: int, jitter_draw: float = 0.0) -> float:
         """Backoff before retry ``attempt`` (1-based).

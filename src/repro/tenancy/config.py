@@ -15,7 +15,7 @@ deterministic as plain ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.obs.registry import LEDGER_COMPONENTS
@@ -130,71 +130,28 @@ class PowerCapConfig:
     """The cluster power-cap control loop (:class:`PowerCapGovernor`).
 
     Every ``period_s`` the governor compares the metered cluster draw
-    (summed :meth:`Server.power_snapshot_w`) against the active cap and
+    (summed :meth:`Server.power_snapshot_w`) against the cap and
     actuates one step through the existing controllers: while over the
     cap it lowers the cluster-wide frequency ceiling one DVFS level per
-    tick, then shrinks the usable core fraction by ``core_step`` per
-    tick down to ``min_core_fraction``; once the draw falls below
-    :data:`~repro.tenancy.governor.RELEASE_FRACTION` of the cap it
-    releases one step per tick in the reverse order. ``schedule`` makes
-    the cap time-varying: a sorted sequence of ``(t_s, cap_w)`` steps,
-    each active from its timestamp on (before the first step, ``cap_w``
-    applies).
+    tick, then shrinks the usable core fraction by
+    :data:`~repro.tenancy.governor.CORE_STEP` per tick down to
+    :data:`~repro.tenancy.governor.MIN_CORE_FRACTION`; once the draw
+    falls below :data:`~repro.tenancy.governor.RELEASE_FRACTION` of the
+    cap it releases one step per tick in the reverse order.
     """
 
     #: The standing cap, watts.
     cap_w: float = 400.0
     #: Governor tick period (the T_refresh of the cap loop), seconds.
     period_s: float = 2.0
-    #: Time-varying cap steps: ``((t_s, cap_w), ...)``, sorted by time.
-    schedule: Tuple[Tuple[float, float], ...] = ()
-    #: Floor on the usable-core fraction when shrinking pools.
-    min_core_fraction: float = 0.25
-    #: Usable-core fraction removed (or restored) per governor tick.
-    core_step: float = 0.125
 
     def __post_init__(self) -> None:
         _require_finite("cap_w", self.cap_w)
         _require_finite("period_s", self.period_s)
-        _require_finite("min_core_fraction", self.min_core_fraction)
-        _require_finite("core_step", self.core_step)
         if self.cap_w <= 0:
             raise ValueError(f"cap_w must be positive: {self.cap_w}")
         if self.period_s <= 0:
             raise ValueError(f"period_s must be positive: {self.period_s}")
-        if not 0 < self.min_core_fraction <= 1:
-            raise ValueError(
-                f"min_core_fraction must be in (0, 1]:"
-                f" {self.min_core_fraction}")
-        if not 0 < self.core_step <= 1:
-            raise ValueError(
-                f"core_step must be in (0, 1]: {self.core_step}")
-        last_t = -math.inf
-        for step in self.schedule:
-            if len(step) != 2:
-                raise ValueError(f"schedule steps are (t_s, cap_w): {step}")
-            t, watts = step
-            _require_finite("schedule t_s", t)
-            _require_finite("schedule cap_w", watts)
-            if t < 0:
-                raise ValueError(f"schedule times must be >= 0: {t}")
-            if watts <= 0:
-                raise ValueError(f"schedule caps must be positive: {watts}")
-            if t <= last_t:
-                raise ValueError(
-                    f"schedule must be strictly increasing in time:"
-                    f" {self.schedule}")
-            last_t = t
-
-    def cap_at(self, now: float) -> float:
-        """The active cap at simulation time ``now``, watts."""
-        cap = self.cap_w
-        for t, watts in self.schedule:
-            if t <= now:
-                cap = watts
-            else:
-                break
-        return cap
 
 
 @dataclass(frozen=True)
@@ -203,19 +160,15 @@ class TenancyConfig:
 
     ``power_cap`` left ``None`` disables the governor; a cluster with no
     ``TenancyConfig`` at all matches the pre-tenancy code byte-for-byte.
+    Budgets are metered every
+    :data:`repro.tenancy.runtime.METER_PERIOD_S` and bills are priced
+    with the default :class:`PricingModel`.
     """
 
     tenants: Tuple[TenantSpec, ...] = ()
-    #: Budget-meter poll period (how often windowed consumption updates).
-    meter_period_s: float = 1.0
     power_cap: Optional[PowerCapConfig] = None
-    pricing: PricingModel = field(default_factory=PricingModel)
 
     def __post_init__(self) -> None:
-        _require_finite("meter_period_s", self.meter_period_s)
-        if self.meter_period_s <= 0:
-            raise ValueError(
-                f"meter_period_s must be positive: {self.meter_period_s}")
         names = [tenant.name for tenant in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")

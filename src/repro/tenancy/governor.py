@@ -9,9 +9,10 @@ active cap and moves one step along a fixed actuation ladder:
   ceiling** one DVFS level at a time (eco-freq's cheapest knob — lower
   frequency is also lower energy per operation under the paper's power
   model);
-* further steps shrink the **usable core fraction** by ``core_step``
-  per tick down to ``min_core_fraction`` (pool shrinking, applied by
-  the elastic node controllers at their next refresh).
+* further steps shrink the **usable core fraction** by
+  :data:`CORE_STEP` per tick down to :data:`MIN_CORE_FRACTION` (pool
+  shrinking, applied by the elastic node controllers at their next
+  refresh).
 
 Draw under ``RELEASE_FRACTION * cap`` releases one step per tick in the
 reverse order, giving the loop hysteresis. The ceiling acts through the
@@ -41,9 +42,14 @@ FRONTEND_TRACK = "frontend"
 #: Draw below ``RELEASE_FRACTION * cap`` releases one actuation step.
 RELEASE_FRACTION = 0.85
 
+#: Floor on the usable-core fraction when shrinking pools.
+MIN_CORE_FRACTION = 0.25
+#: Usable-core fraction removed (or restored) per governor tick.
+CORE_STEP = 0.125
+
 
 class PowerCapGovernor:
-    """Keeps the metered cluster draw under a (time-varying) watt cap."""
+    """Keeps the metered cluster draw under a watt cap."""
 
     def __init__(self, cluster: "Cluster", config: PowerCapConfig):
         self.cluster = cluster
@@ -52,10 +58,8 @@ class PowerCapGovernor:
         self.scale = cluster.config.scale
         #: Actuation depth: 0 = uncapped behaviour.
         self.steps = 0
-        #: Monotonic epoch, bumped on every actuation or cap change.
+        #: Monotonic epoch, bumped on every actuation.
         self.epoch = 0
-        #: The cap the last tick enforced (schedule-change detection).
-        self._active_cap_w = config.cap_at(0.0)
 
     # ------------------------------------------------------------------
     # Ladder geometry
@@ -66,8 +70,8 @@ class PowerCapGovernor:
 
     @property
     def _core_steps(self) -> int:
-        span = 1.0 - self.config.min_core_fraction
-        return int(math.ceil(span / self.config.core_step - 1e-9))
+        span = 1.0 - MIN_CORE_FRACTION
+        return int(math.ceil(span / CORE_STEP - 1e-9))
 
     @property
     def max_steps(self) -> int:
@@ -86,8 +90,7 @@ class PowerCapGovernor:
         extra = max(0, self.steps - self._freq_steps)
         if extra <= 0:
             return 1.0
-        return max(self.config.min_core_fraction,
-                   1.0 - extra * self.config.core_step)
+        return max(MIN_CORE_FRACTION, 1.0 - extra * CORE_STEP)
 
     def clamp(self, freq_ghz: Optional[float]) -> Optional[float]:
         """Clamp one frequency choice to the active ceiling."""
@@ -111,16 +114,9 @@ class PowerCapGovernor:
         return sum(server.power_snapshot_w()
                    for server in self.cluster.servers)
 
-    def cap_w(self) -> float:
-        """The active cap at the current simulation time."""
-        return self.config.cap_at(self.env.now)
-
     def tick(self) -> None:
         """One governor decision: tighten, release, or hold."""
-        cap = self.cap_w()
-        if cap != self._active_cap_w:
-            self._active_cap_w = cap
-            self.epoch += 1
+        cap = self.config.cap_w
         draw = self.draw_w()
         if draw > cap and self.steps < self.max_steps:
             self._actuate(self.steps + 1, draw, cap, "tighten")

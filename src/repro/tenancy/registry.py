@@ -29,7 +29,8 @@ class EnergyBudgetWindow:
     Charges are appended with their simulation timestamp;
     :meth:`used_j` drops everything older than the window before
     summing. The running total is maintained incrementally so a poll
-    every ``meter_period_s`` stays O(expired charges), not O(window).
+    every :data:`~repro.tenancy.runtime.METER_PERIOD_S` stays O(expired
+    charges), not O(window).
     """
 
     def __init__(self, window_s: float):

@@ -6,7 +6,7 @@ meter loop or bills.
 
 Three loops of responsibility:
 
-* **metering** — every ``meter_period_s`` the runtime polls the servers'
+* **metering** — every :data:`METER_PERIOD_S` the runtime polls the servers'
   consumer-attributed energy meters, charges each benchmark's delta to
   its owning tenant's sliding budget window, and keeps the power-cap
   governor ticking;
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.guard.admission import TokenBucket
 from repro.tenancy.billing import bill_ledger_run
-from repro.tenancy.config import TenancyConfig, TenantSpec
+from repro.tenancy.config import PricingModel, TenancyConfig, TenantSpec
 from repro.tenancy.governor import PowerCapGovernor
 from repro.tenancy.registry import TenantRegistry
 
@@ -48,6 +48,10 @@ SHED_TENANT_THROTTLE = "tenant_throttle"  # SLO tenant over budget, bucket dry
 #: the burst capacity of its token bucket.
 THROTTLE_RPS = 2.0
 THROTTLE_BURST = 2.0
+
+#: Budget-meter poll period (how often windowed consumption updates),
+#: seconds.
+METER_PERIOD_S = 1.0
 
 
 class TenancyRuntime:
@@ -99,7 +103,7 @@ class TenancyRuntime:
 
     def _meter_loop(self):
         while True:
-            yield self.env.timeout(self.config.meter_period_s)
+            yield self.env.timeout(METER_PERIOD_S)
             self._poll_meters()
 
     def _governor_loop(self):
@@ -206,7 +210,7 @@ class TenancyRuntime:
             return None
         run = ledger.reports[-1].run if ledger.reports else None
         document = bill_ledger_run(ledger, self.registry.tenant_name_of,
-                                   self.config.pricing, run=run)
+                                   PricingModel(), run=run)
         document["throttles"] = dict(self.registry.throttle_counts)
         self.bills.append(document)
         if self.env.trace.enabled:

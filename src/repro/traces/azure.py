@@ -25,10 +25,14 @@ import numpy as np
 
 from repro.traces.trace import Trace, TraceEvent
 
+#: Lognormal jitter sigma around the Zipf rank weights.
+POPULARITY_SIGMA = 0.3
+
 
 @dataclass(frozen=True)
 class AzureTraceConfig:
-    """Knobs of the synthetic trace generator."""
+    """Knobs of the synthetic trace generator (the popularity jitter is
+    :data:`POPULARITY_SIGMA`)."""
 
     n_functions: int = 400
     duration_s: float = 600.0
@@ -37,8 +41,6 @@ class AzureTraceConfig:
     #: Zipf exponent of rank-based popularity (1.3 reproduces the quoted
     #: "top 12 functions account for 76 % of invocations").
     zipf_exponent: float = 1.3
-    #: Lognormal jitter sigma around the Zipf rank weights.
-    popularity_sigma: float = 0.3
     #: Per-function burst arrival rate, Hz (scales with popularity).
     burst_rate_hz: float = 0.02
     #: Mean invocations per burst (geometric).
@@ -107,7 +109,7 @@ def generate_azure_trace(config: AzureTraceConfig) -> Trace:
     ranks = np.arange(1, config.n_functions + 1, dtype=float)
     popularity = ranks ** -config.zipf_exponent
     popularity *= np.exp(
-        config.popularity_sigma * rng.standard_normal(config.n_functions))
+        POPULARITY_SIGMA * rng.standard_normal(config.n_functions))
     popularity /= popularity.mean()  # so base_rate_hz is the mean rate
     spikes = _poisson_arrivals(rng, config.spike_rate_hz,
                                config.duration_s)

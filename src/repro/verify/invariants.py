@@ -409,8 +409,9 @@ class Verifier:
                             f" outside [0, {governor.max_steps}]",
                             steps=governor.steps,
                             max_steps=governor.max_steps)
+            from repro.tenancy import governor as governor_module  # lazy
             fraction = governor.core_fraction()
-            floor = governor.config.min_core_fraction
+            floor = governor_module.MIN_CORE_FRACTION
             if not floor - EPS <= fraction <= 1.0 + EPS:
                 self.record("powercap-ladder",
                             f"usable core fraction {fraction:.6f}"

@@ -19,14 +19,25 @@ from repro.cancel import (
     RetryBudgetConfig,
     RetryTokenPool,
 )
+from repro.cancel.runtime import CancelRuntime
+from repro.platform.cluster import ClusterConfig
+from repro.platform.metrics import MetricsCollector
+from repro.sim import Environment
 
 
 class TestConfig:
     def test_defaults_arm_every_cancel_point(self):
         deadline = DeadlineConfig()
         assert deadline.slack_s == 0.0
-        assert deadline.cancel_queued and deadline.cancel_hedges
-        assert deadline.cancel_timeouts and deadline.check_stage_boundary
+        env = Environment()
+        armed = CancelRuntime(env, MetricsCollector(), ClusterConfig(
+            cancel=CancelConfig(deadline=deadline)))
+        inert = CancelRuntime(env, MetricsCollector(), ClusterConfig())
+        assert armed.cancels_attempts and not inert.cancels_attempts
+        env.run(until=2.0)
+        assert armed.doom_passed(armed.doom_deadline(0.0, 1.0))
+        assert not armed.doom_passed(armed.doom_deadline(0.0, 5.0))
+        assert not inert.doom_passed(1.0)
 
     def test_full_arms_both_sections(self):
         config = CancelConfig.full()

@@ -7,8 +7,9 @@ that is not a run directory, and a corrupt artifact all exit non-zero
 (2), print exactly one explanatory line on stderr, and never raise. Bad
 experiment arguments (an ``--out`` that cannot be created, a negative
 seed, a retired artifact flag) are rejected before the run starts, and
-a ``--top`` below 1 before ``report`` or ``explain`` reads its trace.
-These run no simulation.
+a ``--top`` below 1 before ``report`` or ``explain`` reads its trace. A
+layer flag that an experiment does not take is reported on stderr and
+dropped. These run no simulation.
 """
 
 import json
@@ -236,3 +237,34 @@ def test_negative_seed_rejected_before_run(capsys, no_run):
     _, err = capsys.readouterr()
     assert excinfo.value.code == 2 and no_run == []
     assert "--seed" in err.strip().splitlines()[-1]
+
+
+def test_layer_flags_reach_run_or_are_reported(monkeypatch, capsys):
+    """A layer flag reaches ``run`` when its signature takes it, and is
+    otherwise reported on stderr with the run going ahead without it."""
+    import sys
+    import types
+
+    from repro.experiments.common import ExperimentResult
+
+    seen = {}
+
+    def run(quick=True, seed=0, tenancy=None, cancel=None):
+        seen.update(quick=quick, seed=seed, tenancy=tenancy, cancel=cancel)
+        result = ExperimentResult("stub", "stub")
+        result.add(value=1)
+        return result
+
+    module = types.ModuleType("tests._stub_flags")
+    module.run = run
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    monkeypatch.setattr(cli, "EXPERIMENTS", {"stub": module.__name__})
+    rc = cli.main(["stub", "--ha", "--tenancy", "--power-cap", "300",
+                   "--cancel", "--seed", "4"])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "[stub does not support --ha; running without it]",
+        "[stub does not support --power-cap; running without it]",
+    ]
+    assert seen == {"quick": True, "seed": 4, "tenancy": True,
+                    "cancel": True}

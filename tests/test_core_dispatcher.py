@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import EcoFaaSConfig
+from repro.core import node as node_module
 from repro.core.node import EcoFaaSNode
 from repro.core.profiles import ProfileStore
 from repro.hardware.server import Server
@@ -225,8 +226,9 @@ class TestNodeMechanics:
         freqs = {p.frequency_ghz for p in node._pools}
         assert 1.2 in freqs
 
-    def test_refresh_caps_pool_count(self):
-        config = EcoFaaSConfig(prewarm=False, elastic=False, max_pools=2)
+    def test_refresh_caps_pool_count(self, monkeypatch):
+        monkeypatch.setattr(node_module, "MAX_POOLS", 2)
+        config = EcoFaaSConfig(prewarm=False, elastic=False)
         env, node, _ = make_node(config=config, n_cores=8)
         for level in (1.2, 1.5, 1.8, 2.1, 2.4, 3.0):
             node.note_demand(level, 1.0)

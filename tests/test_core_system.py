@@ -6,6 +6,8 @@ import pytest
 from repro.baselines import BaselineSystem, PartitionedNode, PowerCtrlSystem
 from repro.core import EcoFaaSConfig, EcoFaaSSystem
 from repro.core import dpt as dpt_module
+from repro.core import node as node_module
+from repro.core import profiles as profiles_module
 from repro.core.mlp import MLPRegressor
 from repro.core.predictor import FrequencyProfile
 from repro.core.profiles import ProfileStore
@@ -41,19 +43,13 @@ class TestEcoFaaSConfig:
         config = EcoFaaSConfig()
         assert config.t_update_s == 5.0
         assert config.t_refresh_s == 2.0
-        assert config.history_capacity == 100
+        assert profiles_module.HISTORY_CAPACITY == 100
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EcoFaaSConfig(t_refresh_s=0.0)
         with pytest.raises(ValueError):
-            EcoFaaSConfig(history_capacity=0)
-        with pytest.raises(ValueError):
-            EcoFaaSConfig(max_pools=0)
-        with pytest.raises(ValueError):
             EcoFaaSConfig(overprediction_error=-0.1)
-        with pytest.raises(ValueError):
-            EcoFaaSConfig(deadline_margin=0.0)
 
 
 class TestEcoFaaSEndToEnd:
@@ -119,11 +115,11 @@ class TestElasticPools:
         counts = [count for _, count in node.pool_count_samples]
         assert max(counts) >= 2
 
-    def test_pool_counts_bounded_by_max_pools(self):
-        config = EcoFaaSConfig(max_pools=3)
+    def test_pool_counts_bounded_by_max_pools(self, monkeypatch):
+        monkeypatch.setattr(node_module, "MAX_POOLS", 3)
         trace = poisson([wf.name for wf in all_benchmarks()], rate=20.0,
                         duration=20.0)
-        cluster = run_system(EcoFaaSSystem(config), trace, n_servers=1,
+        cluster = run_system(EcoFaaSSystem(), trace, n_servers=1,
                              drain=40.0)
         node = cluster.nodes[0]
         assert all(count <= 3 for _, count in node.pool_count_samples)

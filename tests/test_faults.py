@@ -123,8 +123,6 @@ class TestReliabilityPolicy:
         with pytest.raises(ValueError):
             ReliabilityPolicy(hedge_after_s=-1.0)
         with pytest.raises(ValueError):
-            ReliabilityPolicy(max_hedges=-1)
-        with pytest.raises(ValueError):
             RETRY.backoff_s(0)
 
     @pytest.mark.parametrize("field", [
@@ -147,31 +145,16 @@ class TestReliabilityPolicy:
                 assert nominal * 0.7 - 1e-12 <= delay
                 assert delay <= nominal * 1.3 + 1e-12
 
-    def test_max_hedges_zero_disarms_hedging(self):
-        # hedge_after_s set but zero hedges allowed: no duplicate ever
-        # launches, even for a slow cold start.
-        policy = ReliabilityPolicy(max_retries=2, backoff_jitter=0.0,
-                                   hedge_after_s=0.01, max_hedges=0)
-        events = [TraceEvent(0.1, "CNNServ")]
-        cluster = run_chaos(BaselineSystem(), events, 3.0, n_servers=2,
-                            policy=policy)
-        assert cluster.metrics.hedges == 0
-        assert cluster.metrics.completed_workflows() == 1
-
     def test_max_hedges_caps_duplicates(self):
         # CNNServ's 1.5 s cold start leaves room for many 0.1 s hedge
-        # windows; the cap keeps the duplicate count at max_hedges.
-        def hedges_with(cap):
-            policy = ReliabilityPolicy(max_retries=2, backoff_jitter=0.0,
-                                       hedge_after_s=0.1, max_hedges=cap)
-            cluster = run_chaos(BaselineSystem(),
-                                [TraceEvent(0.1, "CNNServ")], 4.0,
-                                n_servers=4, policy=policy)
-            assert cluster.metrics.completed_workflows() == 1
-            return cluster.metrics.hedges
-
-        assert hedges_with(1) == 1
-        assert hedges_with(3) == 3
+        # windows; an attempt still launches exactly one duplicate.
+        policy = ReliabilityPolicy(max_retries=2, backoff_jitter=0.0,
+                                   hedge_after_s=0.1)
+        cluster = run_chaos(BaselineSystem(),
+                            [TraceEvent(0.1, "CNNServ")], 4.0,
+                            n_servers=4, policy=policy)
+        assert cluster.metrics.completed_workflows() == 1
+        assert cluster.metrics.hedges == 1
 
 
 class TestInertness:

@@ -12,19 +12,14 @@ the MILP, and pins frequencies on stale profiles.
 
 import math
 
-import pytest
-
 from repro.core import EcoFaaSConfig, EcoFaaSSystem
 from repro.core.profiles import ProfileStore
 from repro.experiments import overload
 from repro.faults import CONTAINER_KILL, NODE_CRASH, FaultEvent, FaultPlan
-from repro.guard import (
-    AdmissionConfig,
-    BreakerConfig,
-    CheckpointConfig,
-    GuardConfig,
-    SafeModeConfig,
-)
+from repro.guard import BreakerConfig, GuardConfig
+from repro.guard import checkpoint as checkpoint_module
+from repro.guard import runtime as guard_runtime
+from repro.guard import safemode as safemode_module
 from repro.platform.cluster import Cluster, ClusterConfig
 from repro.platform.reliability import ReliabilityPolicy
 from repro.sim import Environment
@@ -164,17 +159,19 @@ CRASH_POLICY = ReliabilityPolicy(max_retries=8, backoff_base_s=0.05,
 
 
 class TestCheckpointRestore:
-    def run(self, checkpoint, crash_duration_s):
+    def run(self, monkeypatch, max_staleness_s, crash_duration_s):
+        monkeypatch.setattr(guard_runtime, "CHECKPOINT_PERIOD_S", 0.5)
+        monkeypatch.setattr(checkpoint_module, "MAX_STALENESS_S",
+                            max_staleness_s)
         plan = FaultPlan((FaultEvent(4.0, NODE_CRASH, node=0,
                                      duration_s=crash_duration_s),))
-        cluster = build_cluster(GuardConfig(checkpoint=checkpoint),
+        cluster = build_cluster(GuardConfig(checkpoint=True),
                                 policy=CRASH_POLICY, fault_plan=plan)
         cluster.run_trace(Trace(steady("WebServ", 20.0, 6.0), 6.5))
         return cluster
 
-    def test_fresh_checkpoint_restores_the_pool_shape(self):
-        cluster = self.run(CheckpointConfig(period_s=0.5,
-                                            max_staleness_s=5.0), 1.0)
+    def test_fresh_checkpoint_restores_the_pool_shape(self, monkeypatch):
+        cluster = self.run(monkeypatch, 5.0, 1.0)
         metrics = cluster.metrics
         assert metrics.checkpoints_taken > 0
         assert metrics.checkpoint_restores == 1
@@ -183,23 +180,21 @@ class TestCheckpointRestore:
         # shape instead of the cold single max-frequency pool.
         assert len(cluster.nodes[0]._targets) > 1
 
-    def test_stale_checkpoint_is_discarded(self):
+    def test_stale_checkpoint_is_discarded(self, monkeypatch):
         # The node is down for longer than the staleness bound, so its
         # last pre-crash snapshot must NOT be restored (stale control
         # state is worse than cold state).
-        cluster = self.run(CheckpointConfig(period_s=0.5,
-                                            max_staleness_s=1.0), 2.0)
+        cluster = self.run(monkeypatch, 1.0, 2.0)
         assert cluster.metrics.checkpoints_taken > 0
         assert cluster.metrics.checkpoint_restores == 0
 
-    def test_watchdog_kicks_a_stuck_control_loop(self):
-        guard = GuardConfig(checkpoint=CheckpointConfig(
-            period_s=0.5, max_staleness_s=5.0, watchdog_factor=3.0))
-        cluster = build_cluster(guard)
+    def test_watchdog_kicks_a_stuck_control_loop(self, monkeypatch):
+        monkeypatch.setattr(guard_runtime, "CHECKPOINT_PERIOD_S", 0.5)
+        cluster = build_cluster(GuardConfig(checkpoint=True))
         cluster.env.run(until=4.0)
         assert cluster.metrics.watchdog_kicks == 0  # loop is healthy
         # Simulate a wedged refresh loop: the controller has not run for
-        # far longer than watchdog_factor * t_refresh.
+        # far longer than WATCHDOG_FACTOR * t_refresh.
         node = cluster.nodes[0]
         node.last_refresh_s = cluster.env.now - 100.0
         cluster.env.run(until=cluster.env.now + 0.6)
@@ -209,9 +204,11 @@ class TestCheckpointRestore:
 
 
 class TestSafeMode:
-    def test_tiny_milp_budget_falls_back_to_proportional_split(self):
-        guard = GuardConfig(safe_mode=SafeModeConfig(milp_node_budget=1))
-        cluster = build_cluster(guard, slo_multiple=1.1)
+    def test_tiny_milp_budget_falls_back_to_proportional_split(
+            self, monkeypatch):
+        monkeypatch.setattr(guard_runtime, "MILP_NODE_BUDGET", 1)
+        cluster = build_cluster(GuardConfig(safe_mode=True),
+                                slo_multiple=1.1)
         events = [TraceEvent(0.1 + i * 0.1, "eBank") for i in range(80)]
         cluster.run_trace(Trace(events, 8.1))
         metrics = cluster.metrics
@@ -221,10 +218,10 @@ class TestSafeMode:
         assert metrics.milp_fallbacks >= 1
         assert metrics.completed_workflows() == len(events)
 
-    def test_generous_milp_budget_never_falls_back(self):
-        guard = GuardConfig(safe_mode=SafeModeConfig(
-            milp_node_budget=20_000))
-        cluster = build_cluster(guard, slo_multiple=1.1)
+    def test_generous_milp_budget_never_falls_back(self, monkeypatch):
+        monkeypatch.setattr(guard_runtime, "MILP_NODE_BUDGET", 20_000)
+        cluster = build_cluster(GuardConfig(safe_mode=True),
+                                slo_multiple=1.1)
         events = [TraceEvent(0.1 + i * 0.1, "eBank") for i in range(80)]
         cluster.run_trace(Trace(events, 8.1))
         assert cluster.metrics.milp_fallbacks == 0
@@ -232,8 +229,7 @@ class TestSafeMode:
 
     def test_nan_predictions_are_screened_and_the_run_survives(self,
                                                                monkeypatch):
-        guard = GuardConfig(safe_mode=SafeModeConfig())
-        cluster = build_cluster(guard, n_servers=1)
+        cluster = build_cluster(GuardConfig(safe_mode=True), n_servers=1)
         # A degenerate fit: every T_Block prediction comes out NaN.
         monkeypatch.setattr(ProfileStore, "predict_t_block",
                             lambda *args, **kwargs: float("nan"))
@@ -243,9 +239,11 @@ class TestSafeMode:
         assert metrics.mispredictions > 0
         assert metrics.completed_workflows() == len(events)
 
-    def test_stale_profile_pins_dispatch_to_max_frequency(self):
-        guard = GuardConfig(safe_mode=SafeModeConfig(dpt_staleness_s=1.5))
-        cluster = build_cluster(guard, n_servers=1, drain_s=3.0)
+    def test_stale_profile_pins_dispatch_to_max_frequency(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(safemode_module, "DPT_STALENESS_S", 1.5)
+        cluster = build_cluster(GuardConfig(safe_mode=True), n_servers=1,
+                                drain_s=3.0)
         # A warm-up burst trains the profile, then a silent gap longer
         # than the staleness bound, then one more burst: the first
         # post-gap dispatches must pin to the top frequency.

@@ -27,8 +27,6 @@ from repro.sim import Environment
 
 #: Short lease so failover fits in a few simulated seconds.
 LEASE_S = 1.0
-#: The election loop's lease-expiry check period.
-ELECTION_PERIOD_S = 0.25
 
 
 def build_ha_cluster(n_servers=3, fault_plan=None):
@@ -36,8 +34,7 @@ def build_ha_cluster(n_servers=3, fault_plan=None):
     config = ClusterConfig(
         n_servers=n_servers, drain_s=2.0,
         reliability=ReliabilityPolicy(max_retries=4, backoff_base_s=0.05),
-        ha=HAConfig(lease_s=LEASE_S,
-                    election_period_s=ELECTION_PERIOD_S))
+        ha=HAConfig(lease_s=LEASE_S))
     return Cluster(env, EcoFaaSSystem(EcoFaaSConfig()), config,
                    fault_plan=fault_plan)
 

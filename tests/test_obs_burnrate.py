@@ -6,7 +6,6 @@ from repro.core.config import EcoFaaSConfig
 from repro.experiments import overload as overload_experiment
 from repro.experiments.common import make_load_trace, run_cluster
 from repro.obs.burnrate import (
-    BurnRateConfig,
     BurnRateMonitor,
     LogBucketHistogram,
     bucket_bounds,
@@ -59,10 +58,7 @@ def feed(monitor, tracer, times_met):
 
 
 def test_fast_burn_alert_fires_on_rising_edge_only():
-    config = BurnRateConfig(target_miss_rate=0.1, fast_window_s=5.0,
-                            slow_window_s=30.0, fast_burn=4.0,
-                            min_samples=5)
-    monitor = BurnRateMonitor(config)
+    monitor = BurnRateMonitor()
     monitor.begin_run(0, "test")
     tracer = RecordingTracer()
     # 5 misses in quick succession: 100% miss rate => burn 10 >= 4.
@@ -83,7 +79,7 @@ def test_fast_burn_alert_fires_on_rising_edge_only():
 
 
 def test_no_alert_below_min_samples():
-    monitor = BurnRateMonitor(BurnRateConfig(min_samples=5))
+    monitor = BurnRateMonitor()
     monitor.begin_run(0, "test")
     tracer = RecordingTracer()
     feed(monitor, tracer, [(0.1 * i, False) for i in range(4)])
@@ -91,9 +87,7 @@ def test_no_alert_below_min_samples():
 
 
 def test_slow_burn_tracks_sustained_budget_consumption():
-    config = BurnRateConfig(target_miss_rate=0.1, slow_burn=1.0,
-                            min_samples=5)
-    monitor = BurnRateMonitor(config)
+    monitor = BurnRateMonitor()
     monitor.begin_run(0, "test")
     tracer = RecordingTracer()
     # 10% misses sustained: slow burn == 1.0 exactly => alert.
@@ -122,6 +116,10 @@ def test_monitor_summary_is_deterministic_across_runs():
     _, first = run_monitored()
     _, second = run_monitored()
     assert first.summary() == second.summary()
+    assert first.summary()["config"] == {
+        "target_miss_rate": 0.1, "fast_window_s": 5.0,
+        "slow_window_s": 30.0, "fast_burn": 4.0, "slow_burn": 1.0,
+        "min_samples": 5}
     runs = first.summary()["runs"]
     assert runs and runs[0]["benchmarks"]
     histograms = [b["histogram"] for b in runs[0]["benchmarks"].values()]

@@ -30,6 +30,7 @@ from repro.tenancy import (
     TenancyConfig,
     TenantSpec,
 )
+from repro.tenancy import runtime as tenancy_runtime
 from repro.traces.poisson import (
     PoissonLoadConfig,
     generate_poisson_trace,
@@ -38,6 +39,14 @@ from repro.traces.poisson import (
 from repro.workloads.registry import all_benchmarks, benchmark_names
 
 from tests.fingerprints import cluster_fingerprint
+
+@pytest.fixture(scope="module", autouse=True)
+def fast_meter():
+    """Poll the budget meters twice a second so windows fill quickly."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tenancy_runtime, "METER_PERIOD_S", 0.5)
+        yield
+
 
 #: A tenant set that partitions every benchmark, with budgets small
 #: enough that enforcement fires even on short test traces.
@@ -54,7 +63,6 @@ def tight_tenancy(power_cap=None, batch_budget_j=25.0):
                        budget_j=batch_budget_j, window_s=4.0,
                        best_effort=True),
         ),
-        meter_period_s=0.5,
         power_cap=power_cap,
     )
 
@@ -154,16 +162,6 @@ class TestPowerCap:
                                               batch_budget_j=1e6))
             energies.append(cluster.total_energy_j)
         assert energies[0] >= energies[1] >= energies[2], energies
-
-    def test_schedule_change_bumps_epoch(self):
-        cap = PowerCapConfig(cap_w=1e6, period_s=0.5,
-                             schedule=((3.0, 120.0),))
-        cluster = run_armed(tight_tenancy(power_cap=cap,
-                                          batch_budget_j=1e6))
-        governor = cluster.tenancy.governor
-        assert governor.epoch > 0
-        # After the schedule step the active cap is the scheduled one.
-        assert governor._active_cap_w == pytest.approx(120.0)
 
 
 class TestConservation:

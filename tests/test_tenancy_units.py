@@ -50,22 +50,6 @@ class TestConfigValidation:
             TenancyConfig(tenants=(TenantSpec("a", ("X",)),
                                    TenantSpec("a", ("Y",))))
 
-    def test_schedule_must_increase(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            PowerCapConfig(schedule=((5.0, 100.0), (5.0, 80.0)))
-
-    def test_schedule_caps_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            PowerCapConfig(schedule=((5.0, -1.0),))
-
-    def test_cap_at_walks_the_schedule(self):
-        config = PowerCapConfig(cap_w=200.0,
-                                schedule=((10.0, 150.0), (20.0, 100.0)))
-        assert config.cap_at(0.0) == 200.0
-        assert config.cap_at(10.0) == 150.0
-        assert config.cap_at(19.9) == 150.0
-        assert config.cap_at(25.0) == 100.0
-
     def test_pricing_rejects_unknown_component(self):
         with pytest.raises(ValueError, match="unknown ledger component"):
             PricingModel(usd_per_mj=(("warp_drive", 1.0),))
@@ -165,8 +149,7 @@ class TestGovernorLadder:
             assert governor.freq_ceiling_ghz() == pytest.approx(expected)
 
     def test_core_fraction_engages_after_freq_steps(self):
-        governor = self.make(cap_w=100.0, min_core_fraction=0.25,
-                             core_step=0.125)
+        governor = self.make(cap_w=100.0)
         governor.steps = governor._freq_steps
         assert governor.core_fraction() == 1.0
         governor.steps = governor._freq_steps + 2
@@ -175,7 +158,7 @@ class TestGovernorLadder:
         assert governor.core_fraction() == pytest.approx(0.25)
 
     def test_capped_cores_floor_is_one(self):
-        governor = self.make(cap_w=100.0, min_core_fraction=0.25)
+        governor = self.make(cap_w=100.0)
         governor.steps = governor.max_steps
         assert governor.capped_cores(20) == 5
         assert governor.capped_cores(1) == 1
