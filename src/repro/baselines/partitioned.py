@@ -117,8 +117,7 @@ class PartitionedNode(NodeSystem):
                 on_core_released=self._free_cores.append,
                 cost_scale=self.dvfs_cost_scale,
                 block_latency=self.rpc_latency_scale,
-                clamp_freq=self.layers.tenancy.clamp_freq,
-                drop_doomed=self.layers.cancel.drop_if_doomed)
+                **self.layers.pool_hooks())
             self._rebalance()
         return self._pools[function_name]
 

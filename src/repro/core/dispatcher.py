@@ -55,6 +55,15 @@ class EnergyAwareDispatcher:
         self._t_run_memo = (None, -1, {})
         #: The guard's per-level labels (``kind@freq``), built once each.
         self._labels: Dict[Tuple[str, float], str] = {}
+        #: The node's guard when it screens nothing. The check is made on
+        #: every call against the node's current guard, which a caller
+        #: may replace.
+        guard = node.layers.guard
+        self._inert_guard = guard if guard.predictions is None else None
+        #: The power cap's clamp, or None when no cap is configured.
+        tenancy = node.layers.tenancy
+        self._clamp_freq = (tenancy.clamp_freq if tenancy.caps_frequency
+                            else None)
 
     # ------------------------------------------------------------------
     # Prediction wrappers
@@ -66,13 +75,16 @@ class EnergyAwareDispatcher:
                   freq: Optional[float] = None) -> float:
         """Safe mode (repro.guard): screen one prediction under its
         per-level label."""
+        guard = self.node.layers.guard
+        if guard is self._inert_guard:
+            return value
         label = kind
         if freq is not None:
             label = self._labels.get((kind, freq))
             if label is None:
                 label = self._labels[kind, freq] = f"{kind}@{freq:.2f}"
-        return self.node.layers.guard.sanitize_prediction(
-            self.fn_model.name, label, value, self.node.track)
+        return guard.sanitize_prediction(self.fn_model.name, label, value,
+                                         self.node.track)
 
     def _predict_t_run(self, freq: float, job: Job) -> float:
         # Placing one job asks for the same levels several times. The
@@ -113,7 +125,8 @@ class EnergyAwareDispatcher:
             self._submit_at_max(job)
             return
         guard = self.node.layers.guard
-        if guard.dpt_stale(self.fn_model.name):
+        if guard is not self._inert_guard and guard.dpt_stale(
+                self.fn_model.name):
             # Safe mode: the profile has gone stale — pin to the top
             # frequency (always deadline-safe) until fresh data arrives.
             guard.record_freq_pin(self.fn_model.name, self.node.track)
@@ -140,8 +153,8 @@ class EnergyAwareDispatcher:
         then shifts levels using the boost / wanted-lower signals)."""
         # Power-cap ceiling (repro.tenancy): demand accounting and EWT
         # must reflect the speed the job will actually get.
-        job.chosen_freq_ghz = self.node.layers.tenancy.clamp_freq(
-            job.chosen_freq_ghz)
+        if self._clamp_freq is not None:
+            job.chosen_freq_ghz = self._clamp_freq(job.chosen_freq_ghz)
         self.node.note_demand(job.chosen_freq_ghz,
                               job.registered_run_seconds or 0.0)
         pool.submit(job)
@@ -284,4 +297,6 @@ class EnergyAwareDispatcher:
         self.profile.observe(dominant, job.t_run, job.t_block,
                              job.energy_j, job.spec.features)
         self.node.store.note_observation()
-        self.node.layers.guard.note_observation(self.fn_model.name)
+        guard = self.node.layers.guard
+        if guard is not self._inert_guard:
+            guard.note_observation(self.fn_model.name)

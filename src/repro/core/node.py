@@ -93,8 +93,7 @@ class EcoFaaSNode(NodeSystem):
             on_core_released=self._core_released,
             cost_scale=self.dvfs_cost_scale,
             block_latency=self.rpc_latency_scale,
-            clamp_freq=self.layers.tenancy.clamp_freq,
-            drop_doomed=self.layers.cancel.drop_if_doomed)
+            **self.layers.pool_hooks())
 
     def iter_pools(self) -> List[CorePoolScheduler]:
         """Every live pool, retiring ones included (observability)."""
@@ -153,8 +152,12 @@ class EcoFaaSNode(NodeSystem):
 
     @property
     def outstanding(self) -> int:
-        return (sum(p.load for p in self._pools)
-                + sum(p.load for p in self._retiring))
+        total = 0
+        for pool in self._pools:
+            total += pool.load
+        for pool in self._retiring:
+            total += pool.load
+        return total
 
     def _dispatcher(self, fn_model: FunctionModel) -> EnergyAwareDispatcher:
         if fn_model.name not in self._dispatchers:

@@ -122,8 +122,12 @@ class FrequencyProfile:
         """Absorb one measured invocation (the dispatcher's profiling)."""
         self._fit_cache = None
         self.history.record(freq_ghz, t_run_s, t_block_s, energy_j, features)
-        self._t_run.setdefault(freq_ghz, AdaptiveEwma()).update(t_run_s)
-        self._energy.setdefault(freq_ghz, AdaptiveEwma()).update(energy_j)
+        t_run = self._t_run.get(freq_ghz)
+        if t_run is None:
+            t_run = self._t_run[freq_ghz] = AdaptiveEwma()
+            self._energy[freq_ghz] = AdaptiveEwma()
+        t_run.update(t_run_s)
+        self._energy[freq_ghz].update(energy_j)
         self._t_block.update(t_block_s)
         self._observations += 1
         if self._mlp is not None and features:

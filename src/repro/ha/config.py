@@ -43,9 +43,9 @@ class HAConfig:
     into a phi-accrual detector (Hayashibara et al.): the suspicion
     level ``phi = -log10 P(next heartbeat still arrives)`` under a
     normal model of the trailing
-    :data:`~repro.ha.runtime.DETECTOR_WINDOW` intervals, with the
+    :data:`~repro.ha.detector.DETECTOR_WINDOW` intervals, with the
     interval standard deviation floored at
-    :data:`~repro.ha.runtime.MIN_INTERVAL_STD_S` so perfectly regular
+    :data:`~repro.ha.detector.MIN_INTERVAL_STD_S` so perfectly regular
     simulated heartbeats do not make the detector hair-triggered. A
     node is *suspected* when ``phi > phi_threshold`` and declared *dead*
     after a further ``dead_after_s`` without a heartbeat; a fresh

@@ -32,12 +32,18 @@ DEAD = "dead"
 #: Cap on phi so the metric stays finite when the tail underflows.
 _PHI_CAP = 300.0
 
+#: Trailing heartbeat intervals kept per node.
+DETECTOR_WINDOW = 32
+#: Floor on the interval standard deviation, seconds.
+MIN_INTERVAL_STD_S = 0.02
+
 
 class PhiAccrualDetector:
     """Per-member heartbeat history and the phi suspicion level."""
 
-    def __init__(self, expected_interval_s: float, window: int = 32,
-                 min_std_s: float = 0.02):
+    def __init__(self, expected_interval_s: float,
+                 window: int = DETECTOR_WINDOW,
+                 min_std_s: float = MIN_INTERVAL_STD_S):
         if expected_interval_s <= 0:
             raise ValueError(
                 f"expected_interval_s must be positive: {expected_interval_s}")

@@ -55,10 +55,6 @@ FRONTEND = "frontend"
 HEARTBEAT_PERIOD_S = 0.25
 #: One-way heartbeat flight time (scaled by the node's RPC factor).
 HEARTBEAT_LATENCY_S = 0.005
-#: Trailing heartbeat intervals kept per node.
-DETECTOR_WINDOW = 32
-#: Floor on the interval standard deviation, seconds.
-MIN_INTERVAL_STD_S = 0.02
 
 
 class HARuntime:
@@ -75,8 +71,7 @@ class HARuntime:
         self.links = LinkTable()
         self.links.on_heal(self._link_healed)
         self.detector = PhiAccrualDetector(
-            expected_interval_s=HEARTBEAT_PERIOD_S + HEARTBEAT_LATENCY_S,
-            window=DETECTOR_WINDOW, min_std_s=MIN_INTERVAL_STD_S)
+            expected_interval_s=HEARTBEAT_PERIOD_S + HEARTBEAT_LATENCY_S)
         self.membership = MembershipTable(self.detector,
                                           layer.phi_threshold,
                                           layer.dead_after_s)

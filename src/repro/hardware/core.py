@@ -14,9 +14,12 @@ the three evaluated systems' schedulers need:
   (the elastic-pool refresh path).
 
 Energy accrual is incremental: every state change closes the previous
-segment at the power of the mode it ran in (idle / active / transition) and
-attributes active energy to the running consumer, mirroring the paper's
-power-model apportionment.
+segment at the power it ran at (idle, or active) and attributes active
+energy to the running consumer, mirroring the paper's power-model
+apportionment. A run segment costs one timer: its completion is
+scheduled once, at the absolute time the work ends. A pre-overhead or a
+stall is the stretch of the segment before ``_work_since``, so the next
+accrual splits it off by arithmetic as transition energy.
 """
 
 from __future__ import annotations
@@ -27,12 +30,6 @@ from repro.hardware.energy import EnergyMeter
 from repro.hardware.power import PowerModel
 from repro.hardware.work import WorkUnit
 from repro.sim.engine import Environment
-
-#: Core accounting modes.
-IDLE = "idle"
-ACTIVE = "active"
-TRANSITION = "transition"
-
 
 class Core:
     """One core of a simulated server."""
@@ -53,14 +50,23 @@ class Core:
         #: power still follows the nominal frequency.
         self.ipc_factor = ipc_factor
         self._frequency = frequency_ghz
-        self._mode = IDLE
-        self._mode_since = env.now
+        #: Watts of an idle core, of an active one at the current
+        #: frequency (refreshed by :meth:`set_frequency`) and of the DRAM
+        #: activity one busy core adds.
+        self._idle_w = power.core_idle_power()
+        self._active_w = power.core_active_power(frequency_ghz)
+        self._dram_w = power.dram_active_power(1)
+        #: Start of the accounting segment the next accrual closes.
+        self._segment_since = env.now
         self._work: Optional[WorkUnit] = None
+        #: When the running job's work starts (or restarts) retiring:
+        #: later than ``now`` during a pre-overhead or a stall.
         self._work_since = 0.0
         self._consumer: Optional[str] = None
         self._sink: Any = None
         self._on_complete: Optional[Callable[["Core"], None]] = None
-        #: Invalidates stale completion/transition timeouts after preemption.
+        #: Invalidates stale completion timers after a preemption or a
+        #: frequency change.
         self._token = 0
         #: Statistics.
         self.completed_runs = 0
@@ -108,43 +114,52 @@ class Core:
         """
         if self._work is None:
             return 0.0
-        stall = max(0.0, self._work_since - self.env.now)
-        if self._mode == TRANSITION:
-            return stall + self._work.duration(self.effective_ghz)
-        elapsed = self.env.now - self._work_since
-        return max(0.0, self._work.duration(self.effective_ghz) - elapsed)
+        duration = self._work.duration(self.effective_ghz)
+        now = self.env.now
+        if now < self._work_since:
+            return (self._work_since - now) + duration
+        return max(0.0, duration - (now - self._work_since))
 
     # ------------------------------------------------------------------
     # Energy accrual
     # ------------------------------------------------------------------
     def _accrue(self) -> None:
-        """Close the current accounting segment at its mode's power."""
-        t0 = self._mode_since
-        dt = self.env.now - t0
-        self._mode_since = self.env.now
-        if dt <= 0:
+        """Close the current accounting segment.
+
+        A busy core's segment is transition energy up to ``_work_since``
+        (the pre-overhead or stall) and active energy after it.
+        """
+        t0 = self._segment_since
+        now = self.env.now
+        self._segment_since = now
+        if now <= t0:
             return
         ledger = self.env.trace.ledger
-        if self._mode == IDLE:
-            idle_j = self.power.core_idle_power() * dt
+        if self._work is None:
+            idle_j = self._idle_w * (now - t0)
             self.meter.add("core_idle", idle_j)
             if ledger is not None:
                 if self.blocked_hold is not None:
-                    ledger.record_core(self, t0, self.env.now, idle_j,
+                    ledger.record_core(self, t0, now, idle_j,
                                        "blocked_hold", self.blocked_hold)
                 else:
-                    ledger.record_core(self, t0, self.env.now, idle_j,
-                                       "idle")
+                    ledger.record_core(self, t0, now, idle_j, "idle")
             return
-        active_j = self.power.core_active_power(self._frequency) * dt
-        if self._mode == TRANSITION:
-            self.meter.add("dvfs_overhead", active_j)
+        work_since = self._work_since
+        if t0 < work_since:
+            t1 = now if now < work_since else work_since
+            switch_j = self._active_w * (t1 - t0)
+            self.meter.add("dvfs_overhead", switch_j)
             if ledger is not None:
-                ledger.record_core(self, t0, self.env.now, active_j,
-                                   "freq_switch", self._sink)
-            return
+                ledger.record_core(self, t0, t1, switch_j, "freq_switch",
+                                   self._sink)
+            if now <= work_since:
+                return
+            t0 = work_since
+        dt = now - t0
+        active_j = self._active_w * dt
         self.meter.add("core_active", active_j)
-        dram_j = self.power.dram_active_power(1) * dt
+        dram_j = self._dram_w * dt
         self.meter.add("dram", dram_j)
         if self._consumer is not None:
             self.meter.attribute(self._consumer, active_j + dram_j)
@@ -156,12 +171,8 @@ class Core:
             raw = ("active_setup"
                    if getattr(self._sink, "_segment_index", 0) == -1
                    else "active_run")
-            ledger.record_core(self, t0, self.env.now,
-                               active_j + dram_j, raw, self._sink)
-
-    def _set_mode(self, mode: str) -> None:
-        self._accrue()
-        self._mode = mode
+            ledger.record_core(self, t0, now, active_j + dram_j, raw,
+                               self._sink)
 
     def finalize(self) -> None:
         """Accrue energy up to the present (call at end of simulation)."""
@@ -179,72 +190,58 @@ class Core:
         switch and/or sandboxed frequency switch) precede the work; their
         energy lands in the ``dvfs_overhead`` component.
         """
-        if self.busy:
+        if self._work is not None:
             raise RuntimeError(f"core {self.core_id} is already busy")
         if pre_overhead_s < 0:
             raise ValueError(f"negative pre_overhead {pre_overhead_s}")
+        self._accrue()
         self._token += 1
-        token = self._token
         self._work = work
         self._consumer = consumer
         self._sink = sink
         self._on_complete = on_complete
-        if pre_overhead_s > 0:
-            self._set_mode(TRANSITION)
-            self._work_since = self.env.now + pre_overhead_s
-            overhead_done = self.env.timeout(pre_overhead_s)
-            overhead_done.callbacks.append(
-                lambda ev, token=token: self._begin_work(token))
-        else:
-            self._set_mode(ACTIVE)
-            self._work_since = self.env.now
-            self._schedule_completion(token)
+        self._work_since = self.env.now + pre_overhead_s
+        self._schedule_completion()
 
-    def _begin_work(self, token: int) -> None:
-        if token != self._token or self._work is None:
-            return  # preempted while stalled; nothing to do
-        self._set_mode(ACTIVE)
-        self._work_since = self.env.now
-        self._schedule_completion(token)
-
-    def _schedule_completion(self, token: int) -> None:
-        duration = self._work.duration(self.effective_ghz)
-        done = self.env.timeout(duration)
-        done.callbacks.append(
-            lambda ev, token=token: self._complete(token))
+    def _schedule_completion(self) -> None:
+        self.env.call_at(
+            self._work_since + self._work.duration(self.effective_ghz),
+            self._complete, self._token)
 
     def _complete(self, token: int) -> None:
-        if token != self._token or self._work is None:
-            return  # stale timeout from before a preemption / freq change
+        if token != self._token:
+            return  # stale timer from before a preemption / freq change
         self._accrue()
-        self._work.consume(self.effective_ghz,
-                           self._work.duration(self.effective_ghz))
+        work = self._work
+        work.consume(self.effective_ghz, work.duration(self.effective_ghz))
         self._work = None
         self._consumer = None
         self._sink = None
-        self._set_mode(IDLE)
         self.completed_runs += 1
         on_complete, self._on_complete = self._on_complete, None
         on_complete(self)
+
+    def _consume_elapsed(self) -> None:
+        """Retire the work done since ``_work_since`` at the current speed
+        (none while a pre-overhead or stall is still running)."""
+        elapsed = self.env.now - self._work_since
+        if elapsed > 0:
+            self._work.consume(
+                self.effective_ghz,
+                min(elapsed, self._work.duration(self.effective_ghz)))
 
     def preempt(self) -> WorkUnit:
         """Stop the running job; return its (exactly consumed) remainder."""
         if self._work is None:
             raise RuntimeError(f"core {self.core_id} is idle; nothing to preempt")
-        self._token += 1  # invalidate outstanding timeouts
+        self._token += 1  # invalidate the outstanding completion
         self._accrue()
-        if self._mode == ACTIVE:
-            elapsed = self.env.now - self._work_since
-            if elapsed > 0:
-                self._work.consume(
-                    self.effective_ghz,
-                    min(elapsed, self._work.duration(self.effective_ghz)))
+        self._consume_elapsed()
         work = self._work
         self._work = None
         self._consumer = None
         self._sink = None
         self._on_complete = None
-        self._set_mode(IDLE)
         return work
 
     def set_frequency(self, freq_ghz: float, cost_s: float = 0.0) -> None:
@@ -260,13 +257,14 @@ class Core:
         if abs(freq_ghz - self._frequency) < 1e-12:
             return
         self.frequency_switches += 1
+        self._accrue()
         if self._work is None:
-            self._accrue()
             self._frequency = freq_ghz
+            self._active_w = self.power.core_active_power(freq_ghz)
             if cost_s > 0:
                 # An idle core's transition: charge the overhead energy but
                 # do not model occupancy (nothing was waiting on this core).
-                switch_j = self.power.core_active_power(freq_ghz) * cost_s
+                switch_j = self._active_w * cost_s
                 self.meter.add("dvfs_overhead", switch_j)
                 ledger = self.env.trace.ledger
                 if ledger is not None:
@@ -274,25 +272,12 @@ class Core:
                                        self.env.now + cost_s, switch_j,
                                        "freq_switch")
             return
-        # Busy path: close the active segment, consume the work done so
-        # far at the old speed, stall, then continue at the new speed.
-        self._accrue()
-        if self._mode == ACTIVE:
-            elapsed = self.env.now - self._work_since
-            if elapsed > 0:
-                self._work.consume(
-                    self.effective_ghz,
-                    min(elapsed, self._work.duration(self.effective_ghz)))
+        # Busy path: consume the work done so far at the old speed, stall,
+        # then continue at the new speed. A pre-overhead still running is
+        # replaced by the stall.
+        self._consume_elapsed()
         self._frequency = freq_ghz
+        self._active_w = self.power.core_active_power(freq_ghz)
         self._token += 1
-        token = self._token
-        if cost_s > 0:
-            self._mode = TRANSITION
-            self._work_since = self.env.now + cost_s
-            stall_done = self.env.timeout(cost_s)
-            stall_done.callbacks.append(
-                lambda ev, token=token: self._begin_work(token))
-        else:
-            self._mode = ACTIVE
-            self._work_since = self.env.now
-            self._schedule_completion(token)
+        self._work_since = self.env.now + cost_s
+        self._schedule_completion()

@@ -38,6 +38,9 @@ class FrequencyScale:
         if list(levels) != sorted(set(levels)):
             raise ValueError(f"levels must be strictly increasing: {levels}")
         object.__setattr__(self, "levels", levels)
+        # at_or_above's answers: the levels from index i up, for every i.
+        object.__setattr__(self, "_suffixes", tuple(
+            levels[i:] for i in range(len(levels) + 1)))
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -96,7 +99,7 @@ class FrequencyScale:
 
     def at_or_above(self, freq: float) -> Tuple[float, ...]:
         """All levels >= ``freq`` in ascending order."""
-        return tuple(level for level in self.levels if level >= freq - 1e-9)
+        return self._suffixes[bisect.bisect_left(self.levels, freq - 1e-9)]
 
     def step_down(self, freq: float, steps: int = 1) -> float:
         """The level ``steps`` below ``freq``, clamped at the minimum.

@@ -167,7 +167,8 @@ class Cluster:
         up = [node for node in self.nodes if not node.down]
         if not up:
             return None
-        up = self.ha.prefer_dispatchable(up)
+        if self.ha.armed:
+            up = self.ha.prefer_dispatchable(up)
         if exclude is not None and len(up) > 1:
             up = [node for node in up if node is not exclude] or up
         loads = [node.outstanding for node in up]

@@ -24,6 +24,17 @@ class Layers(NamedTuple):
         return cls(*(runtime(env, metrics, config) for runtime in
                      (GuardRuntime, TenancyRuntime, HARuntime, CancelRuntime)))
 
+    def pool_hooks(self) -> dict:
+        """The dispatch hooks of a :class:`CorePoolScheduler`. An inert
+        layer's hook would return its input, so it is left out and the
+        pool never calls it."""
+        hooks = {}
+        if self.tenancy.caps_frequency:
+            hooks["clamp_freq"] = self.tenancy.clamp_freq
+        if self.cancel.cancels_attempts:
+            hooks["drop_doomed"] = self.cancel.drop_if_doomed
+        return hooks
+
     def arm(self, cluster) -> None:
         """Hand each runtime its cluster and start the armed processes."""
         for runtime in self:

@@ -70,8 +70,8 @@ class CorePoolScheduler:
                  on_core_released: Optional[Callable[[Core], None]] = None,
                  cost_scale: Callable[[], float] = lambda: 1.0,
                  block_latency: Callable[[], float] = lambda: 1.0,
-                 clamp_freq: Callable[[float], float] = lambda f: f,
-                 drop_doomed: Callable[..., bool] = lambda pool, job: False):
+                 clamp_freq: Optional[Callable[[float], float]] = None,
+                 drop_doomed: Optional[Callable[..., bool]] = None):
         if context_switch_s < 0:
             raise ValueError(f"negative context switch cost {context_switch_s}")
         if freq_change_cost_s < 0:
@@ -90,9 +90,10 @@ class CorePoolScheduler:
         #: Node hooks, neutral by default. Faults (repro.faults):
         #: ``cost_scale`` multiplies every frequency-transition cost (a
         #: stalled DVFS driver) and ``block_latency`` every block segment
-        #: (an RPC latency spike). Layers (repro.platform.layers):
-        #: ``clamp_freq`` caps every dispatch frequency (the power cap)
-        #: and ``drop_doomed`` drops a queued head past its doom line.
+        #: (an RPC latency spike). Layers (repro.platform.layers), None
+        #: while the layer is inert: ``clamp_freq`` caps every dispatch
+        #: frequency (the power cap) and ``drop_doomed`` drops a queued
+        #: head past its doom line.
         self.cost_scale = cost_scale
         self.block_latency = block_latency
         self.clamp_freq = clamp_freq
@@ -361,9 +362,10 @@ class CorePoolScheduler:
         return self.frequency_ghz
 
     def _dispatch(self) -> None:
+        drop_doomed = self.drop_doomed
         while self._ready:
             head = self._ready[0][1]
-            if self.drop_doomed(self, head):
+            if drop_doomed is not None and drop_doomed(self, head):
                 continue
             core = self._pick_core(head)
             if core is None:
@@ -407,7 +409,8 @@ class CorePoolScheduler:
         # Every path that decides a core's speed — dispatch choice,
         # boost, correction — runs through here, so this one clamp
         # enforces the power cap.
-        target_freq = self.clamp_freq(target_freq)
+        if self.clamp_freq is not None:
+            target_freq = self.clamp_freq(target_freq)
         pre_overhead = self.context_switch_s if context_switch else 0.0
         if abs(core.frequency - target_freq) > 1e-12:
             # The frequency change occupies the core before work starts
@@ -451,16 +454,12 @@ class CorePoolScheduler:
             self._blocked_jobs[job.job_id] = job
             if self.switch_on_idle:
                 self._core_freed(core)
-                wake = self.env.timeout(block_s)
-                wake.callbacks.append(
-                    lambda ev, job=job: self._unblock_requeue(job))
+                self.env.call_later(block_s, self._unblock_requeue, job)
             else:
                 # Run-to-completion: the core idles but stays held.
                 core.blocked_hold = job
-                wake = self.env.timeout(block_s)
-                wake.callbacks.append(
-                    lambda ev, job=job, core=core:
-                    self._unblock_resume(core, job))
+                self.env.call_later(block_s, self._unblock_resume,
+                                    (core, job))
             return
         if job.is_complete:
             self.load -= 1
@@ -484,7 +483,8 @@ class CorePoolScheduler:
         heapq.heappush(self._ready, (job.seniority, job))
         self._dispatch()
 
-    def _unblock_resume(self, core: Core, job: Job) -> None:
+    def _unblock_resume(self, held: Tuple[Core, Job]) -> None:
+        core, job = held
         if job.aborted or job.cancelled:
             return
         del self._blocked_jobs[job.job_id]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import NULL_TRACER
 from repro.verify.invariants import NULL_VERIFIER
@@ -15,16 +15,32 @@ class EmptySchedule(Exception):
     """Raised by :meth:`Environment.step` when no events remain."""
 
 
+def _fire(event: Event) -> None:
+    """Process one triggered event: run its callbacks, then surface an
+    undelivered failure."""
+    callbacks, event.callbacks = event.callbacks, None
+    for callback in callbacks:
+        callback(event)
+    if not event._ok and not event._defused:
+        # An event failed and nobody was listening: surface the error.
+        raise event._value
+
+
 class Environment:
     """Execution environment: simulation clock plus an ordered event heap.
 
     Events at equal timestamps fire ordered by (priority, sequence number),
-    which makes runs fully deterministic.
+    which makes runs fully deterministic. A heap entry is ``(time,
+    priority, seq, fn, arg)`` and firing it calls ``fn(arg)``: a
+    triggered :class:`Event` is pushed with :func:`_fire`, and a plain
+    timer (:meth:`call_later`, :meth:`call_at`) with its own callback, so
+    it costs no event object.
     """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, int, Callable[[Any], None],
+                                Any]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: Observability hook (repro.obs). The shared null tracer makes
@@ -88,7 +104,34 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heapq.heappush(self._queue,
+                       (self._now + delay, priority, self._eid, _fire, event))
+
+    def call_later(self, delay: float, fn: Callable[[Any], None],
+                   arg: Any = None) -> None:
+        """Call ``fn(arg)`` ``delay`` seconds from now.
+
+        It takes the same place in the firing order as a ``timeout(delay)``
+        created at this point, without building an event.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self._eid += 1
+        heapq.heappush(self._queue,
+                       (self._now + delay, NORMAL, self._eid, fn, arg))
+
+    def call_at(self, when: float, fn: Callable[[Any], None],
+                arg: Any = None) -> None:
+        """Call ``fn(arg)`` at the absolute time ``when``.
+
+        An absolute time keeps a sum computed by the caller (say, a start
+        time plus a duration) exact, where ``call_later`` would add the
+        delay to the clock once more.
+        """
+        if when < self._now:
+            raise ValueError(f"time {when} lies in the past (now={self._now})")
+        self._eid += 1
+        heapq.heappush(self._queue, (when, NORMAL, self._eid, fn, arg))
 
     def peek(self) -> float:
         """Timestamp of the next event, or ``inf`` if the heap is empty."""
@@ -99,21 +142,14 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event, advancing the clock to it."""
         try:
-            self._now, _, _, event = heapq.heappop(self._queue)
+            self._now, _, _, fn, arg = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
 
         verify = self.verify
         if verify.enabled:
             verify.on_step(self._now)
-
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # An event failed and nobody was listening: surface the error.
-            raise event._value
+        fn(arg)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or the clock reaches ``until``.

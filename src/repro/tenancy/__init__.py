@@ -34,7 +34,6 @@ from repro.tenancy.billing import (
 )
 from repro.tenancy.config import (
     PowerCapConfig,
-    PricingModel,
     TenancyConfig,
     TenantSpec,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "EnergyBudgetWindow",
     "PowerCapConfig",
     "PowerCapGovernor",
-    "PricingModel",
     "TenancyConfig",
     "TenancyRuntime",
     "TenantRegistry",

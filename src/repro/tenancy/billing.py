@@ -7,9 +7,9 @@ power, idle-pool retunes) is spread across tenants in proportion to
 their attributed consumption — so the billed joules sum to the ledger
 total by construction (the conservation property test pins this at
 1e-6). Each ledger component is priced at its own $/MJ rate
-(:class:`~repro.tenancy.config.PricingModel`): productive ``run``
-energy is the reference, ``cold_start`` is dearer, ``retry_waste``
-dearest, spread overheads cheapest.
+(:data:`USD_PER_MJ`): productive ``run`` energy is the reference,
+``cold_start`` is dearer, ``retry_waste`` dearest, spread overheads
+cheapest.
 
 The module also provides the Jain fairness index on energy share — the
 ``tenancy`` experiment's fairness metric.
@@ -20,10 +20,41 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.registry import LEDGER_COMPONENTS
-from repro.tenancy.config import PricingModel
 
 #: The rollup key for ledger entries with no benchmark attribution.
 UNATTRIBUTED = "(unattributed)"
+
+#: Dollar prices per megajoule, by ledger component. Billing prices
+#: *joules*, not GB-seconds: productive ``run`` energy is the reference
+#: rate, ``cold_start`` energy is dearer (the platform burned it on the
+#: tenant's behalf to meet latency), ``retry_waste`` dearest (it bought
+#: nothing), and pro-rated overheads (``idle``, ``static``,
+#: ``freq_switch``) cheapest: they are the cost of keeping the lights
+#: on, spread over everyone.
+USD_PER_MJ: Dict[str, float] = {
+    "run": 0.20,
+    "block": 0.10,
+    "cold_start": 0.30,
+    "idle": 0.06,
+    "freq_switch": 0.06,
+    "retry_waste": 0.40,
+    "cancelled": 0.40,
+    "doomed": 0.40,
+    "shed": 0.40,
+    "static": 0.04,
+}
+#: The price of a component missing from :data:`USD_PER_MJ`.
+DEFAULT_USD_PER_MJ = 0.20
+
+
+def price(component: str) -> float:
+    """$/MJ for one ledger component."""
+    return USD_PER_MJ.get(component, DEFAULT_USD_PER_MJ)
+
+
+def cost_usd(component: str, joules: float) -> float:
+    """Billed dollars for ``joules`` of one component."""
+    return price(component) * joules / 1e6
 
 
 def jain_index(values: List[float]) -> float:
@@ -42,8 +73,7 @@ def jain_index(values: List[float]) -> float:
 
 def bill_from_breakdown(
         by_benchmark_component: Dict[str, Dict[str, float]],
-        tenant_of: Callable[[str], str],
-        pricing: Optional[PricingModel] = None) -> Dict[str, object]:
+        tenant_of: Callable[[str], str]) -> Dict[str, object]:
     """Price a per-(benchmark x component) joule rollup by tenant.
 
     ``tenant_of`` maps a benchmark name to its tenant's name. Rows keyed
@@ -51,7 +81,6 @@ def bill_from_breakdown(
     their attributed joules (or kept as their own row when nothing is
     attributed at all). Returns a JSON-serializable document.
     """
-    pricing = pricing or PricingModel()
     tenants: Dict[str, Dict[str, float]] = {}
     spread_pool = {c: 0.0 for c in LEDGER_COMPONENTS}
     for benchmark, components in sorted(by_benchmark_component.items()):
@@ -83,7 +112,7 @@ def bill_from_breakdown(
         row = tenants[name]
         energy_j = sum(row.values())
         cost_by_component = {
-            component: pricing.cost_usd(component, joules)
+            component: cost_usd(component, joules)
             for component, joules in row.items()}
         rows.append({
             "tenant": name,
@@ -106,11 +135,10 @@ def bill_from_breakdown(
 
 
 def bill_ledger_run(ledger, tenant_of: Callable[[str], str],
-                    pricing: Optional[PricingModel] = None,
                     run: Optional[int] = None) -> Dict[str, object]:
     """Bill one closed run of a live :class:`EnergyLedger`."""
     return bill_from_breakdown(ledger.by_benchmark_component(run),
-                               tenant_of, pricing)
+                               tenant_of)
 
 
 def format_bill(document: Dict[str, object]) -> str:

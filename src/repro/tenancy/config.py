@@ -1,4 +1,4 @@
-"""Tenancy tunables: tenants, energy budgets, power caps, pricing.
+"""Tenancy tunables: tenants, energy budgets and power caps.
 
 A :class:`TenancyConfig` switches on the energy-multi-tenancy machinery
 of ``repro.tenancy``: per-tenant energy budgets over sliding windows,
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
-
-from repro.obs.registry import LEDGER_COMPONENTS
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -72,60 +70,6 @@ class TenantSpec:
 
 
 @dataclass(frozen=True)
-class PricingModel:
-    """Dollar prices per megajoule, by ledger component.
-
-    Billing prices *joules*, not GB-seconds: productive ``run`` energy
-    is the reference rate, ``cold_start`` energy is dearer (the platform
-    burned it on the tenant's behalf to meet latency), ``retry_waste``
-    dearest (it bought nothing), and pro-rated overheads (``idle``,
-    ``static``, ``freq_switch``) cheapest — they are the cost of keeping
-    the lights on, spread over everyone. Components missing from
-    ``usd_per_mj`` bill at ``default_usd_per_mj``.
-    """
-
-    usd_per_mj: Tuple[Tuple[str, float], ...] = (
-        ("run", 0.20),
-        ("block", 0.10),
-        ("cold_start", 0.30),
-        ("idle", 0.06),
-        ("freq_switch", 0.06),
-        ("retry_waste", 0.40),
-        ("cancelled", 0.40),
-        ("doomed", 0.40),
-        ("shed", 0.40),
-        ("static", 0.04),
-    )
-    default_usd_per_mj: float = 0.20
-
-    def __post_init__(self) -> None:
-        _require_finite("default_usd_per_mj", self.default_usd_per_mj)
-        if self.default_usd_per_mj < 0:
-            raise ValueError(
-                f"default_usd_per_mj must be >= 0:"
-                f" {self.default_usd_per_mj}")
-        for component, price in self.usd_per_mj:
-            if component not in LEDGER_COMPONENTS:
-                raise ValueError(
-                    f"unknown ledger component in pricing: {component}")
-            _require_finite(f"usd_per_mj[{component}]", price)
-            if price < 0:
-                raise ValueError(
-                    f"price for {component} must be >= 0: {price}")
-
-    def price(self, component: str) -> float:
-        """$/MJ for one ledger component."""
-        for name, value in self.usd_per_mj:
-            if name == component:
-                return value
-        return self.default_usd_per_mj
-
-    def cost_usd(self, component: str, joules: float) -> float:
-        """Billed dollars for ``joules`` of one component."""
-        return self.price(component) * joules / 1e6
-
-
-@dataclass(frozen=True)
 class PowerCapConfig:
     """The cluster power-cap control loop (:class:`PowerCapGovernor`).
 
@@ -162,7 +106,7 @@ class TenancyConfig:
     ``TenancyConfig`` at all matches the pre-tenancy code byte-for-byte.
     Budgets are metered every
     :data:`repro.tenancy.runtime.METER_PERIOD_S` and bills are priced
-    with the default :class:`PricingModel`.
+    at :data:`repro.tenancy.billing.USD_PER_MJ`.
     """
 
     tenants: Tuple[TenantSpec, ...] = ()

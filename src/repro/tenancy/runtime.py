@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.guard.admission import TokenBucket
 from repro.tenancy.billing import bill_ledger_run
-from repro.tenancy.config import PricingModel, TenancyConfig, TenantSpec
+from repro.tenancy.config import TenancyConfig, TenantSpec
 from repro.tenancy.governor import PowerCapGovernor
 from repro.tenancy.registry import TenantRegistry
 
@@ -62,6 +62,10 @@ class TenancyRuntime:
         #: False without a ``ClusterConfig.tenancy``: the runtime is inert.
         self.armed = config.tenancy is not None
         self.config = config.tenancy or TenancyConfig()
+        #: True when a power cap is configured: only then can
+        #: :meth:`clamp_freq` lower a frequency.
+        self.caps_frequency = (self.armed
+                               and self.config.power_cap is not None)
         self.env = env
         self.metrics = metrics
         self.registry = TenantRegistry(self.config)
@@ -210,7 +214,7 @@ class TenancyRuntime:
             return None
         run = ledger.reports[-1].run if ledger.reports else None
         document = bill_ledger_run(ledger, self.registry.tenant_name_of,
-                                   PricingModel(), run=run)
+                                   run=run)
         document["throttles"] = dict(self.registry.throttle_counts)
         self.bills.append(document)
         if self.env.trace.enabled:

@@ -1,7 +1,8 @@
 """Every config field has a caller outside the tests.
 
-A field of a ``*Config`` or ``*Policy`` dataclass in ``src/repro`` is a
-dimension that tests and the fuzzer have to cover. One that no program
+A field of a ``*Config`` or ``*Policy`` class in ``src/repro``, or of
+any class a ``config.py`` module defines, is a dimension that tests and
+the fuzzer have to cover. One that no program
 code sets has a single value in use and belongs in a module constant
 instead. This scan parses the program trees and collects every keyword
 argument name and every string key of a dict literal; each field name
@@ -34,10 +35,12 @@ def _python_files(tree):
 def config_fields():
     """(class, field) for every annotated attribute of a config class."""
     fields = []
-    for _, module in _python_files(os.path.join("src", "repro")):
+    for path, module in _python_files(os.path.join("src", "repro")):
+        config_module = os.path.basename(path) == "config.py"
         for node in ast.walk(module):
             if (isinstance(node, ast.ClassDef)
-                    and node.name.endswith(("Config", "Policy"))):
+                    and (config_module
+                         or node.name.endswith(("Config", "Policy")))):
                 fields.extend(
                     (node.name, statement.target.id)
                     for statement in node.body
@@ -65,7 +68,7 @@ def names_set_by_callers():
 def test_the_scan_sees_the_config_classes():
     classes = {name for name, _ in config_fields()}
     assert {"ClusterConfig", "EcoFaaSConfig", "ReliabilityPolicy",
-            "GuardConfig", "HAConfig"} <= classes
+            "GuardConfig", "HAConfig", "TenantSpec"} <= classes
 
 
 def test_every_config_field_is_set_outside_the_tests():

@@ -274,7 +274,7 @@ class TestWorkCounters:
         trace = make_load_trace("low", 2, 8.0, seed=3)
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
                     ClusterConfig(n_servers=2, seed=3))
-        assert counts == {"events": 3997, "observations": 352,
+        assert counts == {"events": 2953, "observations": 352,
                           "solves": 11, "fits": 16, "adam_steps": 64,
                           "store_predictions": 766}
 
@@ -286,4 +286,4 @@ class TestWorkCounters:
         trace = make_load_trace("low", 2, 8.0, seed=3)
         run_cluster(BaselineSystem(), trace,
                     ClusterConfig(n_servers=2, seed=3))
-        assert counts == {"events": 4064, "rebalances": 263, "picks": 383}
+        assert counts == {"events": 2974, "rebalances": 263, "picks": 383}

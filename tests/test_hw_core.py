@@ -112,12 +112,20 @@ def test_preempted_work_resumes_and_finishes_elsewhere():
 
 
 def test_preempt_during_pre_overhead_returns_untouched_work():
-    env, _, _, core = make_core()
+    env, meter, power, core = make_core(freq=3.0)
     work = WorkUnit(gcycles=3.0)
     core.start(work, "f", on_complete=lambda c: None, pre_overhead_s=1.0)
     env.run(until=0.4)
     remaining = core.preempt()
     assert remaining.gcycles == pytest.approx(3.0)
+    env.run(until=1.0)
+    core.finalize()
+    # Only the overhead that ran is charged; the core idles after it.
+    assert meter.component_j("dvfs_overhead") == pytest.approx(
+        power.core_active_power(3.0) * 0.4)
+    assert meter.component_j("core_active") == 0.0
+    assert meter.component_j("core_idle") == pytest.approx(
+        power.core_idle_power() * 0.6)
     env.run()
     assert core.completed_runs == 0
 
@@ -203,3 +211,77 @@ def test_invalid_arguments():
         core.set_frequency(-1.0)
     with pytest.raises(ValueError):
         core.set_frequency(2.0, cost_s=-0.1)
+
+
+def test_overhead_and_work_split_into_dvfs_overhead_and_core_active():
+    env, meter, power, core = make_core(freq=3.0)
+    sink = Sink()
+    core.start(WorkUnit(gcycles=3.0), "f", on_complete=lambda c: None,
+               sink=sink, pre_overhead_s=0.5)
+    env.run(until=0.2)
+    core.finalize()  # an accrual inside the overhead closes part of it
+    assert meter.component_j("dvfs_overhead") == pytest.approx(
+        power.core_active_power(3.0) * 0.2)
+    assert meter.component_j("core_active") == 0.0
+    env.run()
+    core.finalize()
+    assert env.now == pytest.approx(1.5)
+    assert meter.component_j("dvfs_overhead") == pytest.approx(
+        power.core_active_power(3.0) * 0.5)
+    assert meter.component_j("core_active") == pytest.approx(
+        power.core_active_power(3.0) * 1.0)
+    assert meter.component_j("dram") == pytest.approx(
+        power.dram_active_power(1) * 1.0)
+    # Only the work itself is the consumer's run time and energy.
+    assert sink.run_seconds == pytest.approx(1.0)
+    assert meter.consumer_j("f") == pytest.approx(
+        (power.core_active_power(3.0) + power.dram_active_power(1)) * 1.0)
+
+
+def test_remaining_time_across_the_end_of_the_overhead():
+    env, _, _, core = make_core(freq=3.0)
+    core.start(WorkUnit(gcycles=3.0), "f", on_complete=lambda c: None,
+               pre_overhead_s=0.5)
+    expected = {0.0: 1.5, 0.2: 1.3, 0.5: 1.0, 0.75: 0.75, 1.5: 0.0}
+    for t, remaining in expected.items():
+        env.run(until=t)
+        assert core.remaining_time() == pytest.approx(remaining), t
+
+
+def test_stale_completion_after_in_overhead_preemption_is_ignored():
+    env, _, _, core = make_core(freq=3.0)
+    first, second = [], []
+    core.start(WorkUnit(gcycles=3.0), "f",
+               on_complete=lambda c: first.append(env.now),
+               pre_overhead_s=1.0)  # its completion timer is set for t=2
+    env.run(until=0.4)
+    core.preempt()
+    # A longer job takes the core at once and runs past t=2.
+    core.start(WorkUnit(gcycles=6.0), "g",
+               on_complete=lambda c: second.append(env.now))
+    env.run()
+    assert first == []
+    assert second == [pytest.approx(2.4)]
+    assert core.completed_runs == 1
+
+
+@pytest.mark.parametrize("cost_s", [0.25, 0.0])
+def test_set_frequency_during_pre_overhead_replaces_it(cost_s):
+    env, meter, power, core = make_core(freq=3.0)
+    finished = []
+    core.start(WorkUnit(gcycles=6.0), "f",
+               on_complete=lambda c: finished.append(env.now),
+               pre_overhead_s=1.0)
+    env.run(until=0.4)
+    core.set_frequency(1.5, cost_s=cost_s)
+    assert core.remaining_time() == pytest.approx(cost_s + 4.0)
+    env.run()
+    core.finalize()
+    # No work retired before the switch: all 6 gcycles run at 1.5 GHz
+    # after the stall; the rest of the old overhead is dropped.
+    assert finished == [pytest.approx(0.4 + cost_s + 4.0)]
+    assert meter.component_j("dvfs_overhead") == pytest.approx(
+        power.core_active_power(3.0) * 0.4
+        + power.core_active_power(1.5) * cost_s)
+    assert meter.component_j("core_active") == pytest.approx(
+        power.core_active_power(1.5) * 4.0)

@@ -132,3 +132,66 @@ def test_timeout_carries_value():
     t.callbacks.append(lambda ev: got.append(ev.value))
     env.run()
     assert got == [42]
+
+
+def test_call_later_and_events_at_one_time_fire_in_sequence_order():
+    env = Environment()
+    order = []
+    env.timeout(1.0).callbacks.append(lambda ev: order.append("event-1"))
+    env.call_later(1.0, order.append, "timer-2")
+    env.call_at(1.0, order.append, "timer-3")
+    env.timeout(1.0).callbacks.append(lambda ev: order.append("event-4"))
+    env.call_later(0.5, order.append, "timer-0")
+    env.run()
+    assert order == ["timer-0", "event-1", "timer-2", "timer-3", "event-4"]
+    assert env.now == 1.0
+
+
+def test_call_at_keeps_the_callers_absolute_time():
+    # A work start 0.2 s after t=0.1 plus a 0.3 s duration: the sum made
+    # in that order is not the clock plus the summed delay.
+    env = Environment(initial_time=0.1)
+    when = (0.1 + 0.2) + 0.3
+    assert when != 0.1 + (0.2 + 0.3)
+    fired = []
+    env.call_at(when, lambda arg: fired.append(env.now))
+    env.run()
+    assert fired == [when]
+
+
+def test_call_later_rejects_a_negative_delay():
+    env = Environment()
+    with pytest.raises(ValueError, match=r"^negative delay -1\.0$"):
+        env.call_later(-1.0, print)
+    assert env.peek() == float("inf")
+
+
+def test_call_at_rejects_a_past_time():
+    env = Environment(initial_time=5.0)
+    with pytest.raises(ValueError) as info:
+        env.call_at(4.0, print)
+    assert str(info.value) == "time 4.0 lies in the past (now=5.0)"
+    assert "\n" not in str(info.value)
+    assert env.peek() == float("inf")
+
+
+def test_exception_in_a_timer_callback_propagates_out_of_run():
+    env = Environment()
+
+    def explode(arg):
+        raise KeyError(arg)
+
+    env.call_later(1.0, explode, "lost")
+    env.call_later(2.0, explode, "never reached")
+    with pytest.raises(KeyError, match="lost"):
+        env.run()
+    assert env.now == 1.0
+    assert env.peek() == 2.0
+
+
+def test_peek_sees_timer_entries():
+    env = Environment()
+    env.timeout(3.0)
+    env.call_later(2.0, print)
+    env.call_at(1.5, print)
+    assert env.peek() == 1.5

@@ -8,13 +8,13 @@ from repro.tenancy import (
     UNATTRIBUTED,
     EnergyBudgetWindow,
     PowerCapConfig,
-    PricingModel,
     TenancyConfig,
     TenantRegistry,
     TenantSpec,
     bill_from_breakdown,
     jain_index,
 )
+from repro.tenancy import billing
 from repro.tenancy.registry import UNOWNED
 
 
@@ -50,16 +50,16 @@ class TestConfigValidation:
             TenancyConfig(tenants=(TenantSpec("a", ("X",)),
                                    TenantSpec("a", ("Y",))))
 
-    def test_pricing_rejects_unknown_component(self):
-        with pytest.raises(ValueError, match="unknown ledger component"):
-            PricingModel(usd_per_mj=(("warp_drive", 1.0),))
+    def test_prices_name_only_ledger_components(self):
+        assert set(billing.USD_PER_MJ) <= set(LEDGER_COMPONENTS)
+        assert all(price >= 0 for price in billing.USD_PER_MJ.values())
 
-    def test_pricing_default_rate(self):
-        pricing = PricingModel(usd_per_mj=(("run", 0.5),),
-                               default_usd_per_mj=0.1)
-        assert pricing.price("run") == 0.5
-        assert pricing.price("idle") == 0.1
-        assert pricing.cost_usd("run", 2e6) == pytest.approx(1.0)
+    def test_pricing_default_rate(self, monkeypatch):
+        monkeypatch.setattr(billing, "USD_PER_MJ", {"run": 0.5})
+        monkeypatch.setattr(billing, "DEFAULT_USD_PER_MJ", 0.1)
+        assert billing.price("run") == 0.5
+        assert billing.price("idle") == 0.1
+        assert billing.cost_usd("run", 2e6) == pytest.approx(1.0)
 
 
 class TestEnergyBudgetWindow:
@@ -226,11 +226,10 @@ class TestBilling:
     def test_component_prices_differ(self):
         document = bill_from_breakdown(self.breakdown(), self.tenant_of)
         rows = {row["tenant"]: row for row in document["tenants"]}
-        pricing = PricingModel()
         waste = rows["batch"]["by_component_usd"]["retry_waste"]
-        assert waste == pytest.approx(pricing.cost_usd("retry_waste", 6.0))
-        assert pricing.price("retry_waste") > pricing.price("run") \
-            > pricing.price("static")
+        assert waste == pytest.approx(billing.cost_usd("retry_waste", 6.0))
+        assert billing.price("retry_waste") > billing.price("run") \
+            > billing.price("static")
 
     def test_nothing_attributed_keeps_own_row(self):
         document = bill_from_breakdown(
