@@ -84,10 +84,6 @@ class PartitionedNode(NodeSystem):
                                     self._enqueue)
         return job
 
-    @property
-    def outstanding(self) -> int:
-        return sum(pool.load for pool in self._pools.values())
-
     def iter_pools(self) -> List[CorePoolScheduler]:
         """Live per-function pools (observability)."""
         return list(self._pools.values())
@@ -117,6 +113,7 @@ class PartitionedNode(NodeSystem):
                 on_core_released=self._free_cores.append,
                 cost_scale=self.dvfs_cost_scale,
                 block_latency=self.rpc_latency_scale,
+                tally=self.load_tally,
                 **self.layers.pool_hooks())
             self._rebalance()
         return self._pools[function_name]

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.predictor import FrequencyProfile
+from repro.core.profiles import MIN_PROFILE_OBSERVATIONS
 from repro.platform.job import Job
 from repro.platform.scheduler import CorePoolScheduler
 from repro.workloads.model import FunctionModel
@@ -50,9 +51,10 @@ class EnergyAwareDispatcher:
         self.registered = 0
         self.boost_strategy_counts = [0, 0, 0]
         #: Raw store T_Run predictions of the job being placed, by level:
-        #: ``(job_id, store observation count, {freq: seconds})``. Every
-        #: observation bumps the count, so a stale entry is never read.
-        self._t_run_memo = (None, -1, {})
+        #: ``(job_id, stamp, {freq: seconds})``. The stamp is the count of
+        #: every observation the prediction reads, so a stale entry is
+        #: never read (see :meth:`_predict_t_run`).
+        self._t_run_memo = (None, None, {})
         #: The guard's per-level labels (``kind@freq``), built once each.
         self._labels: Dict[Tuple[str, float], str] = {}
         #: The node's guard when it screens nothing. The check is made on
@@ -89,11 +91,18 @@ class EnergyAwareDispatcher:
     def _predict_t_run(self, freq: float, job: Job) -> float:
         # Placing one job asks for the same levels several times. The
         # guard stays outside the memo: an armed guard screens every call.
+        # A direct prediction reads only this function's own profile, so
+        # its observation count stamps the memo; a bridged one also reads
+        # other functions' profiles, so the store-wide count (negated, to
+        # keep the two kinds of stamp apart) does.
         store = self.node.store
-        job_id, observations, by_freq = self._t_run_memo
-        if job_id != job.job_id or observations != store.observations:
+        stamp = self.profile.observations
+        if stamp < MIN_PROFILE_OBSERVATIONS:
+            stamp = -1 - store.observations
+        job_id, memo_stamp, by_freq = self._t_run_memo
+        if job_id != job.job_id or memo_stamp != stamp:
             by_freq = {}
-            self._t_run_memo = (job.job_id, store.observations, by_freq)
+            self._t_run_memo = (job.job_id, stamp, by_freq)
         raw = by_freq.get(freq)
         if raw is None:
             raw = by_freq[freq] = store.predict_t_run(

@@ -11,6 +11,7 @@ at a few tens of µs.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.core.config import EcoFaaSConfig
@@ -34,6 +35,9 @@ KERNEL_SWITCH_COST_S = 50e-6
 
 #: Maximum concurrent core pools (Fig. 21 guardrail).
 MAX_POOLS = 8
+
+#: Sort key of :meth:`EcoFaaSNode.active_pools`.
+_FREQUENCY = attrgetter("frequency_ghz")
 
 #: Pool demand fraction below which a pool is boosted one level when
 #: its jobs frequently needed temporary boosts.
@@ -87,12 +91,13 @@ class EcoFaaSNode(NodeSystem):
             switch_on_idle=not self.config.run_to_completion,
             preemptive=True,
             per_job_frequency=True,
-            switch_cost=lambda: KERNEL_SWITCH_COST_S,
+            switch_cost=KERNEL_SWITCH_COST_S,
             freq_change_cost_s=KERNEL_SWITCH_COST_S,
             on_complete=self._on_job_complete,
             on_core_released=self._core_released,
             cost_scale=self.dvfs_cost_scale,
             block_latency=self.rpc_latency_scale,
+            tally=self.load_tally,
             **self.layers.pool_hooks())
 
     def iter_pools(self) -> List[CorePoolScheduler]:
@@ -104,7 +109,7 @@ class EcoFaaSNode(NodeSystem):
         usable = [p for p in self._pools if p.n_cores > 0]
         if not usable:
             usable = list(self._pools)
-        return sorted(usable, key=lambda p: p.frequency_ghz)
+        return sorted(usable, key=_FREQUENCY)
 
     def pool_count(self) -> int:
         """Distinct active pools (the Fig. 21 metric)."""
@@ -149,15 +154,6 @@ class EcoFaaSNode(NodeSystem):
         self._submit_with_container(fn_model, job, f"cold/{fn_model.name}",
                                     self._dispatch)
         return job
-
-    @property
-    def outstanding(self) -> int:
-        total = 0
-        for pool in self._pools:
-            total += pool.load
-        for pool in self._retiring:
-            total += pool.load
-        return total
 
     def _dispatcher(self, fn_model: FunctionModel) -> EnergyAwareDispatcher:
         if fn_model.name not in self._dispatchers:

@@ -1,9 +1,14 @@
 """Cluster assembly: servers, load balancer, and the workflow engine.
 
 The cluster plays the role of the Frontend + Load Balancer of Fig. 1/8 and
-drives invocation traces through application workflows: every trace event
-starts a workflow; each stage's functions are dispatched (least-loaded node
-first) and the stage completes when its slowest member finishes.
+drives invocation traces through application workflows. A chain of timers
+walks the trace: at each arrival instant the frontend admits every
+arrival, then starts the admitted workflows. A workflow in flight is no
+simulation process but one stage-counter driver (:class:`_WorkflowRun`):
+each stage's functions are dispatched (least-loaded node first), each
+member's completion counts the stage down, and the last one, the slowest
+member, submits the next stage or ends the workflow. Only the reliable
+path keeps a process per invocation, for its attempt loop.
 """
 
 from __future__ import annotations
@@ -86,6 +91,141 @@ class _Invocation:
     idem_key: Optional[tuple]
     #: The cancel layer's doom line; None without a deadline config.
     doom_deadline_s: Optional[float]
+
+
+class _WorkflowRun:
+    """One workflow in flight: its stage-counter driver.
+
+    A stage submits all of its functions, then waits on one event per
+    function: the job's ``done`` on the direct path, the
+    :meth:`Cluster._invoke_reliably` process on the reliable one. Each
+    event counts the stage down as it fires; the last one, the stage's
+    slowest member, submits the next stage or ends the workflow.
+    """
+
+    __slots__ = ("cluster", "workflow", "arrival_s", "slo_s", "deadlines",
+                 "doom_deadline_s", "wf_uid", "stage_index", "waits",
+                 "remaining")
+
+    def __init__(self, cluster: "Cluster", workflow: Workflow,
+                 arrival_s: float, slo_s: float,
+                 deadlines: Optional[Dict[str, float]],
+                 doom_deadline_s: Optional[float], wf_uid: int):
+        self.cluster = cluster
+        self.workflow = workflow
+        self.arrival_s = arrival_s
+        self.slo_s = slo_s
+        self.deadlines = deadlines
+        self.doom_deadline_s = doom_deadline_s
+        self.wf_uid = wf_uid
+
+    def submit_stage(self, stage_index: int) -> None:
+        cluster = self.cluster
+        policy = cluster.config.reliability
+        deadlines = self.deadlines
+        stage = self.workflow.stages[stage_index]
+        waits = []
+        for fn_index, fn_model in enumerate(stage.functions):
+            spec = fn_model.sample_invocation(
+                cluster.rng.stream(f"inputs/{fn_model.name}"))
+            deadline = (deadlines.get(fn_model.name)
+                        if deadlines is not None else None)
+            key = cluster.ha.idempotency_key(self.wf_uid, stage_index,
+                                             fn_index)
+            inv = _Invocation(fn_model, spec, deadline, self.workflow.name,
+                              self.arrival_s, self.wf_uid, key,
+                              self.doom_deadline_s)
+            if policy is None:
+                # Fire and wait: no process per invocation.
+                waits.append(
+                    cluster._submit(inv, cluster.pick_node(), spec).done)
+            else:
+                waits.append(cluster.env.process(
+                    cluster._invoke_reliably(inv),
+                    name=f"invoke-{fn_model.name}"))
+        self.stage_index = stage_index
+        self.waits = waits
+        self.remaining = len(waits)
+        wait_done = self._wait_done
+        for wait in waits:
+            wait.callbacks.append(wait_done)
+
+    def _wait_done(self, event) -> None:
+        if not event.ok:
+            # An attempt loop raised: the run ends with its error.
+            event._defused = True
+            self.cluster.inflight -= 1
+            raise event.value
+        self.remaining -= 1
+        if not self.remaining:
+            # The advance takes the place of the stage-completion event
+            # this wait would trigger, which would fire next unless
+            # something else is due now (this callback is the event's
+            # only one).
+            env = self.cluster.env
+            if env.peek() > env.now:
+                self._stage_done()
+            else:
+                env.call_later(0.0, _WorkflowRun._stage_done, self)
+
+    def _stage_done(self) -> None:
+        cluster = self.cluster
+        cancel = cluster.cancel
+        waits = self.waits
+        if (cluster.config.reliability is not None
+                and any(wait.value is None for wait in waits)):
+            # An invocation was lost for good: the workflow cannot
+            # produce its result, so later stages never run.
+            self._end_failed()
+            return
+        if cancel.any_cancelled(wait.value for wait in waits):
+            # A direct-dispatch invocation was doomed-dropped at
+            # dequeue: the chain has no result to continue with.
+            cancel.note_workflow_doomed(
+                self.workflow.name, self.wf_uid, self.stage_index,
+                cause="invocation_cancelled")
+            self._end_failed()
+            return
+        next_index = self.stage_index + 1
+        if next_index == len(self.workflow.stages):
+            self._end_completed()
+            return
+        if cancel.doom_passed(self.doom_deadline_s):
+            # Deadline propagation: the doom line passed while an earlier
+            # stage ran, so the rest of the chain cannot help the SLO —
+            # stop here instead of burning joules.
+            cancel.note_workflow_doomed(
+                self.workflow.name, self.wf_uid, next_index,
+                cause="stage_boundary")
+            self._end_failed()
+            return
+        self.submit_stage(next_index)
+
+    def _end_failed(self) -> None:
+        cluster = self.cluster
+        trace = cluster.env.trace
+        if cluster.cancel.workflow_was_doomed(self.wf_uid):
+            # Doomed is a sub-case of failed (the lifecycle equation
+            # still balances); the distinct trace status routes its
+            # completed work to the ledger's ``doomed`` bucket.
+            trace.workflow_end(self.wf_uid, "doomed", slo_s=self.slo_s)
+        else:
+            cluster.metrics.record_workflow_failure(self.workflow.name)
+            trace.workflow_end(self.wf_uid, "failed", slo_s=self.slo_s)
+        cluster.inflight -= 1
+
+    def _end_completed(self) -> None:
+        cluster = self.cluster
+        latency_s = cluster.env.now - self.arrival_s
+        slo_s = self.slo_s
+        cluster.metrics.record_workflow(
+            self.workflow.name, self.arrival_s, latency_s, slo_s)
+        trace = cluster.env.trace
+        if trace.enabled:
+            trace.workflow_end(
+                self.wf_uid, "completed", latency_s=latency_s,
+                slo_s=slo_s, met_slo=latency_s <= slo_s + 1e-9)
+        cluster.inflight -= 1
 
 
 class Cluster:
@@ -181,91 +321,29 @@ class Cluster:
     # ------------------------------------------------------------------
     # Workflow engine
     # ------------------------------------------------------------------
-    def submit_workflow(self, workflow: Workflow) -> None:
-        """Start one end-to-end application invocation now."""
-        self.submitted_workflows += 1
-        if not self.guard.admit_workflow(workflow.name):
-            return
-        if not self.tenancy.admit_workflow(workflow.name):
-            return
-        self.env.process(self._run_workflow(workflow, self.env.now),
-                         name=f"wf-{workflow.name}")
+    def submit_workflow(self, workflow: Workflow) -> bool:
+        """Admit one end-to-end application invocation arriving now.
 
-    def _run_workflow(self, workflow: Workflow, arrival_s: float):
+        Returns False when the guard or tenancy layer shed it. The trace
+        driver starts the admitted ones (:meth:`_start_workflow`) once
+        every arrival of the instant has been admitted.
+        """
+        self.submitted_workflows += 1
+        return (self.guard.admit_workflow(workflow.name)
+                and self.tenancy.admit_workflow(workflow.name))
+
+    def _start_workflow(self, workflow: Workflow) -> None:
+        """Open one admitted workflow now and submit its first stage."""
+        arrival_s = self.env.now
         slo_s = workflow.slo_seconds(self.config.slo_multiple)
         deadlines = self.system.function_deadlines(workflow, arrival_s, slo_s)
         self.system.on_workflow_arrival(self, workflow, arrival_s, deadlines)
-        policy = self.config.reliability
-        cancel = self.cancel
-        doom_deadline = cancel.doom_deadline(arrival_s, slo_s)
+        doom_deadline_s = self.cancel.doom_deadline(arrival_s, slo_s)
         self.inflight += 1
-        wf_uid = next(self._wf_ids)
-        self.env.trace.workflow_begin(wf_uid, workflow.name, slo_s=slo_s)
-        failed = False
-        try:
-            for stage_index, stage in enumerate(workflow.stages):
-                if stage_index > 0 and cancel.doom_passed(doom_deadline):
-                    # Deadline propagation: the doom line passed while an
-                    # earlier stage ran, so the rest of the chain cannot
-                    # help the SLO — stop here instead of burning joules.
-                    cancel.note_workflow_doomed(
-                        workflow.name, wf_uid, stage_index,
-                        cause="stage_boundary")
-                    failed = True
-                    break
-                waits = []
-                for fn_index, fn_model in enumerate(stage.functions):
-                    spec = fn_model.sample_invocation(
-                        self.rng.stream(f"inputs/{fn_model.name}"))
-                    deadline = (deadlines.get(fn_model.name)
-                                if deadlines is not None else None)
-                    key = self.ha.idempotency_key(wf_uid, stage_index, fn_index)
-                    inv = _Invocation(fn_model, spec, deadline, workflow.name,
-                                      arrival_s, wf_uid, key, doom_deadline)
-                    if policy is None:
-                        # Fire and wait: no process per invocation.
-                        waits.append(
-                            self._submit(inv, self.pick_node(), spec).done)
-                    else:
-                        waits.append(self.env.process(
-                            self._invoke_reliably(inv),
-                            name=f"invoke-{fn_model.name}"))
-                yield self.env.all_of(waits)
-                if policy is not None and any(p.value is None for p in waits):
-                    # An invocation was lost for good: the workflow cannot
-                    # produce its result, so later stages never run.
-                    failed = True
-                    break
-                if cancel.any_cancelled(w.value for w in waits):
-                    # A direct-dispatch invocation was doomed-dropped at
-                    # dequeue: the chain has no result to continue with.
-                    cancel.note_workflow_doomed(
-                        workflow.name, wf_uid, stage_index,
-                        cause="invocation_cancelled")
-                    failed = True
-                    break
-            if failed:
-                if cancel.workflow_was_doomed(wf_uid):
-                    # Doomed is a sub-case of failed (the lifecycle
-                    # equation still balances); the distinct trace status
-                    # routes its completed work to the ledger's ``doomed``
-                    # bucket.
-                    self.env.trace.workflow_end(wf_uid, "doomed",
-                                                slo_s=slo_s)
-                else:
-                    self.metrics.record_workflow_failure(workflow.name)
-                    self.env.trace.workflow_end(wf_uid, "failed",
-                                                slo_s=slo_s)
-            else:
-                latency_s = self.env.now - arrival_s
-                self.metrics.record_workflow(
-                    workflow.name, arrival_s, latency_s, slo_s)
-                if self.env.trace.enabled:
-                    self.env.trace.workflow_end(
-                        wf_uid, "completed", latency_s=latency_s,
-                        slo_s=slo_s, met_slo=latency_s <= slo_s + 1e-9)
-        finally:
-            self.inflight -= 1
+        run = _WorkflowRun(self, workflow, arrival_s, slo_s, deadlines,
+                           doom_deadline_s, next(self._wf_ids))
+        self.env.trace.workflow_begin(run.wf_uid, workflow.name, slo_s=slo_s)
+        run.submit_stage(0)
 
     # ------------------------------------------------------------------
     # The attempt lifecycle: submit, release, write off
@@ -471,24 +549,46 @@ class Cluster:
     # ------------------------------------------------------------------
     # Trace driving
     # ------------------------------------------------------------------
-    def _drive(self, trace: Trace,
-               workflows: Dict[str, Workflow]):
-        for event in trace:
-            delay = event.time_s - self.env.now
+    def _arrive(self, cursor) -> None:
+        """Admit every trace arrival due now, book the next arrival
+        instant, then start the admitted workflows in trace order.
+
+        A start submits jobs, which moves the cluster EWT the guard's
+        admission reads, so no arrival of an instant starts before all
+        of them are admitted.
+        """
+        events, workflows, index = cursor
+        env = self.env
+        admitted = []
+        while index < len(events):
+            event = events[index]
+            delay = event.time_s - env.now
             if delay > 0:
-                yield self.env.timeout(delay)
-            self.submit_workflow(workflows[event.benchmark])
+                env.call_later(delay, self._arrive,
+                               (events, workflows, index))
+                break
+            workflow = workflows[event.benchmark]
+            if self.submit_workflow(workflow):
+                admitted.append(workflow)
+            index += 1
+        for workflow in admitted:
+            self._start_workflow(workflow)
 
     def run_trace(self, trace: Trace,
                   workflows: Optional[Dict[str, Workflow]] = None) -> None:
-        """Run a full trace to completion (plus the drain window)."""
+        """Run a full trace to completion (plus the drain window).
+
+        The first arrival instant is booked URGENT, so arrivals at the
+        current time start after the processes already started (the
+        nodes' control loops) and before any timer due now.
+        """
         if workflows is None:
             workflows = {name: workflow_for(name)
                          for name in trace.invocation_counts()}
         missing = set(trace.invocation_counts()) - set(workflows)
         if missing:
             raise ValueError(f"trace references unknown workflows: {missing}")
-        self.env.process(self._drive(trace, workflows), name="trace-driver")
+        self.env.call_soon(self._arrive, (trace.events, workflows, 0))
         self.env.run(until=self.env.now + trace.duration_s
                      + self.config.drain_s)
         self.finalize()

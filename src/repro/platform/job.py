@@ -36,6 +36,25 @@ def _next_job_id(env: Environment) -> int:
 class Job:
     """One function invocation moving through a node."""
 
+    # Besides its own, a job carries attributes other layers set on it:
+    # ``attempt``, ``abandoned`` (the frontend), ``doom_deadline_s`` and
+    # ``cancelled`` (``cancel.tag_job``, ``cancel_attempt``), ``ha_node``
+    # (``ha.tag_job``), the cold-start fields ``setup_work``,
+    # ``cold_start``, ``_segment_index`` and ``on_setup_done`` (the
+    # node's container plumbing), and the dispatch decision
+    # ``chosen_freq_ghz``, ``registered_run_seconds``, ``boosted``,
+    # ``wanted_lower_freq`` and ``dispatch_correction`` (the
+    # dispatchers).
+    __slots__ = (
+        "env", "job_id", "spec", "benchmark", "arrival_s", "deadline_s",
+        "setup_work", "cold_start", "on_setup_done", "is_prewarm",
+        "aborted", "abandoned", "cancelled", "doom_deadline_s", "attempt",
+        "ha_node", "dispatch_correction", "seniority", "_segment_index",
+        "_current_work", "t_queue", "t_run", "t_block", "energy_j",
+        "_queue_entered", "freq_run_seconds", "_running_at",
+        "chosen_freq_ghz", "registered_run_seconds", "boosted",
+        "wanted_lower_freq", "completion_time", "done")
+
     def __init__(self, env: Environment, spec: InvocationSpec,
                  benchmark: str, arrival_s: float,
                  deadline_s: Optional[float] = None,
@@ -77,6 +96,9 @@ class Job:
         #: Retry attempt index assigned by the reliability layer (0 = the
         #: first try).
         self.attempt = 0
+        #: The node the HA layer tagged this attempt with (None while HA
+        #: is inert).
+        self.ha_node = None
         #: Optional corrective-action hook (paper Section V): called by the
         #: scheduler at every dispatch with the planned frequency; returns
         #: the (possibly raised) frequency to actually run at, letting the

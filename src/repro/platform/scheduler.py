@@ -12,15 +12,16 @@ The same class, configured differently, also implements the baselines:
 * ``switch_on_idle=False`` gives the run-to-completion model of
   Gemini-style controllers (the core is held through a job's I/O blocks);
 * ``per_job_frequency=True`` re-programs the core to each job's chosen
-  frequency at dispatch, paying ``switch_cost()`` (the sandboxed-userspace
-  path for Baseline+PowerCtrl, the kernel path for EcoFaaS boosts).
+  frequency at dispatch, paying ``switch_cost`` (a drawn sandboxed-
+  userspace cost for Baseline+PowerCtrl, the fixed kernel-path cost for
+  EcoFaaS boosts).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.hardware.core import Core
 from repro.platform.job import Job
@@ -28,6 +29,16 @@ from repro.sim.engine import Environment
 
 #: Default process context-switch cost, seconds (a few µs, Section VI-C).
 CONTEXT_SWITCH_S = 5e-6
+
+
+class LoadTally:
+    """The sum of the ``load`` counters of a node's pools, kept by the
+    pools as they change it, so the load balancer reads it in O(1)."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
 
 
 @dataclass
@@ -64,14 +75,15 @@ class CorePoolScheduler:
                  switch_on_idle: bool = True,
                  preemptive: bool = True,
                  per_job_frequency: bool = False,
-                 switch_cost: Optional[Callable[[], float]] = None,
+                 switch_cost: Union[float, Callable[[], float]] = 0.0,
                  freq_change_cost_s: float = 0.0,
                  on_complete: Optional[Callable[[Job], None]] = None,
                  on_core_released: Optional[Callable[[Core], None]] = None,
                  cost_scale: Callable[[], float] = lambda: 1.0,
                  block_latency: Callable[[], float] = lambda: 1.0,
                  clamp_freq: Optional[Callable[[float], float]] = None,
-                 drop_doomed: Optional[Callable[..., bool]] = None):
+                 drop_doomed: Optional[Callable[..., bool]] = None,
+                 tally: Optional[LoadTally] = None):
         if context_switch_s < 0:
             raise ValueError(f"negative context switch cost {context_switch_s}")
         if freq_change_cost_s < 0:
@@ -83,7 +95,12 @@ class CorePoolScheduler:
         self.switch_on_idle = switch_on_idle
         self.preemptive = preemptive
         self.per_job_frequency = per_job_frequency
-        self.switch_cost = switch_cost or (lambda: 0.0)
+        # The per-dispatch frequency-switch cost: fixed seconds, or a
+        # callable that draws one per switch.
+        if callable(switch_cost):
+            self.switch_cost_s, self._draw_switch_cost = 0.0, switch_cost
+        else:
+            self.switch_cost_s, self._draw_switch_cost = switch_cost, None
         self.freq_change_cost_s = freq_change_cost_s
         self.on_complete = on_complete
         self.on_core_released = on_core_released
@@ -105,8 +122,10 @@ class CorePoolScheduler:
         #: read is O(1): ``load`` is every job the pool is responsible
         #: for (queued + running + blocked) and ``n_cores`` the size of
         #: ``cores``. Moves between queued, running and blocked leave
-        #: ``load`` alone.
+        #: ``load`` alone. Every change to ``load`` is made to ``tally``
+        #: too, which the pool shares with its node's other pools.
         self.load = 0
+        self.tally = tally if tally is not None else LoadTally()
         self.n_cores = 0
         self._available: List[Core] = []
         self._pending_removal: Set[int] = set()
@@ -255,6 +274,7 @@ class CorePoolScheduler:
         job.note_enqueue(pool=self.name)
         heapq.heappush(self._ready, (job.seniority, job))
         self.load += 1
+        self.tally.count += 1
         self._dispatch()
 
     def drain_ready(self) -> List[Job]:
@@ -272,6 +292,7 @@ class CorePoolScheduler:
                 job.registered_run_seconds = remaining
             drained.append(job)
         self.load -= len(drained)
+        self.tally.count -= len(drained)
         return drained
 
     def abort_all(self) -> List[Job]:
@@ -293,6 +314,7 @@ class CorePoolScheduler:
             core.preempt()
         lost.extend(self._blocked_jobs.values())
         self._blocked_jobs.clear()
+        self.tally.count -= self.load
         self.load = 0
         self._ewt_s = 0.0
         self._ewt_amounts.clear()
@@ -322,6 +344,7 @@ class CorePoolScheduler:
                 self._ready.pop(index)
                 heapq.heapify(self._ready)
                 self.load -= 1
+                self.tally.count -= 1
                 self._ewt_s -= self._ewt_amounts.pop(job.job_id, 0.0)
                 self._t_run_at_dispatch.pop(job.job_id, None)
                 job.cancel()
@@ -331,6 +354,7 @@ class CorePoolScheduler:
                 core = next(c for c in self._cores if c.core_id == core_id)
                 del self._running[core_id]
                 self.load -= 1
+                self.tally.count -= 1
                 core.preempt()
                 self._consume_ewt(job)
                 self._ewt_s -= self._ewt_amounts.pop(job.job_id, 0.0)
@@ -340,6 +364,7 @@ class CorePoolScheduler:
         if job.job_id in self._blocked_jobs:
             del self._blocked_jobs[job.job_id]
             self.load -= 1
+            self.tally.count -= 1
             self._ewt_s -= self._ewt_amounts.pop(job.job_id, 0.0)
             self._t_run_at_dispatch.pop(job.job_id, None)
             core = next((c for c in self._cores if c.blocked_hold is job),
@@ -420,7 +445,9 @@ class CorePoolScheduler:
                     "freq_transition", self.name, core=core.core_id,
                     from_ghz=core.frequency, to_ghz=target_freq,
                     job=job.job_id, reason="dispatch")
-            pre_overhead += self.switch_cost() * self.cost_scale()
+            draw = self._draw_switch_cost
+            switch_s = draw() if draw is not None else self.switch_cost_s
+            pre_overhead += switch_s * self.cost_scale()
             core.set_frequency(target_freq, cost_s=0.0)
             self.stats.frequency_switches += 1
         self._running[core.core_id] = job
@@ -463,6 +490,7 @@ class CorePoolScheduler:
             return
         if job.is_complete:
             self.load -= 1
+            self.tally.count -= 1
             self._finish(core, job)
             return
         # Setup (cold start) finished; continue into the first run segment

@@ -19,6 +19,7 @@ from repro.platform.containers import ContainerManager
 from repro.platform.job import Job
 from repro.platform.layers import Layers
 from repro.platform.metrics import MetricsCollector
+from repro.platform.scheduler import LoadTally
 from repro.sim.engine import Environment
 from repro.sim.rng import RngRegistry
 from repro.workloads.applications import Workflow
@@ -57,6 +58,9 @@ class NodeSystem(abc.ABC):
         #: Jobs waiting for an in-flight cold start, by job id (they are
         #: not in any pool yet, so a crash must abort them here).
         self._awaiting_container: Dict[int, Job] = {}
+        #: The sum of this node's pools' ``load`` counters; every pool
+        #: the node builds shares it.
+        self.load_tally = LoadTally()
 
     @abc.abstractmethod
     def submit(self, fn_model: FunctionModel, spec: InvocationSpec,
@@ -70,9 +74,10 @@ class NodeSystem(abc.ABC):
         """
 
     @property
-    @abc.abstractmethod
     def outstanding(self) -> int:
-        """Queued + running jobs (the load balancer's signal)."""
+        """Jobs the node's pools hold, queued, running or blocked (the
+        load balancer's signal)."""
+        return self.load_tally.count
 
     def prewarm(self, fn_model: FunctionModel, budget_s: float,
                 benchmark: str) -> None:

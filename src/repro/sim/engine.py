@@ -7,7 +7,7 @@ from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import NULL_TRACER
 from repro.verify.invariants import NULL_VERIFIER
-from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
 
@@ -33,8 +33,8 @@ class Environment:
     which makes runs fully deterministic. A heap entry is ``(time,
     priority, seq, fn, arg)`` and firing it calls ``fn(arg)``: a
     triggered :class:`Event` is pushed with :func:`_fire`, and a plain
-    timer (:meth:`call_later`, :meth:`call_at`) with its own callback, so
-    it costs no event object.
+    timer (:meth:`call_later`, :meth:`call_at`, :meth:`call_soon`) with
+    its own callback, so it costs no event object.
     """
 
     def __init__(self, initial_time: float = 0.0):
@@ -132,6 +132,15 @@ class Environment:
             raise ValueError(f"time {when} lies in the past (now={self._now})")
         self._eid += 1
         heapq.heappush(self._queue, (when, NORMAL, self._eid, fn, arg))
+
+    def call_soon(self, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Call ``fn(arg)`` now, before any NORMAL event at this time.
+
+        It takes the place in the firing order of a process started at
+        this point.
+        """
+        self._eid += 1
+        heapq.heappush(self._queue, (self._now, URGENT, self._eid, fn, arg))
 
     def peek(self) -> float:
         """Timestamp of the next event, or ``inf`` if the heap is empty."""

@@ -282,13 +282,17 @@ def _build_trace(spec: Dict[str, object]) -> Trace:
 
 
 def _build_config(spec: Dict[str, object]) -> ClusterConfig:
+    """The spec's cluster config. ``reliability: None`` runs the
+    direct-dispatch path, which ``sample_spec`` never draws."""
     rel = spec["reliability"]
-    reliability = ReliabilityPolicy(
-        max_retries=int(rel["max_retries"]),
-        backoff_base_s=float(rel["backoff_base_s"]),
-        backoff_jitter=float(rel["backoff_jitter"]),
-        invocation_timeout_s=rel["invocation_timeout_s"],
-        hedge_after_s=rel["hedge_after_s"])
+    reliability = None
+    if rel is not None:
+        reliability = ReliabilityPolicy(
+            max_retries=int(rel["max_retries"]),
+            backoff_base_s=float(rel["backoff_base_s"]),
+            backoff_jitter=float(rel["backoff_jitter"]),
+            invocation_timeout_s=rel["invocation_timeout_s"],
+            hedge_after_s=rel["hedge_after_s"])
     guard = None
     if spec.get("guard") is not None:
         g = spec["guard"]
@@ -505,7 +509,7 @@ def _shrink_config(spec, mutate, target, budget) -> Dict[str, object]:
         if _reproduces(candidate, mutate, target, budget):
             current = candidate
     rel = current["reliability"]
-    if rel.get("hedge_after_s") is not None:
+    if rel is not None and rel.get("hedge_after_s") is not None:
         candidate = dict(current)
         candidate["reliability"] = dict(rel)
         candidate["reliability"]["hedge_after_s"] = None

@@ -1,4 +1,6 @@
-"""Seed-pinned runs whose trace puts several arrivals at one instant.
+"""Seed-pinned runs that fix the kernel's same-instant event order.
+
+The first group of runs has several arrivals at one instant.
 
 Poisson traces almost never repeat a timestamp, so the stored seed rows
 say nothing about how the trace driver orders same-instant arrivals.
@@ -72,3 +74,15 @@ def test_same_instant_arrivals_match_stored_fingerprint(label):
     assert metrics.shed_count() > 0  # admission really decided something
     assert (len(metrics.workflow_records), metrics.shed_count(),
             cluster_fingerprint(cluster)) == expected
+
+
+def test_stage_advance_keeps_the_completion_event_position():
+    """Fuzz trial 112 at seed 7 is a reliable-path run in which another
+    event is due at the instant a stage's last attempt loop ends. The
+    next stage must start where the stage-completion event fired, after
+    that event, not inside the loop's own end."""
+    from repro.verify.fuzz import run_trial, sample_spec
+    result = run_trial(sample_spec(112, 7))
+    assert result["violations"] == []
+    assert result["fingerprint"] == (
+        "cb43d06b571254572a3b072075bdcaed964b58b59b78fdb2ffea4b40e8ce53e6")

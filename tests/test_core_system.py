@@ -14,6 +14,8 @@ from repro.core.profiles import ProfileStore
 from repro.experiments.common import make_load_trace, run_cluster
 from repro.platform.cluster import Cluster, ClusterConfig
 from repro.sim import Environment
+from repro.sim.events import AllOf, Initialize
+from repro.sim.process import Process
 from repro.traces.poisson import (
     PoissonLoadConfig,
     generate_poisson_trace,
@@ -274,9 +276,9 @@ class TestWorkCounters:
         trace = make_load_trace("low", 2, 8.0, seed=3)
         run_cluster(EcoFaaSSystem(EcoFaaSConfig()), trace,
                     ClusterConfig(n_servers=2, seed=3))
-        assert counts == {"events": 2953, "observations": 352,
+        assert counts == {"events": 2379, "observations": 352,
                           "solves": 11, "fits": 16, "adam_steps": 64,
-                          "store_predictions": 766}
+                          "store_predictions": 560}
 
     def test_baseline_low_load_work_counts(self, monkeypatch):
         counts = self._count(monkeypatch, [
@@ -286,4 +288,20 @@ class TestWorkCounters:
         trace = make_load_trace("low", 2, 8.0, seed=3)
         run_cluster(BaselineSystem(), trace,
                     ClusterConfig(n_servers=2, seed=3))
-        assert counts == {"events": 2974, "rebalances": 263, "picks": 383}
+        assert counts == {"events": 2400, "rebalances": 263, "picks": 383}
+
+    @pytest.mark.parametrize("system", [EcoFaaSSystem, BaselineSystem])
+    def test_direct_dispatch_builds_no_process_per_workflow(
+            self, monkeypatch, system):
+        """Only the nodes' control loops are processes: a workflow is
+        driven by callbacks on its jobs' ``done`` events."""
+        counts = self._count(monkeypatch, [
+            (Process, "__init__", "processes"),
+            (Initialize, "__init__", "starts"),
+            (AllOf, "__init__", "all_ofs")])
+        trace = make_load_trace("low", 2, 8.0, seed=3)
+        cluster = run_cluster(system() if system is BaselineSystem
+                              else system(EcoFaaSConfig()), trace,
+                              ClusterConfig(n_servers=2, seed=3))
+        assert len(cluster.metrics.workflow_records) > 100
+        assert counts == {"processes": 2, "starts": 2, "all_ofs": 0}

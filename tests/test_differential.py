@@ -56,6 +56,33 @@ class TestComparison:
         assert tool.format_row(row(3), row(3, "e" * 64)).endswith("DIFFERS")
 
 
+class TestDirectVariant:
+    def test_drops_reliability_ha_and_the_faults_they_absorb(self):
+        tool = load_tool()
+        kinds = ["node_crash", "rpc_spike", "network_partition",
+                 "container_kill", "controller_crash", "dvfs_stall"]
+        spec = {"reliability": {"max_retries": 4}, "ha": {"lease_s": 1.0},
+                "guard": {"admission": None},
+                "plan": [{"kind": kind} for kind in kinds]}
+        variant = tool.direct_variant(spec)
+        assert variant["reliability"] is None and variant["ha"] is None
+        assert variant["guard"] == spec["guard"]
+        assert [e["kind"] for e in variant["plan"]] == [
+            "rpc_spike", "container_kill", "dvfs_stall"]
+        assert len(spec["plan"]) == len(kinds)  # the drawn spec is kept
+
+    def test_stand_in_build_matches_the_fuzzers_own(self):
+        """Trees that predate ``reliability: None`` build the variant
+        with a stand-in policy; the result is the fuzzer's own build."""
+        from repro.verify import fuzz
+        tool = load_tool()
+        for trial in range(3):
+            spec = tool.direct_variant(fuzz.sample_spec(trial, 7))
+            config = fuzz._build_config(spec)
+            assert config.reliability is None and config.ha is None
+            assert tool._build_any_config(fuzz._build_config)(spec) == config
+
+
 class TestSelfRun:
     def test_one_trial_of_the_working_tree_against_itself_agrees(self):
         tool = load_tool()

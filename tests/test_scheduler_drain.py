@@ -142,3 +142,100 @@ class TestSeniorityInheritance:
         env.run(until=2.5)
         assert old_stage.finished  # it preempted young immediately
         assert not young.finished
+
+
+class TestLoadTally:
+    """``node.outstanding`` is a tally the pools keep; it must equal the
+    sum of the pools' ``load`` counters after every kind of change."""
+
+    @staticmethod
+    def node_of(system):
+        from repro.platform.cluster import Cluster, ClusterConfig
+        cluster = Cluster(Environment(), system,
+                          ClusterConfig(n_servers=1, cores_per_server=2))
+        return cluster.env, cluster.nodes[0]
+
+    @staticmethod
+    def assert_tally(node, expected):
+        loads = sum(pool.load for pool in node.iter_pools())
+        assert node.outstanding == loads == expected
+
+    def test_tally_follows_submit_drain_cancel_and_abort(self):
+        from repro.core import EcoFaaSConfig, EcoFaaSSystem
+        env, node = self.node_of(EcoFaaSSystem(EcoFaaSConfig()))
+        pool = node.iter_pools()[0]
+        blocker = job_of(env, run_s=0.5, blocks=[(10.0, 0.5)])
+        running = job_of(env, run_s=5.0)
+        queued = [job_of(env) for _ in range(3)]
+        for job in [blocker, running, *queued]:
+            pool.submit(job)
+        self.assert_tally(node, 5)
+        drained = pool.drain_ready()
+        assert drained and all(job in queued for job in drained)
+        self.assert_tally(node, 5 - len(drained))
+        for job in drained:
+            pool.submit(job)
+        self.assert_tally(node, 5)
+        assert pool.cancel_job(queued[-1])  # queued
+        self.assert_tally(node, 4)
+        env.run(until=1.0)  # the blocker is now in its block segment
+        assert pool.blocked_count == 1
+        assert pool.cancel_job(blocker)  # blocked
+        self.assert_tally(node, 3)
+        assert pool.cancel_job(running)  # running
+        self.assert_tally(node, 2)
+        assert len(node.crash()) == 2  # abort_all
+        self.assert_tally(node, 0)
+        node.reboot()
+        fresh = node.iter_pools()[0]
+        assert fresh is not pool
+        fresh.submit(job_of(env))
+        self.assert_tally(node, 1)
+
+    def test_tally_survives_idle_pool_deletion(self):
+        from repro.baselines import BaselineSystem
+        from repro.baselines.partitioned import POOL_IDLE_TIMEOUT_S
+        env, node = self.node_of(BaselineSystem())
+        idle, busy = node._pool_for("idle"), node._pool_for("busy")
+        idle.submit(job_of(env, run_s=0.1))
+        busy.submit(job_of(env, run_s=3 * POOL_IDLE_TIMEOUT_S))
+        self.assert_tally(node, 2)
+        env.run(until=2 * POOL_IDLE_TIMEOUT_S)
+        assert list(node.iter_pools()) == [busy]  # the idle pool is gone
+        self.assert_tally(node, 1)
+
+    @pytest.mark.parametrize("system", ["EcoFaaS", "Baseline"])
+    def test_tally_equals_pool_sum_at_every_pick(self, monkeypatch, system):
+        """A chaos run with crashes, hedges and cancels, checked at
+        every load-balancer decision."""
+        from repro.baselines import BaselineSystem
+        from repro.cancel import CancelConfig
+        from repro.core import EcoFaaSConfig, EcoFaaSSystem
+        from repro.experiments.common import make_load_trace, run_cluster
+        from repro.faults.plan import FaultPlan
+        from repro.platform.cluster import Cluster, ClusterConfig
+        from repro.platform.reliability import ReliabilityPolicy
+
+        original = Cluster.pick_node
+        picks = []
+
+        def checked(self, exclude=None):
+            for node in self.nodes:
+                assert node.outstanding == sum(
+                    pool.load for pool in node.iter_pools())
+            picks.append(exclude)
+            return original(self, exclude)
+
+        monkeypatch.setattr(Cluster, "pick_node", checked)
+        config = ClusterConfig(
+            n_servers=2, drain_s=4.0, cancel=CancelConfig.full(),
+            reliability=ReliabilityPolicy(
+                max_retries=8, backoff_base_s=0.05,
+                invocation_timeout_s=2.0, hedge_after_s=0.8))
+        run_cluster(
+            EcoFaaSSystem(EcoFaaSConfig()) if system == "EcoFaaS"
+            else BaselineSystem(),
+            make_load_trace("low", 2, 6.0, seed=3), config,
+            fault_plan=FaultPlan.calibrated(6.0, 2, ["WebServ", "CNNServ"],
+                                            seed=5))
+        assert len(picks) > 100

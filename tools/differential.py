@@ -3,8 +3,11 @@
 For each of N trials the oracle draws ``sample_spec(trial, seed)`` and
 runs ``run_trial`` on it in a base tree and a head tree, then compares
 the outcomes trial by trial: the run's ``cluster_fingerprint`` and the
-set of violated invariants. A behaviour-preserving refactor agrees on
-every trial; the first trial that differs is reported with its spec.
+set of violated invariants. Every drawn spec arms the reliability layer,
+so each trial also runs its *direct-dispatch* variant
+(:func:`direct_variant`): the fire-and-wait path that every paper figure
+takes. A behaviour-preserving refactor agrees on every run; the first
+one that differs is reported with its spec.
 
 Each tree runs in its own subprocess that imports that tree's ``src/``
 through ``PYTHONPATH`` (the way ``bench/worker.py`` imports its
@@ -30,6 +33,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -41,6 +45,22 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Width of the fingerprint prefix in the per-trial table.
 SHORT = 12
+
+#: The runs of one trial: the drawn spec and its direct-dispatch variant.
+VARIANTS = ("drawn", "direct")
+
+#: Fault kinds the direct-dispatch path cannot run: a node crash needs
+#: the reliability layer to re-dispatch the lost jobs, and partitions and
+#: controller crashes act on the HA layer.
+NEEDS_RELIABILITY = ("node_crash", "network_partition", "controller_crash")
+
+
+def direct_variant(spec: Dict[str, object]) -> Dict[str, object]:
+    """``spec`` on the direct-dispatch path: no reliability policy, no
+    HA layer, and none of the faults that need them."""
+    return {**spec, "reliability": None, "ha": None,
+            "plan": [event for event in spec["plan"]
+                     if event["kind"] not in NEEDS_RELIABILITY]}
 
 
 # ---------------------------------------------------------------------------
@@ -61,23 +81,46 @@ def outcome(result: Dict[str, object]) -> Dict[str, object]:
                                 for v in result["violations"]})}
 
 
+def _build_any_config(build):
+    """``build`` (a tree's ``fuzz._build_config``) taking ``reliability:
+    None`` the same way in every tree, including trees that predate it:
+    the config is built with a stand-in policy that is then dropped."""
+    stand_in = {"max_retries": 0, "backoff_base_s": 0.0,
+                "backoff_jitter": 0.0, "invocation_timeout_s": None,
+                "hedge_after_s": None}
+
+    def build_any(spec):
+        if spec["reliability"] is not None:
+            return build(spec)
+        return dataclasses.replace(
+            build({**spec, "reliability": stand_in}), reliability=None)
+    return build_any
+
+
+def _spec(trial: int, seed: int, variant: str) -> Dict[str, object]:
+    from repro.verify.fuzz import sample_spec
+    spec = sample_spec(trial, seed)
+    return direct_variant(spec) if variant == "direct" else spec
+
+
 def _run_trials(trials: int, seed: int) -> None:
-    from repro.verify.fuzz import run_trial, sample_spec
+    from repro.verify.fuzz import run_trial
     for trial in range(trials):
-        spec = sample_spec(trial, seed)
-        row = {"trial": trial, **outcome(run_trial(spec))}
-        print(json.dumps(row, sort_keys=True), flush=True)
+        for variant in VARIANTS:
+            result = run_trial(_spec(trial, seed, variant))
+            row = {"trial": trial, "variant": variant, **outcome(result)}
+            print(json.dumps(row, sort_keys=True), flush=True)
 
 
-def _record(trial: int, seed: int, directory: str) -> None:
-    """Record one trial's run directory (CLI ``--out`` tracer set-up)."""
+def _record(trial: int, seed: int, variant: str, directory: str) -> None:
+    """Record one run's directory (CLI ``--out`` tracer set-up)."""
     from repro import obs
     from repro.experiments.common import run_cluster
     from repro.faults.plan import FaultPlan
     from repro.verify import fuzz
     if not hasattr(obs, "write_run"):
         raise SystemExit(3)
-    spec = fuzz.sample_spec(trial, seed)
+    spec = _spec(trial, seed, variant)
     tracer = obs.install(obs.Tracer(
         ledger=obs.EnergyLedger(), burnrate=obs.BurnRateMonitor(),
         fingerprint=obs.FingerprintRecorder()))
@@ -97,11 +140,18 @@ def worker(argv: Sequence[str]) -> int:
     parser.add_argument("--trials", type=int, default=0)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--record", type=int, default=None)
+    parser.add_argument("--spec", type=int, default=None)
+    parser.add_argument("--variant", choices=VARIANTS, default="drawn")
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     _check_import(os.path.abspath(args.src))
+    from repro.verify import fuzz
+    fuzz._build_config = _build_any_config(fuzz._build_config)
     if args.record is not None:
-        _record(args.record, args.seed, args.out)
+        _record(args.record, args.seed, args.variant, args.out)
+    elif args.spec is not None:
+        print(json.dumps(_spec(args.spec, args.seed, args.variant),
+                         sort_keys=True))
     else:
         _run_trials(args.trials, args.seed)
     return 0
@@ -110,19 +160,26 @@ def worker(argv: Sequence[str]) -> int:
 # ---------------------------------------------------------------------------
 # Driver side
 # ---------------------------------------------------------------------------
-def first_difference(rows_a: List[Dict[str, object]],
-                     rows_b: List[Dict[str, object]]) -> Optional[int]:
-    """The first trial whose outcomes differ, or None when all agree.
-
-    A side that produced fewer rows differs at its first missing trial.
-    """
+def first_differing_row(rows_a: List[Dict[str, object]],
+                        rows_b: List[Dict[str, object]]
+                        ) -> Optional[Dict[str, object]]:
+    """The base row of the first run whose outcomes differ, or None when
+    all agree. A side that produced fewer rows differs at its first
+    missing row."""
     for row_a, row_b in zip(rows_a, rows_b):
         if (row_a["fingerprint"] != row_b["fingerprint"]
                 or row_a["violated"] != row_b["violated"]):
-            return int(row_a["trial"])
+            return row_a
     if len(rows_a) != len(rows_b):
-        return min(len(rows_a), len(rows_b))
+        return max(rows_a, rows_b, key=len)[min(len(rows_a), len(rows_b))]
     return None
+
+
+def first_difference(rows_a: List[Dict[str, object]],
+                     rows_b: List[Dict[str, object]]) -> Optional[int]:
+    """The first trial whose outcomes differ, or None when all agree."""
+    row = first_differing_row(rows_a, rows_b)
+    return None if row is None else int(row["trial"])
 
 
 def format_row(row_a: Dict[str, object], row_b: Dict[str, object]) -> str:
@@ -134,7 +191,8 @@ def format_row(row_a: Dict[str, object], row_b: Dict[str, object]) -> str:
         return text
     same = (row_a["fingerprint"] == row_b["fingerprint"]
             and row_a["violated"] == row_b["violated"])
-    return (f"trial {int(row_a['trial']):3d}: {short(row_a)}"
+    return (f"trial {int(row_a['trial']):3d}:"
+            f" {row_a.get('variant', 'drawn'):6s} {short(row_a)}"
             f"  {short(row_b)}  {'same' if same else 'DIFFERS'}")
 
 
@@ -177,8 +235,9 @@ def run_sides(trees: Sequence[str], trials: int, seed: int
 
 
 def record_and_diff(trees: Sequence[str], trial: int, seed: int,
-                    scratch: str) -> Optional[str]:
-    """Record ``trial`` in both trees and ``repro diff`` the pair.
+                    variant: str, scratch: str) -> Optional[str]:
+    """Record one run of ``trial`` in both trees and ``repro diff`` the
+    pair.
 
     Returns the diff's output, or None when a tree cannot write a run
     directory.
@@ -186,7 +245,7 @@ def record_and_diff(trees: Sequence[str], trial: int, seed: int,
     dirs = [os.path.join(scratch, f"run-{side}") for side in ("a", "b")]
     procs = [subprocess.Popen(
         _worker_cmd(tree, "--record", str(trial), "--seed", str(seed),
-                    "--out", directory),
+                    "--variant", variant, "--out", directory),
         env=_worker_env(tree), cwd=tree, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True)
         for tree, directory in zip(trees, dirs)]
@@ -228,7 +287,8 @@ def main(argv: Optional[Sequence[str]] = None, echo=print) -> int:
             echo(f"cannot extract a tree: {error}")
             return 2
         echo(f"base: {args.base}\nhead: {args.head}\n"
-             f"{args.trials} trial(s) at seed {args.seed}")
+             f"{args.trials} trial(s) at seed {args.seed}, each run"
+             f" {' and '.join(VARIANTS)}")
         try:
             rows_a, rows_b = run_sides(trees, args.trials, args.seed)
         except RuntimeError as error:
@@ -236,23 +296,22 @@ def main(argv: Optional[Sequence[str]] = None, echo=print) -> int:
             return 2
         for row_a, row_b in zip(rows_a, rows_b):
             echo(format_row(row_a, row_b))
-        differs = first_difference(rows_a, rows_b)
-        if differs is None:
+        row = first_differing_row(rows_a, rows_b)
+        if row is None:
             echo(f"all {args.trials} trial(s) agree")
             return 0
+        differs, variant = int(row["trial"]), row["variant"]
         agreeing = sum(1 for a, b in zip(rows_a, rows_b) if a == b)
-        echo(f"{agreeing} of {args.trials} trial(s) agree;"
-             f" first difference at trial {differs}")
+        echo(f"{agreeing} of {len(VARIANTS) * args.trials} run(s) agree;"
+             f" first difference at trial {differs} ({variant})")
         spec = subprocess.run(
-            [sys.executable, "-c",
-             "import json, sys; from repro.verify.fuzz import sample_spec;"
-             " print(json.dumps(sample_spec(int(sys.argv[1]),"
-             " int(sys.argv[2])), sort_keys=True))",
-             str(differs), str(args.seed)],
+            _worker_cmd(trees[-1], "--spec", str(differs), "--seed",
+                        str(args.seed), "--variant", variant),
             env=_worker_env(trees[-1]), cwd=trees[-1],
             capture_output=True, text=True)
         echo(f"spec: {spec.stdout.strip()}")
-        report = record_and_diff(trees, differs, args.seed, scratch)
+        report = record_and_diff(trees, differs, args.seed, variant,
+                                 scratch)
         if report is None:
             echo("(a tree cannot write run directories:"
                  " compared by fingerprint only)")
