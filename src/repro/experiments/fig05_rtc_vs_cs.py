@@ -43,7 +43,7 @@ def _run_environment(fn: FunctionModel, utilization: float,
         env, cores, frequency_ghz=scale.max,
         switch_on_idle=not run_to_completion,
         per_job_frequency=True,
-        switch_cost=lambda: 50e-6)
+        switch_cost=50e-6)
     slo = fn.slo_seconds()
     # Load is relative to the run-to-completion capacity (a core is held
     # through the blocks), so both environments are feasible and the

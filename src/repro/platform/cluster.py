@@ -107,19 +107,24 @@ class _WorkflowRun:
                  "doom_deadline_s", "wf_uid", "stage_index", "waits",
                  "remaining")
 
-    def __init__(self, cluster: "Cluster", workflow: Workflow,
-                 arrival_s: float, slo_s: float,
-                 deadlines: Optional[Dict[str, float]],
-                 doom_deadline_s: Optional[float], wf_uid: int):
+    def __init__(self, cluster: "Cluster", workflow: Workflow):
+        """Open ``workflow``, arriving now, and submit its first stage."""
         self.cluster = cluster
         self.workflow = workflow
-        self.arrival_s = arrival_s
-        self.slo_s = slo_s
-        self.deadlines = deadlines
-        self.doom_deadline_s = doom_deadline_s
-        self.wf_uid = wf_uid
+        self.arrival_s = arrival_s = cluster.env.now
+        self.slo_s = slo_s = workflow.slo_seconds(cluster.config.slo_multiple)
+        self.deadlines = cluster.system.function_deadlines(
+            workflow, arrival_s, slo_s)
+        cluster.system.on_workflow_arrival(cluster, workflow, arrival_s,
+                                           self.deadlines)
+        self.doom_deadline_s = cluster.cancel.doom_deadline(arrival_s, slo_s)
+        cluster.inflight += 1
+        self.wf_uid = next(cluster._wf_ids)
+        cluster.env.trace.workflow_begin(self.wf_uid, workflow.name,
+                                         slo_s=slo_s)
+        self._submit_stage(0)
 
-    def submit_stage(self, stage_index: int) -> None:
+    def _submit_stage(self, stage_index: int) -> None:
         cluster = self.cluster
         policy = cluster.config.reliability
         deadlines = self.deadlines
@@ -176,7 +181,7 @@ class _WorkflowRun:
                 and any(wait.value is None for wait in waits)):
             # An invocation was lost for good: the workflow cannot
             # produce its result, so later stages never run.
-            self._end_failed()
+            self._end(completed=False)
             return
         if cancel.any_cancelled(wait.value for wait in waits):
             # A direct-dispatch invocation was doomed-dropped at
@@ -184,11 +189,11 @@ class _WorkflowRun:
             cancel.note_workflow_doomed(
                 self.workflow.name, self.wf_uid, self.stage_index,
                 cause="invocation_cancelled")
-            self._end_failed()
+            self._end(completed=False)
             return
         next_index = self.stage_index + 1
         if next_index == len(self.workflow.stages):
-            self._end_completed()
+            self._end(completed=True)
             return
         if cancel.doom_passed(self.doom_deadline_s):
             # Deadline propagation: the doom line passed while an earlier
@@ -197,34 +202,30 @@ class _WorkflowRun:
             cancel.note_workflow_doomed(
                 self.workflow.name, self.wf_uid, next_index,
                 cause="stage_boundary")
-            self._end_failed()
+            self._end(completed=False)
             return
-        self.submit_stage(next_index)
+        self._submit_stage(next_index)
 
-    def _end_failed(self) -> None:
+    def _end(self, completed: bool) -> None:
         cluster = self.cluster
         trace = cluster.env.trace
-        if cluster.cancel.workflow_was_doomed(self.wf_uid):
+        slo_s = self.slo_s
+        if completed:
+            latency_s = cluster.env.now - self.arrival_s
+            cluster.metrics.record_workflow(
+                self.workflow.name, self.arrival_s, latency_s, slo_s)
+            if trace.enabled:
+                trace.workflow_end(
+                    self.wf_uid, "completed", latency_s=latency_s,
+                    slo_s=slo_s, met_slo=latency_s <= slo_s + 1e-9)
+        elif cluster.cancel.workflow_was_doomed(self.wf_uid):
             # Doomed is a sub-case of failed (the lifecycle equation
             # still balances); the distinct trace status routes its
             # completed work to the ledger's ``doomed`` bucket.
-            trace.workflow_end(self.wf_uid, "doomed", slo_s=self.slo_s)
+            trace.workflow_end(self.wf_uid, "doomed", slo_s=slo_s)
         else:
             cluster.metrics.record_workflow_failure(self.workflow.name)
-            trace.workflow_end(self.wf_uid, "failed", slo_s=self.slo_s)
-        cluster.inflight -= 1
-
-    def _end_completed(self) -> None:
-        cluster = self.cluster
-        latency_s = cluster.env.now - self.arrival_s
-        slo_s = self.slo_s
-        cluster.metrics.record_workflow(
-            self.workflow.name, self.arrival_s, latency_s, slo_s)
-        trace = cluster.env.trace
-        if trace.enabled:
-            trace.workflow_end(
-                self.wf_uid, "completed", latency_s=latency_s,
-                slo_s=slo_s, met_slo=latency_s <= slo_s + 1e-9)
+            trace.workflow_end(self.wf_uid, "failed", slo_s=slo_s)
         cluster.inflight -= 1
 
 
@@ -325,25 +326,12 @@ class Cluster:
         """Admit one end-to-end application invocation arriving now.
 
         Returns False when the guard or tenancy layer shed it. The trace
-        driver starts the admitted ones (:meth:`_start_workflow`) once
+        driver starts the admitted ones (:class:`_WorkflowRun`) once
         every arrival of the instant has been admitted.
         """
         self.submitted_workflows += 1
         return (self.guard.admit_workflow(workflow.name)
                 and self.tenancy.admit_workflow(workflow.name))
-
-    def _start_workflow(self, workflow: Workflow) -> None:
-        """Open one admitted workflow now and submit its first stage."""
-        arrival_s = self.env.now
-        slo_s = workflow.slo_seconds(self.config.slo_multiple)
-        deadlines = self.system.function_deadlines(workflow, arrival_s, slo_s)
-        self.system.on_workflow_arrival(self, workflow, arrival_s, deadlines)
-        doom_deadline_s = self.cancel.doom_deadline(arrival_s, slo_s)
-        self.inflight += 1
-        run = _WorkflowRun(self, workflow, arrival_s, slo_s, deadlines,
-                           doom_deadline_s, next(self._wf_ids))
-        self.env.trace.workflow_begin(run.wf_uid, workflow.name, slo_s=slo_s)
-        run.submit_stage(0)
 
     # ------------------------------------------------------------------
     # The attempt lifecycle: submit, release, write off
@@ -572,7 +560,7 @@ class Cluster:
                 admitted.append(workflow)
             index += 1
         for workflow in admitted:
-            self._start_workflow(workflow)
+            _WorkflowRun(self, workflow)
 
     def run_trace(self, trace: Trace,
                   workflows: Optional[Dict[str, Workflow]] = None) -> None:
