@@ -164,7 +164,7 @@ def _trace_instants(doc_path: str, traces: TraceCache
     path = os.path.abspath(os.path.join(os.path.dirname(doc_path),
                                         TRACE_FILE))
     if path not in traces:
-        traces[path] = (read_chrome_trace(path).instants
+        traces[path] = (read_chrome_trace(path, spans=False).instants
                         if os.path.exists(path) else None)
     return traces[path]
 

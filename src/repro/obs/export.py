@@ -6,13 +6,19 @@ directory that holds them:
 * :func:`write_chrome_trace` — the Chrome trace-event format (open the
   file at https://ui.perfetto.dev): one process per run and node, one
   thread per core pool, async tracks for invocation/workflow spans, and
-  counter tracks for pool sizes, per-node power draw, and EWT;
-  :func:`read_chrome_trace` validates it and reads it back into the
-  tracer's own records for ``repro report``, ``repro explain`` and
-  ``repro diff``;
+  counter tracks for pool sizes, per-node power draw, and EWT. The
+  events stream through the C JSON encoder in fixed-size chunks, with
+  no event list held, and the bytes are those of one ``json.dumps`` of
+  the whole document; :func:`read_chrome_trace` validates it and reads
+  it back into the tracer's own records for ``repro report``,
+  ``repro explain`` and (instants only) ``repro diff``;
 * :func:`epoch_rows` / :func:`write_epoch_metrics` — a per-epoch
   (``T_refresh``-granularity) metrics time series as CSV: energy,
-  p50/p99, SLO violations, pool occupancy, retry counters;
+  p50/p99, SLO violations, pool occupancy, retry counters. Records are
+  grouped by run in one pass and each run is binned from its own
+  records (:func:`run_epochs`), which is also how
+  :class:`~repro.obs.fingerprint.FingerprintRecorder` folds the one run
+  it closes;
 * :func:`run_summary` — a plain-text rollup per run;
 * :func:`write_run` — one recorded run as a directory of
   :data:`RUN_FILES`: the trace, the epoch metrics, the energy ledger,
@@ -26,16 +32,17 @@ serialize to identical bytes.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.obs.audit import write_jsonl
 from repro.obs.registry import (EPOCH_INSTANT_COLUMNS, LEDGER_COMPONENTS,
                                 LEDGER_EPOCH_COLUMNS)
-from repro.obs.tracer import InstantRecord, SpanRecord, Tracer
+from repro.obs.tracer import CounterRecord, InstantRecord, SpanRecord, Tracer
 from repro.obs.validate import validate_events
 
 #: The file names of a run directory (``repro <experiment> --out DIR``),
@@ -70,35 +77,52 @@ def _process_of(track: str) -> str:
     return "cluster"
 
 
-class _TrackMap:
-    """Deterministic (run, process) → pid and (pid, track) → tid mapping."""
+#: Events per call of the C JSON encoder in :func:`write_chrome_trace`:
+#: the writer holds at most this many event dicts at a time.
+CHUNK_EVENTS = 4096
 
-    def __init__(self) -> None:
+#: Arg value types the trace writes as they are (no numpy unwrapping,
+#: no non-finite float to guard).
+_PLAIN_TYPES = frozenset((str, int, bool, type(None)))
+
+
+class _TrackMap:
+    """Deterministic (run, process) → pid and (pid, track) → tid mapping.
+
+    Built in one pass over the records before any event is encoded, in
+    first-seen order (spans, then instants, then counters); the process
+    and thread metadata events come out in that order too.
+    """
+
+    def __init__(self, run_labels: List[str]) -> None:
+        self._run_labels = run_labels
         self._pids: Dict[Tuple[int, str], int] = {}
         self._tids: Dict[Tuple[int, str], int] = {}
         self._next_tid: Dict[int, int] = {}
         self.metadata: List[dict] = []
 
-    def pid(self, run: int, process: str, run_label: str) -> int:
+    def pid(self, run: int, process: str) -> int:
         key = (run, process)
-        if key not in self._pids:
-            pid = len(self._pids) + 1
-            self._pids[key] = pid
+        pid = self._pids.get(key)
+        if pid is None:
+            pid = self._pids[key] = len(self._pids) + 1
+            label = (self._run_labels[run]
+                     if 0 <= run < len(self._run_labels) else "run")
             self.metadata.append({
                 "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-                "args": {"name": f"{run_label} [{run}] {process}"}})
-        return self._pids[key]
+                "args": {"name": f"{label} [{run}] {process}"}})
+        return pid
 
     def tid(self, pid: int, track: str) -> int:
         key = (pid, track)
-        if key not in self._tids:
-            tid = self._next_tid.get(pid, 0)
+        tid = self._tids.get(key)
+        if tid is None:
+            tid = self._tids[key] = self._next_tid.get(pid, 0)
             self._next_tid[pid] = tid + 1
-            self._tids[key] = tid
             self.metadata.append({
                 "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
                 "args": {"name": track}})
-        return self._tids[key]
+        return tid
 
 
 def _us(t_s: float) -> float:
@@ -107,6 +131,11 @@ def _us(t_s: float) -> float:
 
 
 def _scalar(value: Any) -> Any:
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
+        return value
+    if kind is float:
+        return value if math.isfinite(value) else repr(value)
     if hasattr(value, "item") and not isinstance(value, (str, bytes)):
         value = value.item()  # numpy scalar → plain python scalar
     if isinstance(value, float) and not math.isfinite(value):
@@ -125,51 +154,72 @@ def _json_safe(args: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def chrome_trace_events(tracer: Tracer) -> List[dict]:
-    """The tracer's records as a list of Chrome trace-event dicts."""
+def _iter_events(tracer: Tracer) -> Iterator[dict]:
+    """The tracer's records as Chrome trace events, built one at a time.
+
+    A first pass assigns every pid and tid; the metadata events come
+    first, then one ``b``/``e`` pair per span, one ``i`` per instant and
+    one ``C`` per counter sample, in record order.
+    """
     tracer.finish_run()
-    tracks = _TrackMap()
-    events: List[dict] = []
+    tracks = _TrackMap(tracer.run_labels)
+    for span in tracer.spans:
+        tracks.pid(span.run,
+                   "frontend" if span.kind == "workflow" else "invocations")
+    # (run, track) → (pid, tid) of instants, and → pid of counters.
+    instant_ids: Dict[Tuple[int, str], Tuple[int, int]] = {}
+    for inst in tracer.instants:
+        key = (inst.run, inst.track)
+        if key not in instant_ids:
+            pid = tracks.pid(inst.run, _process_of(inst.track))
+            instant_ids[key] = (pid, tracks.tid(pid, inst.track))
+    counter_pids: Dict[Tuple[int, str], int] = {}
+    for sample in tracer.counters:
+        key = (sample.run, sample.track)
+        if key not in counter_pids:
+            counter_pids[key] = tracks.pid(sample.run,
+                                           _process_of(sample.track))
+    yield from tracks.metadata
 
-    def label(run: int) -> str:
-        if 0 <= run < len(tracer.run_labels):
-            return tracer.run_labels[run]
-        return "run"
-
+    pid_of = tracks.pid
     for span in tracer.spans:
         if span.kind == "workflow":
-            process, cat = "frontend", "workflow"
+            pid, cat = pid_of(span.run, "frontend"), "workflow"
         else:
-            process, cat = "invocations", span.kind
-        pid = tracks.pid(span.run, process, label(span.run))
+            pid, cat = pid_of(span.run, "invocations"), span.kind
+        args = _json_safe(span.args)
         t1 = span.t1 if span.t1 is not None else span.t0
-        common = {"cat": cat, "id": span.uid, "pid": pid, "tid": 0}
-        events.append({"ph": "b", "name": span.name, "ts": _us(span.t0),
-                       **common,
-                       "args": _json_safe(span.args) if span.kind != "phase"
-                       else {}})
-        events.append({"ph": "e", "name": span.name, "ts": _us(t1),
-                       **common, "args": _json_safe(span.args)})
+        yield {"ph": "b", "name": span.name, "ts": _us(span.t0),
+               "cat": cat, "id": span.uid, "pid": pid, "tid": 0,
+               "args": args if span.kind != "phase" else {}}
+        yield {"ph": "e", "name": span.name, "ts": _us(t1),
+               "cat": cat, "id": span.uid, "pid": pid, "tid": 0,
+               "args": args}
     for inst in tracer.instants:
-        pid = tracks.pid(inst.run, _process_of(inst.track), label(inst.run))
-        tid = tracks.tid(pid, inst.track)
-        events.append({"ph": "i", "s": "t", "name": inst.name,
-                       "pid": pid, "tid": tid, "ts": _us(inst.t),
-                       "args": _json_safe(inst.args)})
+        pid, tid = instant_ids[inst.run, inst.track]
+        yield {"ph": "i", "s": "t", "name": inst.name, "pid": pid,
+               "tid": tid, "ts": _us(inst.t), "args": _json_safe(inst.args)}
     for sample in tracer.counters:
-        pid = tracks.pid(sample.run, _process_of(sample.track),
-                         label(sample.run))
-        events.append({"ph": "C", "name": f"{sample.series}:{sample.track}",
-                       "pid": pid, "tid": 0, "ts": _us(sample.t),
-                       "args": {"value": sample.value}})
-    return tracks.metadata + events
+        yield {"ph": "C", "name": f"{sample.series}:{sample.track}",
+               "pid": counter_pids[sample.run, sample.track], "tid": 0,
+               "ts": _us(sample.t), "args": {"value": sample.value}}
+
+
+def chrome_trace_events(tracer: Tracer) -> List[dict]:
+    """The tracer's records as a list of Chrome trace-event dicts."""
+    return list(_iter_events(tracer))
 
 
 def write_chrome_trace(tracer: Tracer, path: str) -> int:
-    """Write the Perfetto-loadable JSON file; returns the event count."""
-    events = chrome_trace_events(tracer)
-    document = {
-        "traceEvents": events,
+    """Write the Perfetto-loadable JSON file; returns the event count.
+
+    The events stream out in chunks of :data:`CHUNK_EVENTS`, each
+    encoded by one call of the C JSON encoder, so no event list is ever
+    held. The bytes are those of ``json.dumps(document,
+    separators=(",", ":"))`` of the whole document, plus a newline.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    tail = {
         "displayTimeUnit": "ms",
         "otherData": {
             "source": "repro.obs (EcoFaaS reproduction)",
@@ -182,18 +232,31 @@ def write_chrome_trace(tracer: Tracer, path: str) -> int:
                               for link in getattr(tracer, "wf_links", [])],
         },
     }
+    events = _iter_events(tracer)
+    n_events = 0
     with open(path, "w") as handle:
-        json.dump(document, handle, separators=(",", ":"))
-        handle.write("\n")
-    return len(events)
+        handle.write('{"traceEvents":[')
+        while True:
+            chunk = list(itertools.islice(events, CHUNK_EVENTS))
+            if not chunk:
+                break
+            if n_events:
+                handle.write(",")
+            handle.write(encode(chunk)[1:-1])  # drop the list's brackets
+            n_events += len(chunk)
+        # The tail object's members continue the document after "],".
+        handle.write("]," + encode(tail)[1:] + "\n")
+    return n_events
 
 
-def read_chrome_trace(path: str) -> Tracer:
+def read_chrome_trace(path: str, *, spans: bool = True) -> Tracer:
     """Read an exported trace back into the records that were written.
 
     Returns a :class:`Tracer` holding the spans (``kind`` is the event
     ``cat``), the instants (``track`` is the thread name), the workflow
-    links and the run labels; counter samples are not read back. A bare
+    links and the run labels; counter samples are not read back. With
+    ``spans=False`` no span is built (``repro diff`` joins instants
+    only); everything else, ``run_end_s`` included, is the same. A bare
     event list (no ``otherData``) is accepted too. A document that is
     not a valid, non-empty trace-event file (see
     :func:`repro.obs.validate.validate_events`) raises ValueError naming
@@ -235,17 +298,19 @@ def read_chrome_trace(path: str) -> Tracer:
         run = runs.get(event["pid"], (0, "run"))[0]
         t = event["ts"] / 1e6
         if phase == "b":
-            span = SpanRecord(run, event["cat"], event["name"], event["id"],
-                              t, args=event.get("args", {}))
-            open_spans.setdefault(
-                (run, span.kind, span.uid, span.name), []).append(span)
-            tracer.spans.append(span)
+            if spans:
+                span = SpanRecord(run, event["cat"], event["name"],
+                                  event["id"], t, args=event.get("args", {}))
+                open_spans.setdefault(
+                    (run, span.kind, span.uid, span.name), []).append(span)
+                tracer.spans.append(span)
             continue
         if phase == "e":
-            span = open_spans[(run, event["cat"], event["id"],
-                               event["name"])].pop(0)
-            span.t1 = t
-            span.args.update(event.get("args", {}))
+            if spans:
+                span = open_spans[(run, event["cat"], event["id"],
+                                   event["name"])].pop(0)
+                span.t1 = t
+                span.args.update(event.get("args", {}))
         else:
             tracer.instants.append(InstantRecord(
                 run, event["name"],
@@ -284,7 +349,35 @@ def _nearest_rank(sorted_values: List[float], p: float) -> float:
     return sorted_values[rank]
 
 
-def epoch_rows(tracer: Tracer, epoch_s: float = 2.0) -> List[Dict[str, Any]]:
+class RunRecords(NamedTuple):
+    """One run's spans, instants and counter samples, in record order."""
+
+    spans: List[SpanRecord]
+    instants: List[InstantRecord]
+    counters: List[CounterRecord]
+
+
+def records_by_run(tracer: Tracer, run: Optional[int] = None
+                   ) -> Dict[int, RunRecords]:
+    """Every run's records, grouped in one pass over each record list.
+
+    With ``run``, only that run's records are kept (empty lists when the
+    tracer has no such run). Each list keeps record order, so sums over
+    it add up in the same order as a per-run scan would.
+    """
+    runs = range(len(tracer.run_labels)) if run is None else (run,)
+    groups = {r: RunRecords([], [], []) for r in runs}
+    for field, records in enumerate((tracer.spans, tracer.instants,
+                                     tracer.counters)):
+        for record in records:
+            group = groups.get(record.run)
+            if group is not None:
+                group[field].append(record)
+    return groups
+
+
+def epoch_rows(tracer: Tracer, epoch_s: float = 2.0,
+               run: Optional[int] = None) -> List[Dict[str, Any]]:
     """Per-run, per-epoch metrics rows (the CSV/JSON time series).
 
     The epoch length defaults to the EcoFaaS ``T_refresh`` (2 s) so each
@@ -301,103 +394,119 @@ def epoch_rows(tracer: Tracer, epoch_s: float = 2.0) -> List[Dict[str, Any]]:
     gets ``energy_<component>_j`` columns (see
     :data:`repro.obs.registry.LEDGER_COMPONENTS`) with the classified
     joules pro-rated over the epoch.
+
+    With ``run``, only that run's rows: the same rows, value for value,
+    as its slice of the all-runs result.
     """
     if epoch_s <= 0:
         raise ValueError(f"epoch length must be positive: {epoch_s}")
     tracer.finish_run()
-    ledger = getattr(tracer, "ledger", None)
     rows: List[Dict[str, Any]] = []
-    for run, run_label in enumerate(tracer.run_labels):
-        end = tracer.run_end_s[run]
-        n_epochs = max(1, int(math.ceil(end / epoch_s - 1e-9)))
-        base = [{
-            "run": run, "system": run_label, "epoch": e,
-            "t0_s": e * epoch_s, "t1_s": (e + 1) * epoch_s,
-            "is_partial": False,
-            "invocations": 0, "energy_j": 0.0, "cold_starts": 0,
-            "deadline_misses": 0, "workflows": 0, "slo_violations": 0,
-            "p50_latency_s": float("nan"), "p99_latency_s": float("nan"),
-            "retries": 0, "hedges": 0, "timeouts": 0, "faults": 0,
-            "preemptions": 0, "freq_transitions": 0,
-            "ha_suspicions": 0, "ha_redispatches": 0, "ha_failovers": 0,
-            "ha_fenced": 0, "ha_frozen": 0,
-            "slo_fast_burns": 0, "slo_slow_burns": 0,
-            "tenant_throttles": 0, "power_cap_steps": 0,
-            "cancels": 0, "doomed_drops": 0, "workflows_doomed": 0,
-            "retry_budget_denials": 0, "retry_budget_refunds": 0,
-            "mean_power_w": float("nan"), "mean_outstanding": float("nan"),
-        } for e in range(n_epochs)]
-        if 0.0 < end < n_epochs * epoch_s - 1e-9:
-            base[-1]["t1_s"] = end
-            base[-1]["is_partial"] = True
-
-        def bin_of(t: float) -> int:
-            return max(0, min(n_epochs - 1, int(t / epoch_s)))
-
-        latencies: List[List[float]] = [[] for _ in range(n_epochs)]
-        for span in tracer.spans:
-            if span.run != run or span.t1 is None:
-                continue
-            row = base[bin_of(span.t1)]
-            if span.kind == "invocation":
-                if span.args.get("status") != "completed" \
-                        or span.args.get("prewarm"):
-                    continue
-                row["invocations"] += 1
-                row["energy_j"] += float(span.args.get("energy_j", 0.0))
-                row["cold_starts"] += bool(span.args.get("cold_start"))
-                row["deadline_misses"] += not span.args.get(
-                    "met_deadline", True)
-            elif span.kind == "workflow":
-                if span.args.get("status") != "completed":
-                    continue
-                row["workflows"] += 1
-                row["slo_violations"] += not span.args.get("met_slo", True)
-                latencies[bin_of(span.t1)].append(span.duration_s)
-        for e, values in enumerate(latencies):
-            values.sort()
-            base[e]["p50_latency_s"] = _nearest_rank(values, 50.0)
-            base[e]["p99_latency_s"] = _nearest_rank(values, 99.0)
-
-        for inst in tracer.instants:
-            if inst.run != run:
-                continue
-            row = base[bin_of(inst.t)]
-            column = EPOCH_INSTANT_COLUMNS.get(inst.name)
-            if column is not None:
-                row[column] += 1
-            elif inst.name.startswith("fault_"):
-                row["faults"] += 1
-
-        if ledger is not None and ledger.reports:
-            per_epoch = ledger.epoch_component_j(run, n_epochs, epoch_s)
-            for e in range(n_epochs):
-                for component, column in zip(LEDGER_COMPONENTS,
-                                             LEDGER_EPOCH_COLUMNS):
-                    base[e][column] = per_epoch[e][component]
-
-        power: List[List[float]] = [[] for _ in range(n_epochs)]
-        occupancy: List[List[float]] = [[] for _ in range(n_epochs)]
-        # Counter samples arrive node-by-node at identical timestamps;
-        # summing per timestamp yields cluster-wide series to average.
-        by_time: Dict[Tuple[str, float], float] = {}
-        for sample in tracer.counters:
-            if sample.run != run or sample.series not in ("power_w",
-                                                          "outstanding"):
-                continue
-            key = (sample.series, sample.t)
-            by_time[key] = by_time.get(key, 0.0) + sample.value
-        for (series, t), value in by_time.items():
-            target = power if series == "power_w" else occupancy
-            target[bin_of(t)].append(value)
-        for e in range(n_epochs):
-            if power[e]:
-                base[e]["mean_power_w"] = sum(power[e]) / len(power[e])
-            if occupancy[e]:
-                base[e]["mean_outstanding"] = (sum(occupancy[e])
-                                               / len(occupancy[e]))
-        rows.extend(base)
+    for index, records in records_by_run(tracer, run).items():
+        rows.extend(run_epochs(tracer, index, records, epoch_s)[0])
     return rows
+
+
+def run_epochs(tracer: Tracer, run: int, records: RunRecords,
+               epoch_s: float) -> Tuple[List[Dict[str, Any]],
+                                        Optional[List[Dict[str, float]]]]:
+    """One run's :func:`epoch_rows`, binned from its ``records``.
+
+    Also returns the ledger's per-epoch joules per component that the
+    rows' ``energy_<component>_j`` columns hold (None when the tracer
+    has no ledger with a closed run), so a caller that needs both bins
+    the ledger once.
+    """
+    if not 0 <= run < len(tracer.run_labels):
+        return [], None
+    ledger = getattr(tracer, "ledger", None)
+    end = tracer.run_end_s[run]
+    n_epochs = max(1, int(math.ceil(end / epoch_s - 1e-9)))
+    base = [{
+        "run": run, "system": tracer.run_labels[run], "epoch": e,
+        "t0_s": e * epoch_s, "t1_s": (e + 1) * epoch_s,
+        "is_partial": False,
+        "invocations": 0, "energy_j": 0.0, "cold_starts": 0,
+        "deadline_misses": 0, "workflows": 0, "slo_violations": 0,
+        "p50_latency_s": float("nan"), "p99_latency_s": float("nan"),
+        "retries": 0, "hedges": 0, "timeouts": 0, "faults": 0,
+        "preemptions": 0, "freq_transitions": 0,
+        "ha_suspicions": 0, "ha_redispatches": 0, "ha_failovers": 0,
+        "ha_fenced": 0, "ha_frozen": 0,
+        "slo_fast_burns": 0, "slo_slow_burns": 0,
+        "tenant_throttles": 0, "power_cap_steps": 0,
+        "cancels": 0, "doomed_drops": 0, "workflows_doomed": 0,
+        "retry_budget_denials": 0, "retry_budget_refunds": 0,
+        "mean_power_w": float("nan"), "mean_outstanding": float("nan"),
+    } for e in range(n_epochs)]
+    if 0.0 < end < n_epochs * epoch_s - 1e-9:
+        base[-1]["t1_s"] = end
+        base[-1]["is_partial"] = True
+
+    def bin_of(t: float) -> int:
+        return max(0, min(n_epochs - 1, int(t / epoch_s)))
+
+    latencies: List[List[float]] = [[] for _ in range(n_epochs)]
+    for span in records.spans:
+        if span.t1 is None:
+            continue
+        row = base[bin_of(span.t1)]
+        if span.kind == "invocation":
+            if span.args.get("status") != "completed" \
+                    or span.args.get("prewarm"):
+                continue
+            row["invocations"] += 1
+            row["energy_j"] += float(span.args.get("energy_j", 0.0))
+            row["cold_starts"] += bool(span.args.get("cold_start"))
+            row["deadline_misses"] += not span.args.get(
+                "met_deadline", True)
+        elif span.kind == "workflow":
+            if span.args.get("status") != "completed":
+                continue
+            row["workflows"] += 1
+            row["slo_violations"] += not span.args.get("met_slo", True)
+            latencies[bin_of(span.t1)].append(span.duration_s)
+    for e, values in enumerate(latencies):
+        values.sort()
+        base[e]["p50_latency_s"] = _nearest_rank(values, 50.0)
+        base[e]["p99_latency_s"] = _nearest_rank(values, 99.0)
+
+    for inst in records.instants:
+        row = base[bin_of(inst.t)]
+        column = EPOCH_INSTANT_COLUMNS.get(inst.name)
+        if column is not None:
+            row[column] += 1
+        elif inst.name.startswith("fault_"):
+            row["faults"] += 1
+
+    per_epoch = None
+    if ledger is not None and ledger.reports:
+        per_epoch = ledger.epoch_component_j(run, n_epochs, epoch_s)
+        for e in range(n_epochs):
+            for component, column in zip(LEDGER_COMPONENTS,
+                                         LEDGER_EPOCH_COLUMNS):
+                base[e][column] = per_epoch[e][component]
+
+    power: List[List[float]] = [[] for _ in range(n_epochs)]
+    occupancy: List[List[float]] = [[] for _ in range(n_epochs)]
+    # Counter samples arrive node-by-node at identical timestamps;
+    # summing per timestamp yields cluster-wide series to average.
+    by_time: Dict[Tuple[str, float], float] = {}
+    for sample in records.counters:
+        if sample.series not in ("power_w", "outstanding"):
+            continue
+        key = (sample.series, sample.t)
+        by_time[key] = by_time.get(key, 0.0) + sample.value
+    for (series, t), value in by_time.items():
+        target = power if series == "power_w" else occupancy
+        target[bin_of(t)].append(value)
+    for e in range(n_epochs):
+        if power[e]:
+            base[e]["mean_power_w"] = sum(power[e]) / len(power[e])
+        if occupancy[e]:
+            base[e]["mean_outstanding"] = (sum(occupancy[e])
+                                           / len(occupancy[e]))
+    return base, per_epoch
 
 
 def write_epoch_metrics(tracer: Tracer, path: str,

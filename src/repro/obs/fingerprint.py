@@ -199,15 +199,18 @@ class FingerprintRecorder:
     # ------------------------------------------------------------------
     def close_run(self, cluster, tracer) -> Dict[str, Any]:
         """Fold the just-finished run into chains; returns its entry."""
-        from repro.obs.export import epoch_rows  # deferred: avoids cycle
+        # deferred: avoids an import cycle
+        from repro.obs.export import records_by_run, run_epochs
         from repro.obs.registry import LEDGER_EPOCH_COLUMNS
         tracer.finish_run()
         run = tracer._run
         label = (tracer.run_labels[run]
                  if 0 <= run < len(tracer.run_labels) else "run")
         epoch_s = self.epoch_s
-        rows = [row for row in epoch_rows(tracer, epoch_s)
-                if row["run"] == run]
+        # Only this run's records are binned: earlier runs were folded
+        # when they closed.
+        records = records_by_run(tracer, run)[run]
+        rows, ledger_epochs = run_epochs(tracer, run, records, epoch_s)
         n_epochs = len(rows)
 
         def bin_of(t: float) -> int:
@@ -225,20 +228,19 @@ class FingerprintRecorder:
         # instants: every point event, minus the run index (two files'
         # arms may sit at different run indices yet be identical runs).
         instant_bins: List[List[Dict[str, Any]]] = [[] for _ in rows]
-        for inst in tracer.instants:
-            if inst.run != run:
-                continue
+        for inst in records.instants:
             instant_bins[bin_of(inst.t)].append({
                 "name": inst.name, "track": inst.track,
                 "t": round(inst.t, 9), "args": inst.args})
         payloads["instants"] = [canonical_json(bin) for bin in instant_bins]
 
         # ledger: per-epoch joules per component, when one is attached
-        # and this run was closed (entries classified).
+        # and this run was closed (entries classified). The rows above
+        # were filled from the same per-epoch joules.
         ledger = getattr(tracer, "ledger", None)
         if ledger is not None and any(r.run == run for r in ledger.reports):
-            per_epoch = ledger.epoch_component_j(run, n_epochs, epoch_s)
-            payloads["ledger"] = [canonical_json(row) for row in per_epoch]
+            payloads["ledger"] = [canonical_json(row)
+                                  for row in ledger_epochs]
 
         entry = {
             "run": run,
@@ -247,19 +249,19 @@ class FingerprintRecorder:
             "n_epochs": n_epochs,
             "chains": {sub: fold_chain(sub, payloads[sub])
                        for sub in payloads},
-            "summary": self._summary(cluster, tracer, run, ledger),
+            "summary": self._summary(cluster, records, run, ledger),
         }
         self.entries.append(entry)
         self.payloads[run] = payloads
         return entry
 
-    def _summary(self, cluster, tracer, run: int,
+    def _summary(self, cluster, records, run: int,
                  ledger) -> Dict[str, Any]:
         """The compact attribution rollup ``repro diff`` reports from."""
         misses: Dict[str, int] = {}
         workflows = completed = 0
-        for span in tracer.spans:
-            if span.run != run or span.kind != "workflow":
+        for span in records.spans:
+            if span.kind != "workflow":
                 continue
             workflows += 1
             if span.args.get("status") != "completed":
@@ -269,17 +271,15 @@ class FingerprintRecorder:
                 misses[span.name] = misses.get(span.name, 0) + 1
         counts = {key: 0 for _, key in SUMMARY_INSTANTS}
         names = dict(SUMMARY_INSTANTS)
-        for inst in tracer.instants:
-            if inst.run != run:
-                continue
+        for inst in records.instants:
             key = names.get(inst.name)
             if key is not None:
                 counts[key] += 1
         # Cluster-wide EWT: counter samples arrive node-by-node at the
         # same timestamps; sum per timestamp, then average over time.
         ewt_by_t: Dict[float, float] = {}
-        for sample in tracer.counters:
-            if sample.run == run and sample.series == "ewt_s":
+        for sample in records.counters:
+            if sample.series == "ewt_s":
                 ewt_by_t[sample.t] = ewt_by_t.get(sample.t, 0.0) \
                     + sample.value
         ewt_mean = (sum(ewt_by_t.values()) / len(ewt_by_t)

@@ -94,6 +94,8 @@ class EnergyLedger:
 
     def __init__(self) -> None:
         self.entries: List[LedgerEntry] = []
+        #: Each closed run's classified entries, in entry order.
+        self._closed_runs: Dict[int, List[LedgerEntry]] = {}
         self.reports: List[ConservationReport] = []
         self.run_labels: List[str] = []
         self.tracer = None
@@ -154,9 +156,9 @@ class EnergyLedger:
         doomed_uids = self._workflow_jobs(run, "doomed")
         ledger_j = 0.0
         by_component = {c: 0.0 for c in LEDGER_COMPONENTS}
-        for entry in self.entries:
-            if entry.run != run:
-                continue
+        closed = self._closed_runs[run] = [e for e in self.entries
+                                           if e.run == run]
+        for entry in closed:
             if entry.component is None:
                 entry.component = self._classify(entry, shed_uids,
                                                  doomed_uids)
@@ -226,8 +228,9 @@ class EnergyLedger:
     # Aggregation
     # ------------------------------------------------------------------
     def _closed(self, run: Optional[int] = None) -> List[LedgerEntry]:
-        return [e for e in self.entries if e.component is not None
-                and (run is None or e.run == run)]
+        if run is not None:
+            return self._closed_runs.get(run, [])
+        return [e for e in self.entries if e.component is not None]
 
     def by_component(self, run: Optional[int] = None) -> Dict[str, float]:
         totals = {c: 0.0 for c in LEDGER_COMPONENTS}
@@ -314,6 +317,13 @@ class EnergyLedger:
                 continue
             first = max(0, min(n_epochs - 1, int(t0 / epoch_s)))
             last = max(0, min(n_epochs - 1, int((t1 - 1e-12) / epoch_s)))
+            if (first == last and t0 == entry.t0 and t1 == entry.t1
+                    and first * epoch_s <= t0
+                    and t1 <= (first + 1) * epoch_s):
+                # Unclipped inside one epoch: its share is (t1-t0)/(t1-t0),
+                # exactly 1.0, so the whole entry lands as it is.
+                rows[first][entry.component] += entry.joules
+                continue
             duration = entry.t1 - entry.t0
             for e in range(first, last + 1):
                 lo = max(t0, e * epoch_s)

@@ -265,9 +265,9 @@ def _count_trace_loads(monkeypatch):
     loads = {}
     load = diff.read_chrome_trace
 
-    def counted(path):
+    def counted(path, **kwargs):
         loads[path] = loads.get(path, 0) + 1
-        return load(path)
+        return load(path, **kwargs)
 
     monkeypatch.setattr(diff, "read_chrome_trace", counted)
     return loads

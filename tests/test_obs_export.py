@@ -3,14 +3,21 @@ and the report."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.baselines import BaselineSystem
+from repro.core import EcoFaaSSystem
+from repro.core.config import EcoFaaSConfig
+from repro.experiments.common import make_load_trace, run_cluster
+from repro.obs import export
 from repro.obs.export import _nearest_rank, _process_of
 from repro.obs.export import read_chrome_trace
 from repro.obs.validate import validate_events
+from repro.platform.cluster import ClusterConfig
 from repro.sim import Environment
 
 
@@ -94,6 +101,16 @@ class TestReadBack:
                 (old.run, old.name, old.track, old.args)
             assert abs(new.t - old.t) <= 1e-9
 
+    def test_instants_only_read_builds_no_span(self, tmp_path):
+        path = str(tmp_path / "trace.json")
+        obs.write_chrome_trace(two_run_tracer(), path)
+        full = read_chrome_trace(path)
+        bare = read_chrome_trace(path, spans=False)
+        assert full.spans and bare.spans == []
+        assert bare.instants == full.instants
+        assert (bare.run_labels, bare.run_end_s, bare.wf_links) == \
+            (full.run_labels, full.run_end_s, full.wf_links)
+
     def test_counters_are_not_read_back(self, tmp_path):
         path = str(tmp_path / "trace.json")
         obs.write_chrome_trace(synthetic_tracer(), path)
@@ -160,6 +177,145 @@ class TestChromeTrace:
             obs.write_chrome_trace(synthetic_tracer(), path)
         assert (tmp_path / "t0.json").read_bytes() == \
                (tmp_path / "t1.json").read_bytes()
+
+
+def recorded(body, label="Case"):
+    """A one-run tracer filled by the generator ``body(tracer, env)``."""
+    env = Environment()
+    tracer = obs.Tracer()
+    tracer.begin_run(label)
+    tracer.bind(env)
+    env.process(body(tracer, env))
+    env.run()
+    return tracer
+
+
+def _counters_only(tracer, env):
+    tracer.counter("node0", "power_w", 80.0)
+    tracer.counter("pool2.0@1", "pool_size", 3)
+    yield env.timeout(0.5)
+    tracer.counter("node0", "power_w", 90.5)
+
+
+def _non_finite_args(tracer, env):
+    tracer.instant("probe", "node0", nan=float("nan"), pinf=float("inf"),
+                   ninf=-float("inf"), nested={"x": float("nan")},
+                   alternatives=[{"score": float("inf")}])
+    yield env.timeout(0.25)
+    tracer.invocation_begin(1, "App.fn", slack=float("-inf"))
+    tracer.invocation_end(1, "completed", energy_j=float("nan"))
+
+
+def _numpy_args(tracer, env):
+    tracer.invocation_begin(1, "App.fn", freq=np.float64(2.5),
+                            size=np.int64(3), warm=np.bool_(True),
+                            share=np.float32(0.1), gap=np.float64("nan"),
+                            inputs={"n": np.int64(4), "f": np.float64(0.5)})
+    yield env.timeout(1.0 / 3.0)
+    tracer.invocation_end(1, "completed", met_deadline=np.bool_(False))
+
+
+def _int_keyed_args(tracer, env):
+    tracer.decision("pool_retune", "controller",
+                    inputs={"demand": {0: 1.5, 2: 0.25}},
+                    action={"targets": {1: 2, 0: 3}})
+    tracer.instant("pool_retune", "pool2.0@0", targets={3: 1, "x": 2})
+    yield env.timeout(0.1)
+
+
+def _phase_span(tracer, env):
+    tracer.invocation_begin(7, "App.fn", benchmark="App")
+    tracer.phase(7, "queue", pool="pool2.0@0")
+    yield env.timeout(0.125)
+    tracer.phase(7, "run", freq_ghz=2.0)
+    yield env.timeout(0.5)
+    tracer.invocation_end(7, "completed", energy_j=1.0)
+
+
+def _unfinished_span(tracer, env):
+    tracer.workflow_begin(0, "App", slo_s=1.0)
+    tracer.link(0, 1)
+    tracer.invocation_begin(1, "App.fn")
+    yield env.timeout(0.75)
+
+
+STREAM_CASES = {
+    "empty": obs.Tracer,
+    "counters_only": lambda: recorded(_counters_only),
+    "non_finite_args": lambda: recorded(_non_finite_args),
+    "numpy_args": lambda: recorded(_numpy_args),
+    "int_keyed_args": lambda: recorded(_int_keyed_args),
+    "phase_span": lambda: recorded(_phase_span),
+    "unfinished_span": lambda: recorded(_unfinished_span),
+    "two_runs": two_run_tracer,
+}
+
+
+def one_shot_bytes(tracer):
+    """The trace file as one ``json.dumps`` of the whole document, the
+    shape the streaming writer must reproduce byte for byte."""
+    document = {
+        "traceEvents": obs.chrome_trace_events(tracer),
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "source": "repro.obs (EcoFaaS reproduction)",
+            "runs": list(tracer.run_labels),
+            "clock": "simulation seconds, exported as microseconds",
+            "workflowLinks": [list(link) for link in tracer.wf_links],
+        },
+    }
+    return (json.dumps(document, separators=(",", ":")) + "\n").encode()
+
+
+@pytest.fixture(scope="module")
+def armed_two_runs():
+    """Two armed runs (trace, ledger, fingerprints) on one tracer."""
+    tracer = obs.install(obs.Tracer(ledger=obs.EnergyLedger(),
+                                    fingerprint=obs.FingerprintRecorder()))
+    try:
+        for system in (EcoFaaSSystem(EcoFaaSConfig()), BaselineSystem()):
+            run_cluster(system, make_load_trace("low", 2, 4.0, seed=3),
+                        ClusterConfig(n_servers=2, drain_s=2.0))
+    finally:
+        obs.uninstall()
+    return tracer
+
+
+class TestStreamedBytes:
+    """The streamed trace equals the one-shot encoding of the document."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, export.CHUNK_EVENTS])
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_matches_one_shot_encoding(self, case, chunk, tmp_path,
+                                       monkeypatch):
+        monkeypatch.setattr(export, "CHUNK_EVENTS", chunk)
+        path = tmp_path / "trace.json"
+        n = obs.write_chrome_trace(STREAM_CASES[case](), str(path))
+        expected = one_shot_bytes(STREAM_CASES[case]())
+        assert path.read_bytes() == expected
+        assert n == len(json.loads(expected)["traceEvents"])
+
+    @pytest.mark.parametrize("chunk", [1, 3, export.CHUNK_EVENTS])
+    def test_armed_two_run_trace_matches(self, armed_two_runs, chunk,
+                                         tmp_path, monkeypatch):
+        monkeypatch.setattr(export, "CHUNK_EVENTS", chunk)
+        path = tmp_path / "trace.json"
+        obs.write_chrome_trace(armed_two_runs, str(path))
+        assert armed_two_runs.run_labels == ["EcoFaaS", "Baseline"]
+        assert path.read_bytes() == one_shot_bytes(armed_two_runs)
+
+    def test_non_finite_and_numpy_args_are_plain_json(self):
+        events = obs.chrome_trace_events(recorded(_non_finite_args))
+        probe = next(e for e in events if e["name"] == "probe")
+        assert probe["args"]["nan"] == "nan"
+        assert probe["args"]["ninf"] == "-inf"
+        assert probe["args"]["nested"] == {"x": "nan"}
+        end = [e for e in obs.chrome_trace_events(recorded(_numpy_args))
+               if e["ph"] == "e"][0]
+        assert type(end["args"]["size"]) is int
+        assert end["args"]["warm"] is True
+        assert end["args"]["gap"] == "nan"
+        assert end["args"]["inputs"] == {"n": 4, "f": 0.5}
 
 
 class TestValidator:
@@ -269,6 +425,81 @@ class TestEpochRows:
         assert len(lines) == 1 + len(rows)
         assert lines[0].startswith("run,system,epoch")
         assert rows[1]["invocations"] == 1
+
+
+def three_run_ledger_tracer(close_run):
+    """Three hand-built runs on one tracer with an energy ledger.
+
+    ``close_run(tracer, cluster)`` runs after each run, with a stub of
+    the finalized cluster, as the experiment harness closes its runs.
+    """
+    ledger = obs.EnergyLedger()
+    tracer = obs.Tracer(ledger=ledger)
+    for run, end_s in enumerate((3.0, 4.5, 1.25)):
+        env = Environment()
+        tracer.begin_run(f"Run{run}")
+        tracer.bind(env)
+
+        def proc(env=env, end_s=end_s, run=run):
+            tracer.workflow_begin(0, "App", slo_s=2.0)
+            tracer.invocation_begin(1, "App.fn")
+            tracer.counter("node0", "power_w", 40.0 + run)
+            ledger.record_static("node0", 0.0, end_s / 3.0, 1.5)
+            yield env.timeout(end_s / 3.0)
+            tracer.instant("retry", "frontend", function="App.fn")
+            ledger.record_static("node0", end_s / 3.0, end_s, 2.0 + run)
+            yield env.timeout(end_s * 2.0 / 3.0)
+            tracer.invocation_end(1, "completed", energy_j=0.5)
+            tracer.workflow_end(0, "completed", met_slo=True)
+
+        env.process(proc())
+        env.run()
+        close_run(tracer, SimpleNamespace(
+            metrics=SimpleNamespace(
+                function_records=[], workflow_records=[], retries=0,
+                hedges=0, timeouts=0, failures=0, lost_invocations=0,
+                failed_workflows=0, retry_energy_j=0.0),
+            servers=[],
+            total_energy_j=sum(e.joules for e in ledger.entries
+                               if e.run == run)))
+    return tracer
+
+
+class TestEpochWork:
+    """Each run's epochs are binned once, from that run's records."""
+
+    def test_close_run_bins_only_the_run_it_closes(self, monkeypatch):
+        recorder = obs.FingerprintRecorder(epoch_s=1.0)
+        binned = []
+        bin_epochs = obs.EnergyLedger.epoch_component_j
+
+        def counted(ledger, run, n_epochs, epoch_s):
+            binned.append(run)
+            return bin_epochs(ledger, run, n_epochs, epoch_s)
+
+        monkeypatch.setattr(obs.EnergyLedger, "epoch_component_j", counted)
+
+        def close_run(tracer, cluster):
+            tracer.ledger.close_run(cluster)
+            entry = recorder.close_run(cluster, tracer)
+            assert binned == list(range(entry["run"] + 1))
+
+        three_run_ledger_tracer(close_run)
+        assert [e["n_epochs"] for e in recorder.entries] == [3, 5, 2]
+
+    def test_one_run_rows_equal_its_slice_of_all_rows(self):
+        tracer = three_run_ledger_tracer(
+            lambda tracer, cluster: tracer.ledger.close_run(cluster))
+        every = obs.epoch_rows(tracer, epoch_s=1.0)
+        assert {row["run"] for row in every} == {0, 1, 2}
+        for run in range(3):
+            one = obs.epoch_rows(tracer, epoch_s=1.0, run=run)
+            want = [row for row in every if row["run"] == run]
+            assert [list(row) for row in one] == [list(row) for row in want]
+            assert [[repr(v) for v in row.values()] for row in one] == \
+                [[repr(v) for v in row.values()] for row in want]
+            assert one[0]["energy_static_j"] > 0.0
+        assert obs.epoch_rows(tracer, epoch_s=1.0, run=3) == []
 
 
 class TestSummaryAndReport:
