@@ -376,8 +376,8 @@ def records_by_run(tracer: Tracer, run: Optional[int] = None
     return groups
 
 
-def epoch_rows(tracer: Tracer, epoch_s: float = 2.0,
-               run: Optional[int] = None) -> List[Dict[str, Any]]:
+def epoch_rows(tracer: Tracer, epoch_s: float = 2.0
+               ) -> List[Dict[str, Any]]:
     """Per-run, per-epoch metrics rows (the CSV/JSON time series).
 
     The epoch length defaults to the EcoFaaS ``T_refresh`` (2 s) so each
@@ -394,31 +394,21 @@ def epoch_rows(tracer: Tracer, epoch_s: float = 2.0,
     gets ``energy_<component>_j`` columns (see
     :data:`repro.obs.registry.LEDGER_COMPONENTS`) with the classified
     joules pro-rated over the epoch.
-
-    With ``run``, only that run's rows: the same rows, value for value,
-    as its slice of the all-runs result.
     """
     if epoch_s <= 0:
         raise ValueError(f"epoch length must be positive: {epoch_s}")
     tracer.finish_run()
     rows: List[Dict[str, Any]] = []
-    for index, records in records_by_run(tracer, run).items():
-        rows.extend(run_epochs(tracer, index, records, epoch_s)[0])
+    for run, records in records_by_run(tracer).items():
+        rows.extend(run_epochs(tracer, run, records, epoch_s))
     return rows
 
 
 def run_epochs(tracer: Tracer, run: int, records: RunRecords,
-               epoch_s: float) -> Tuple[List[Dict[str, Any]],
-                                        Optional[List[Dict[str, float]]]]:
-    """One run's :func:`epoch_rows`, binned from its ``records``.
-
-    Also returns the ledger's per-epoch joules per component that the
-    rows' ``energy_<component>_j`` columns hold (None when the tracer
-    has no ledger with a closed run), so a caller that needs both bins
-    the ledger once.
-    """
+               epoch_s: float) -> List[Dict[str, Any]]:
+    """One run's :func:`epoch_rows`, binned from its ``records``."""
     if not 0 <= run < len(tracer.run_labels):
-        return [], None
+        return []
     ledger = getattr(tracer, "ledger", None)
     end = tracer.run_end_s[run]
     n_epochs = max(1, int(math.ceil(end / epoch_s - 1e-9)))
@@ -479,7 +469,6 @@ def run_epochs(tracer: Tracer, run: int, records: RunRecords,
         elif inst.name.startswith("fault_"):
             row["faults"] += 1
 
-    per_epoch = None
     if ledger is not None and ledger.reports:
         per_epoch = ledger.epoch_component_j(run, n_epochs, epoch_s)
         for e in range(n_epochs):
@@ -506,7 +495,7 @@ def run_epochs(tracer: Tracer, run: int, records: RunRecords,
         if occupancy[e]:
             base[e]["mean_outstanding"] = (sum(occupancy[e])
                                            / len(occupancy[e]))
-    return base, per_epoch
+    return base
 
 
 def write_epoch_metrics(tracer: Tracer, path: str,

@@ -201,7 +201,7 @@ class FingerprintRecorder:
         """Fold the just-finished run into chains; returns its entry."""
         # deferred: avoids an import cycle
         from repro.obs.export import records_by_run, run_epochs
-        from repro.obs.registry import LEDGER_EPOCH_COLUMNS
+        from repro.obs.registry import LEDGER_COMPONENTS, LEDGER_EPOCH_COLUMNS
         tracer.finish_run()
         run = tracer._run
         label = (tracer.run_labels[run]
@@ -210,7 +210,7 @@ class FingerprintRecorder:
         # Only this run's records are binned: earlier runs were folded
         # when they closed.
         records = records_by_run(tracer, run)[run]
-        rows, ledger_epochs = run_epochs(tracer, run, records, epoch_s)
+        rows = run_epochs(tracer, run, records, epoch_s)
         n_epochs = len(rows)
 
         def bin_of(t: float) -> int:
@@ -235,12 +235,15 @@ class FingerprintRecorder:
         payloads["instants"] = [canonical_json(bin) for bin in instant_bins]
 
         # ledger: per-epoch joules per component, when one is attached
-        # and this run was closed (entries classified). The rows above
-        # were filled from the same per-epoch joules.
+        # and this run was closed (entries classified); the rows' ledger
+        # columns hold them.
         ledger = getattr(tracer, "ledger", None)
         if ledger is not None and any(r.run == run for r in ledger.reports):
-            payloads["ledger"] = [canonical_json(row)
-                                  for row in ledger_epochs]
+            payloads["ledger"] = [
+                canonical_json({c: row[column] for c, column
+                                in zip(LEDGER_COMPONENTS,
+                                       LEDGER_EPOCH_COLUMNS)})
+                for row in rows]
 
         entry = {
             "run": run,

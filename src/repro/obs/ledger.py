@@ -317,13 +317,6 @@ class EnergyLedger:
                 continue
             first = max(0, min(n_epochs - 1, int(t0 / epoch_s)))
             last = max(0, min(n_epochs - 1, int((t1 - 1e-12) / epoch_s)))
-            if (first == last and t0 == entry.t0 and t1 == entry.t1
-                    and first * epoch_s <= t0
-                    and t1 <= (first + 1) * epoch_s):
-                # Unclipped inside one epoch: its share is (t1-t0)/(t1-t0),
-                # exactly 1.0, so the whole entry lands as it is.
-                rows[first][entry.component] += entry.joules
-                continue
             duration = entry.t1 - entry.t0
             for e in range(first, last + 1):
                 lo = max(t0, e * epoch_s)

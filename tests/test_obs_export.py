@@ -488,18 +488,22 @@ class TestEpochWork:
         assert [e["n_epochs"] for e in recorder.entries] == [3, 5, 2]
 
     def test_one_run_rows_equal_its_slice_of_all_rows(self):
+        """The rows ``close_run`` bins for one run, from that run's
+        records, equal its slice of :func:`epoch_rows` value for value."""
         tracer = three_run_ledger_tracer(
             lambda tracer, cluster: tracer.ledger.close_run(cluster))
         every = obs.epoch_rows(tracer, epoch_s=1.0)
         assert {row["run"] for row in every} == {0, 1, 2}
         for run in range(3):
-            one = obs.epoch_rows(tracer, epoch_s=1.0, run=run)
+            records = export.records_by_run(tracer, run)[run]
+            one = export.run_epochs(tracer, run, records, 1.0)
             want = [row for row in every if row["run"] == run]
             assert [list(row) for row in one] == [list(row) for row in want]
             assert [[repr(v) for v in row.values()] for row in one] == \
                 [[repr(v) for v in row.values()] for row in want]
             assert one[0]["energy_static_j"] > 0.0
-        assert obs.epoch_rows(tracer, epoch_s=1.0, run=3) == []
+        assert export.run_epochs(
+            tracer, 3, export.records_by_run(tracer, 3)[3], 1.0) == []
 
 
 class TestSummaryAndReport:

@@ -7,8 +7,6 @@ relative tolerance. That attaching a ledger never perturbs the
 simulation itself is one column of ``tests/test_obs_determinism.py``.
 """
 
-import random
-
 import pytest
 
 from repro import obs
@@ -121,56 +119,6 @@ def test_epoch_components_sum_to_run_totals():
         summed = sum(row[component] for row in rows)
         assert summed == pytest.approx(totals[component], rel=1e-9,
                                        abs=1e-9)
-
-
-def prorated_oracle(entries, n_epochs, epoch_s):
-    """Per-epoch joules per component by overlap, every entry through the
-    general pro-rating formula, cells summed in entry order."""
-    rows = [{c: 0.0 for c in LEDGER_COMPONENTS} for _ in range(n_epochs)]
-    span_end = n_epochs * epoch_s
-    for entry in entries:
-        t0 = max(0.0, min(entry.t0, span_end))
-        t1 = max(0.0, min(entry.t1, span_end))
-        if t1 <= t0:
-            e = max(0, min(n_epochs - 1, int(t0 / epoch_s)))
-            rows[e][entry.component] += entry.joules
-            continue
-        first = max(0, min(n_epochs - 1, int(t0 / epoch_s)))
-        last = max(0, min(n_epochs - 1, int((t1 - 1e-12) / epoch_s)))
-        for e in range(first, last + 1):
-            lo, hi = max(t0, e * epoch_s), min(t1, (e + 1) * epoch_s)
-            rows[e][entry.component] += \
-                entry.joules * (max(0.0, hi - lo) / (entry.t1 - entry.t0))
-    return rows
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_epoch_components_match_the_prorating_oracle(seed):
-    """Entries inside one epoch, across boundaries, starting on or ending
-    just past a boundary, and past the end: every cell equals the
-    oracle's bit for bit."""
-    rng = random.Random(seed)
-    epoch_s, n_epochs = rng.choice([0.1, 0.3, 2.0, 2.5]), 6
-    ledger = EnergyLedger()
-    for _ in range(300):
-        t0 = rng.choice([rng.uniform(0.0, n_epochs * epoch_s * 1.1),
-                         rng.randrange(n_epochs + 1) * epoch_s])
-        t1 = t0 + rng.choice([0.0, rng.uniform(0.0, epoch_s * 0.4),
-                              rng.uniform(0.0, epoch_s * 2.5)])
-        if rng.random() < 0.2:  # ends within 1e-12 s past a boundary
-            t1 = (int(t0 / epoch_s) + 1) * epoch_s + 5e-13
-        ledger.entries.append(LedgerEntry(
-            run=0, t0=t0, t1=t1, joules=rng.uniform(0.01, 5.0),
-            raw="static", node="node0"))
-
-    class Finalized:
-        total_energy_j = sum(e.joules for e in ledger.entries)
-
-    ledger.close_run(Finalized())
-    rows = ledger.epoch_component_j(0, n_epochs, epoch_s)
-    want = prorated_oracle(ledger.entries, n_epochs, epoch_s)
-    assert [[repr(row[c]) for c in LEDGER_COMPONENTS] for row in rows] == \
-        [[repr(row[c]) for c in LEDGER_COMPONENTS] for row in want]
 
 
 def test_aggregations_cover_every_joule():
